@@ -24,7 +24,7 @@ from .errors import (
     NotInCommutantError,
 )
 from .forms import DEFAULT_TOLERANCES, HermitianForm, Tolerances
-from .spectral import SpectralResolution, is_generic_by_commutant, spectral_resolution
+from .spectral import SpectralResolution, commutant_dimension, spectral_resolution
 
 __all__ = [
     "Fiber",
@@ -336,7 +336,8 @@ def check_genericity_consistency(
         If the two characterizations disagree.
     """
     unidimensional = all(f.dim == 1 for f in dec.fibers)
-    generic = is_generic_by_commutant(g, tol)
+    # the bicommutant dimension is the fiber count
+    generic = commutant_dimension(g, tol) == dec.n_fibers
     if unidimensional != generic:
         raise InternalInconsistencyError(
             f"fiber dimensions say unidimensional={unidimensional} but the "

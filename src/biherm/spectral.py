@@ -218,28 +218,28 @@ def commutant_dimension(
     g: ConnectingOperator,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> int:
-    """Complex dimension of {X : GX = XG}.
+    """Complex dimension of {X : GX = XG}, counted over eigenvalue pairs.
 
-    Computed as the null-space dimension of the linear map
-    X -> GX - XG on n^2 unknowns via a rank-revealing SVD.  The singular
-    values of this map scale with eigenvalue differences of G, so the
-    rank threshold is ``tol.tol_eig`` relative to the norm of G itself
-    (not to the largest singular value of the map, which vanishes for
-    near-scalar G); this keeps the notion of "commuting" consistent with
-    the eigenvalue clustering.  For a diagonalizable G the result equals
-    the sum of the squared cluster multiplicities.
+    With h1 = L L†, G is similar to the Hermitian G~ = L^{-1} h2 L^{-†},
+    and similar operators have commutants of equal dimension.  The
+    commutator map X -> G~X - XG~ of a Hermitian G~ is normal: for
+    orthonormal eigenvectors u_i of G~ it maps u_i u_j† to
+    (w_i - w_j) u_i u_j†, so its singular values are exactly
+    |w_i - w_j| over the eigenvalues w of G.  Its null-space dimension
+    is therefore the number of ordered pairs (i, j) with
+    |w_i - w_j| <= ``tol.tol_eig`` times the spectral radius max|w|, the
+    same threshold :func:`spectral_resolution` uses for cluster gaps, so
+    the commutant and the clustering are judged in one frame.  The count
+    is over pairs, not chained clusters, so it stays an independent
+    check.  For a diagonalizable G it equals the sum of the squared
+    cluster multiplicities.
+
+    Costs one Hermitian eigendecomposition, O(n^3) time and O(n^2)
+    memory; the n^2 x n^2 commutator map is never formed.
     """
-    mat = g.mat
-    n = g.dim
-    eye = np.eye(n)
-    # row-major vec: vec(GX - XG) = (G (x) I - I (x) G^T) vec(X)
-    k = np.kron(mat, eye) - np.kron(eye, mat.T)
-    s = np.linalg.svd(k, compute_uv=False)
-    scale = float(np.linalg.norm(mat, 2))
-    if scale <= _TINY:
-        return n * n
-    rank = int(np.sum(s > tol.tol_eig * scale))
-    return n * n - rank
+    w, _ = generalized_eig(g.mat, g.h1.gram, tol)
+    radius = max(float(np.max(np.abs(w))), _TINY)
+    return int(np.count_nonzero(np.abs(w[:, None] - w[None, :]) <= tol.tol_eig * radius))
 
 
 def bicommutant_dimension(res: SpectralResolution) -> int:
@@ -258,9 +258,11 @@ def is_generic_by_commutant(
 ) -> bool:
     """True when the commutant of G equals its bicommutant.
 
-    Compares the null-space commutant dimension with the cluster count;
-    they agree exactly when every cluster is simple (sum of squared
-    multiplicities equals the number of clusters).
+    Compares :func:`commutant_dimension`, the count of eigenvalue pairs
+    within ``tol.tol_eig`` times the spectral radius, with the cluster
+    count of ``resolution`` (computed when not given).  They agree
+    exactly when every eigenvalue is simple: each one then pairs only
+    with itself.  Costs O(n^3) time and O(n^2) memory.
     """
     if resolution is None:
         resolution = spectral_resolution(g, tol)

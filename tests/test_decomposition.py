@@ -12,12 +12,19 @@ from biherm import (
     check_genericity_consistency,
     check_proportionality,
     connecting_operator,
+    is_generic_by_commutant,
+    is_generic_by_spectrum,
     phase_biunitary,
     project_to_commutant_blocks,
     sample_biunitary,
+    spectral_resolution,
     verify_biunitary,
 )
-from conftest import hermitian_pair_with_multiplicities, random_multiplicity_pattern
+from conftest import (
+    hermitian_pair_with_multiplicities,
+    random_multiplicity_pattern,
+    random_unitary,
+)
 
 
 def diag_pair(*values):
@@ -192,6 +199,28 @@ class TestGenericityConsistency:
             op = connecting_operator(h1, h2)
             dec = build_decomposition(op)
             check_genericity_consistency(dec, op)  # must never raise
+
+    def test_split_pair_with_ill_conditioned_h1(self):
+        # kappa(h1) = 1e4 stays below the ill-conditioned flag, and one
+        # eigenvalue pair split by 2e-7 relative is well above tol_eig in
+        # the h1 frame, so the pair is generic; a threshold taken in the
+        # Euclidean frame instead sees one 2-dimensional eigenspace
+        rng = np.random.default_rng(31)
+        n = 12
+        for _ in range(5):
+            values = 0.5 + np.cumsum(0.05 + rng.random(n - 1))
+            j = int(rng.integers(0, n - 1))
+            lam = np.insert(values, j + 1, values[j] * (1.0 + 2e-7))
+            q = random_unitary(rng, n)
+            h1 = (q * np.geomspace(1.0, 1e4, n)) @ q.conj().T
+            h1 = 0.5 * (h1 + h1.conj().T)
+            lu = np.linalg.cholesky(h1) @ random_unitary(rng, n)
+            h2 = (lu * lam) @ lu.conj().T
+            h2 = 0.5 * (h2 + h2.conj().T)
+            op = connecting_operator(HermitianForm(h1), HermitianForm(h2))
+            res = spectral_resolution(op)
+            assert check_genericity_consistency(build_decomposition(op, resolution=res), op)
+            assert is_generic_by_commutant(op, resolution=res) == is_generic_by_spectrum(res)
 
 
 class TestSampleBiunitary:

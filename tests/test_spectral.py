@@ -1,5 +1,7 @@
 """Tests for spectral clustering, genericity and cyclicity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,8 +167,8 @@ class TestCommutantDimensions:
 
     def test_matches_multiplicity_formula(self):
         rng = np.random.default_rng(13)
-        for _ in range(25):
-            n = int(rng.integers(2, 11))
+        for i in range(26):
+            n = int(rng.integers(2, 11)) if i < 25 else 128
             mults = random_multiplicity_pattern(rng, n)
             h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
             op = connecting_operator(h1, h2)
@@ -183,6 +185,22 @@ class TestCommutantDimensions:
             assert commutant_dimension(op) == nullspace_dim(
                 commutator_map(op.mat), scale=scale
             )
+
+    def test_memory_stays_quadratic(self):
+        # the n^2 x n^2 commutator map at n = 64 would take 3 * 16 * 64^4
+        # bytes (805 MB); the pair count needs a few n x n arrays
+        rng = np.random.default_rng(17)
+        mults = (3, 1, 2, 4) * 6 + (1,) * 4
+        h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+        op = connecting_operator(h1, h2)
+        tracemalloc.start()
+        try:
+            dim = commutant_dimension(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dim == sum(m * m for m in mults)
+        assert peak < 8 * 2**20
 
 
 class TestBicommutantDimension:
