@@ -11,12 +11,11 @@ from .connecting import (
     BiUnitaryReport,
     ConnectingOperator,
     connecting_operator,
+    invariants_hold,
     verify_biunitary,
 )
 from .decomposition import (
     DecomposableOperator,
-    DiscreteDirectIntegral,
-    Fiber,
     ProportionalityReport,
     ScalarBlockReport,
     build_decomposition,
@@ -59,6 +58,7 @@ from .forms import (
     validate_positive,
 )
 from .spectral import (
+    Fiber,
     GroupSignature,
     SpectralResolution,
     bicommutant_dimension,

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .connecting import connecting_operator, verify_biunitary
+from .connecting import connecting_operator, invariants_hold, verify_biunitary
 from .decomposition import (
     build_decomposition,
     check_genericity_consistency,
@@ -24,12 +24,18 @@ from .decomposition import (
     sample_biunitary,
 )
 from .errors import BihermError, DimensionMismatchError, FileFormatError
-from .forms import ComplexStructureJ, HermitianForm, RealForm, Tolerances, validate_positive
+from .forms import (
+    _TINY,
+    ComplexStructureJ,
+    HermitianForm,
+    RealForm,
+    Tolerances,
+    validate_positive,
+)
 from .matrixio import load_matrix, load_triple, save_matrix, save_triple
 from .report import render_report
 from .spectral import (
     bicommutant_dimension,
-    commutant_dimension,
     group_signature,
     is_cyclic,
     is_generic_by_spectrum,
@@ -41,8 +47,6 @@ from .triples import (
     triple_from_g_j,
     triple_from_g_omega,
 )
-
-_TINY = np.finfo(float).tiny
 
 
 def _common_options(fn):
@@ -191,7 +195,7 @@ def hermitian(triple_path, out_path, tol_eig, tol_resid, fmt, quiet):
         cmap = complexification_from_j(trip.j, tol)
         form = hermitian_from_triple(trip, cmap, tol)
         save_matrix(out_path, form.gram, "complex_hermitian")
-        w = np.linalg.eigvalsh(form.gram)
+        w = form.eigenvalues
         report = {
             "command": "hermitian",
             "inputs": {"triple": triple_path},
@@ -223,12 +227,7 @@ def connect(h1_path, h2_path, out_path, tol_eig, tol_resid, fmt, quiet):
         h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
         op = connecting_operator(h1, h2, tol)
         residuals = op.invariant_residuals()
-        passed = (
-            residuals["defining"] <= tol.tol_resid
-            and residuals["selfadjoint_h1"] <= tol.tol_resid
-            and residuals["selfadjoint_h2"] <= tol.tol_resid
-            and residuals["min_eigenvalue"] > 0.0
-        )
+        passed = invariants_hold(residuals, tol)
         save_matrix(out_path, op.mat, "complex_general", meta={"residuals": residuals})
         report = {
             "command": "connect",
@@ -295,7 +294,7 @@ def generic(h1_path, h2_path, seed, report_out, tol_eig, tol_resid, fmt, quiet):
         op = connecting_operator(h1, h2, tol)
         res = spectral_resolution(op, tol)
         by_spectrum = is_generic_by_spectrum(res)
-        comm_dim = commutant_dimension(op, tol)
+        comm_dim = res.commutant_dimension
         bicomm_dim = bicommutant_dimension(res)
         by_commutant = comm_dim == bicomm_dim
         cyclic = is_cyclic(op, seed=seed, tol=tol)

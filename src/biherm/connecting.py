@@ -15,15 +15,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError, InternalInconsistencyError, NonFiniteError
-from .forms import DEFAULT_TOLERANCES, HermitianForm, Tolerances
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro
 
-__all__ = ["ConnectingOperator", "BiUnitaryReport", "connecting_operator", "verify_biunitary"]
-
-_TINY = np.finfo(float).tiny
-
-
-def _fro(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
+__all__ = [
+    "ConnectingOperator",
+    "BiUnitaryReport",
+    "connecting_operator",
+    "invariants_hold",
+    "verify_biunitary",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +76,20 @@ class ConnectingOperator:
         return out
 
 
+def invariants_hold(residuals: dict[str, float], tol: Tolerances) -> bool:
+    """Whether :meth:`ConnectingOperator.invariant_residuals` passes.
+
+    The three residuals must be within ``tol.tol_resid`` and the smallest
+    eigenvalue of G strictly positive.
+    """
+    return (
+        residuals["defining"] <= tol.tol_resid
+        and residuals["selfadjoint_h1"] <= tol.tol_resid
+        and residuals["selfadjoint_h2"] <= tol.tol_resid
+        and residuals["min_eigenvalue"] > 0.0
+    )
+
+
 def connecting_operator(
     h1: HermitianForm,
     h2: HermitianForm,
@@ -99,19 +113,13 @@ def connecting_operator(
     """
     if h1.dim != h2.dim:
         raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")
-    w1 = np.linalg.eigvalsh(h1.gram)
+    w1 = h1.eigenvalues
     cond = float(w1[-1] / max(w1[0], _TINY))
     ill = cond > 1.0 / tol.tol_eig
     g = np.linalg.solve(h1.gram, h2.gram)
     op = ConnectingOperator(g, h1, h2, ill_conditioned=ill, tol=tol)
     resid = op.invariant_residuals()
-    ok = (
-        resid["defining"] <= tol.tol_resid
-        and resid["selfadjoint_h1"] <= tol.tol_resid
-        and resid["selfadjoint_h2"] <= tol.tol_resid
-        and resid["min_eigenvalue"] > 0.0
-    )
-    if not ok and not ill:
+    if not invariants_hold(resid, tol) and not ill:
         raise InternalInconsistencyError(
             f"connecting operator failed invariant verification: {resid}"
         )

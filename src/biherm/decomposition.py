@@ -1,18 +1,19 @@
-"""Discrete fibered decomposition induced by a connecting operator.
+"""Fibered decomposition induced by a connecting operator.
 
-The space splits into eigenvalue-indexed fibers (the eigenspaces of G,
-carrying normalized weights), grouped into segments of constant fiber
-dimension.  On each fiber the two Hermitian forms are proportional with
-ratio equal to the eigenvalue; operators commuting with G are exactly
-the ones that are block-diagonal across fibers; operators in the
-bicommutant act as a scalar on each fiber; and transformations
-preserving both forms are assembled from one unitary block per fiber —
-a single phase per fiber when all fibers are one-dimensional.
+The decomposition is the :class:`~biherm.spectral.SpectralResolution` of
+G: fibers are the eigenspaces of G with weights m_j / n, grouped into
+segments of constant fiber dimension.  On each fiber the two Hermitian
+forms are proportional with ratio equal to the eigenvalue; operators
+commuting with G are exactly the ones that are block-diagonal across
+fibers; operators in the bicommutant act as a scalar on each fiber; and
+transformations preserving both forms are assembled from one unitary
+block per fiber — a single phase per fiber when all fibers are
+one-dimensional.  Every function here takes the resolution as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +24,10 @@ from .errors import (
     NotGenericError,
     NotInCommutantError,
 )
-from .forms import DEFAULT_TOLERANCES, HermitianForm, Tolerances
-from .spectral import SpectralResolution, commutant_dimension, spectral_resolution
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro
+from .spectral import SpectralResolution, is_generic_by_commutant, spectral_resolution
 
 __all__ = [
-    "Fiber",
-    "DiscreteDirectIntegral",
     "DecomposableOperator",
     "ProportionalityReport",
     "ScalarBlockReport",
@@ -40,88 +39,6 @@ __all__ = [
     "sample_biunitary",
     "phase_biunitary",
 ]
-
-_TINY = np.finfo(float).tiny
-
-
-def _fro(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
-
-
-@dataclass(frozen=True, eq=False)
-class Fiber:
-    """One spectral fiber: eigenvalue, weight, dimension and basis.
-
-    ``basis`` is an (n, dim) block of h1-orthonormal columns spanning the
-    eigenspace.
-    """
-
-    eigenvalue: float
-    weight: float
-    dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis)
-        if basis.ndim != 2 or basis.shape[1] != self.dim:
-            raise ValueError("fiber basis must be an (n, dim) column block")
-        if not self.weight > 0:
-            raise ValueError("fiber weight must be positive")
-        basis = np.array(basis, copy=True)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteDirectIntegral:
-    """Ordered fibers plus the segments of constant fiber dimension.
-
-    ``segments[k]`` lists the indices of the fibers of dimension k.  The
-    fiber weights form a normalized discrete measure (dimension-weighted
-    counting measure, sigma_j = k_j / n).
-    """
-
-    fibers: tuple[Fiber, ...]
-    segments: dict[int, tuple[int, ...]]
-    connecting: ConnectingOperator = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.connecting.dim
-
-    @property
-    def h1(self) -> HermitianForm:
-        return self.connecting.h1
-
-    @property
-    def h2(self) -> HermitianForm:
-        return self.connecting.h2
-
-    @property
-    def n_fibers(self) -> int:
-        return len(self.fibers)
-
-    def basis_matrix(self) -> np.ndarray:
-        """Concatenated fiber bases: an h1-orthonormal n x n matrix."""
-        return np.concatenate([f.basis for f in self.fibers], axis=1)
-
-    def fiber_slices(self) -> list[slice]:
-        """Column ranges of each fiber inside :meth:`basis_matrix`."""
-        out, start = [], 0
-        for f in self.fibers:
-            out.append(slice(start, start + f.dim))
-            start += f.dim
-        return out
-
-    def to_fiber_coordinates(self, a: np.ndarray) -> np.ndarray:
-        """Express an ambient operator in the concatenated fiber basis."""
-        v = self.basis_matrix()
-        return v.conj().T @ self.h1.gram @ a @ v
-
-    def from_fiber_coordinates(self, a_tilde: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_fiber_coordinates`."""
-        v = self.basis_matrix()
-        return v @ a_tilde @ v.conj().T @ self.h1.gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,26 +67,14 @@ def build_decomposition(
     g: ConnectingOperator,
     tol: Tolerances = DEFAULT_TOLERANCES,
     resolution: SpectralResolution | None = None,
-) -> DiscreteDirectIntegral:
-    """Fibered decomposition from the clustered spectrum of G.
+) -> SpectralResolution:
+    """Fibered decomposition of G: its spectral resolution.
 
-    Each eigenvalue cluster becomes a fiber with weight equal to its
-    dimension over the total dimension; fibers of equal dimension are
-    grouped into one segment.
+    Returns ``resolution`` when given, else ``spectral_resolution(g, tol)``.
     """
     if resolution is None:
         resolution = spectral_resolution(g, tol)
-    n = g.dim
-    fibers = tuple(
-        Fiber(eigenvalue=float(lam), weight=mult / n, dim=mult, basis=basis)
-        for lam, mult, basis in zip(
-            resolution.eigenvalues, resolution.multiplicities, resolution.bases
-        )
-    )
-    segments: dict[int, tuple[int, ...]] = {}
-    for idx, f in enumerate(fibers):
-        segments[f.dim] = segments.get(f.dim, ()) + (idx,)
-    return DiscreteDirectIntegral(fibers=fibers, segments=segments, connecting=g)
+    return resolution
 
 
 @dataclass(frozen=True)
@@ -193,7 +98,7 @@ class ProportionalityReport:
 
 
 def check_proportionality(
-    dec: DiscreteDirectIntegral,
+    dec: SpectralResolution,
     h1: HermitianForm,
     h2: HermitianForm,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -223,7 +128,7 @@ def _commutator_residual(a: np.ndarray, g: np.ndarray) -> float:
 
 def project_to_commutant_blocks(
     a: np.ndarray,
-    dec: DiscreteDirectIntegral,
+    dec: SpectralResolution,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DecomposableOperator:
     """Split an operator commuting with G into its per-fiber blocks.
@@ -287,7 +192,7 @@ class ScalarBlockReport:
 
 def check_bicommutant_scalar(
     b: np.ndarray,
-    dec: DiscreteDirectIntegral,
+    dec: SpectralResolution,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScalarBlockReport:
     """Test whether an operator is fiberwise multiplication by a number.
@@ -320,7 +225,7 @@ def check_bicommutant_scalar(
 
 
 def check_genericity_consistency(
-    dec: DiscreteDirectIntegral,
+    dec: SpectralResolution,
     g: ConnectingOperator,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
@@ -328,7 +233,9 @@ def check_genericity_consistency(
 
     Returns whether every fiber is one-dimensional, after asserting that
     this agrees with the commutant-based genericity test.  A disagreement
-    would falsify the implementation, not the input, so it raises.
+    would falsify the implementation, not the input, so it raises.  Both
+    verdicts are read from ``dec``, which must be the decomposition of
+    ``g`` under ``tol``.
 
     Raises
     ------
@@ -336,8 +243,7 @@ def check_genericity_consistency(
         If the two characterizations disagree.
     """
     unidimensional = all(f.dim == 1 for f in dec.fibers)
-    # the bicommutant dimension is the fiber count
-    generic = commutant_dimension(g, tol) == dec.n_fibers
+    generic = is_generic_by_commutant(g, tol, resolution=dec)
     if unidimensional != generic:
         raise InternalInconsistencyError(
             f"fiber dimensions say unidimensional={unidimensional} but the "
@@ -354,7 +260,7 @@ def _haar_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def sample_biunitary(dec: DiscreteDirectIntegral, seed: int) -> np.ndarray:
+def sample_biunitary(dec: SpectralResolution, seed: int) -> np.ndarray:
     """Draw a random transformation preserving both Hermitian forms.
 
     One independent Haar-distributed unitary block is drawn per fiber
@@ -372,7 +278,7 @@ def sample_biunitary(dec: DiscreteDirectIntegral, seed: int) -> np.ndarray:
     return dec.from_fiber_coordinates(u_tilde)
 
 
-def phase_biunitary(dec: DiscreteDirectIntegral, phases) -> np.ndarray:
+def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
     """Bi-unitary transformation from one phase per fiber (generic case).
 
     Returns sum_j e^{i phi_j} P_j with P_j the fiber projectors.

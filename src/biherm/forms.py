@@ -93,6 +93,10 @@ def _maxabs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat))) if mat.size else 0.0
 
 
+def _fro(mat: np.ndarray) -> float:
+    return float(np.linalg.norm(mat))
+
+
 @dataclass(frozen=True, eq=False)
 class RealForm:
     """A real bilinear form on R^m given by its Gram matrix.
@@ -157,11 +161,13 @@ class HermitianForm:
     """A positive-definite Hermitian form on C^n given by its Gram matrix.
 
     Evaluation convention: ``form(x, y) = x.conj() @ gram @ y``, linear in
-    the second argument.
+    the second argument.  ``eigenvalues`` holds the ascending eigenvalues
+    of ``gram`` from the positivity check, frozen.
     """
 
     gram: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _require_square(self.gram, "gram").astype(complex, copy=True)
@@ -171,7 +177,9 @@ class HermitianForm:
         w = np.linalg.eigvalsh(mat)
         if w[0] <= 0.0:
             raise ValueError(f"gram is not positive-definite (min eigenvalue {w[0]:.3e})")
+        w.flags.writeable = False
         object.__setattr__(self, "gram", _freeze(mat))
+        object.__setattr__(self, "eigenvalues", w)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances
+from .forms import _TINY, DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances
 from .report import canonical_json
 from .triples import AdmissibleTriple
 
@@ -38,8 +38,6 @@ __all__ = [
 REAL_KINDS = ("real_symmetric", "real_antisymmetric", "real_general")
 COMPLEX_KINDS = ("complex_hermitian", "complex_general")
 MATRIX_KINDS = REAL_KINDS + COMPLEX_KINDS
-
-_TINY = np.finfo(float).tiny
 
 
 def _load_json(path) -> dict:

@@ -1,12 +1,19 @@
-"""Spectral analysis of the connecting operator and genericity tests.
+"""Spectral resolution of the connecting operator and genericity tests.
 
-The connecting operator of a form pair is diagonalizable with positive
-eigenvalues.  Its clustered spectrum determines the bi-unitary group
-signature U(n_1) x ... x U(n_k); the pair is *generic* when every
-cluster is simple, equivalently when the commutant of G coincides with
-its bicommutant, equivalently when G is cyclic.  All three
-characterizations are implemented independently so they can be checked
-against each other.
+The connecting operator G of a form pair is diagonalizable with positive
+eigenvalues.  One h1-metric eigendecomposition of G gives its spectral
+resolution: the eigenvalues are clustered into fibers, the eigenspaces,
+each carrying an h1-orthonormal basis and the weight m_l / n of its
+multiplicity m_l.  In finite dimension this discrete measure is the
+direct integral over the spectrum of G, so the resolution *is* the
+fibered decomposition that :mod:`biherm.decomposition` works on.
+
+The multiplicities give the bi-unitary group signature
+U(n_1) x ... x U(n_k); the pair is *generic* when every fiber is
+one-dimensional, equivalently when the commutant of G coincides with
+its bicommutant, equivalently when G is cyclic.  The three
+characterizations are computed independently (cluster count, eigenvalue
+pair count, Krylov rank) so they can be checked against each other.
 """
 
 from __future__ import annotations
@@ -17,9 +24,17 @@ import numpy as np
 
 from .connecting import ConnectingOperator
 from .errors import DegenerateSpectrumError, ZeroCoefficientError
-from .forms import DEFAULT_TOLERANCES, HermitianForm, Tolerances, generalized_eig, krylov_rank
+from .forms import (
+    _TINY,
+    DEFAULT_TOLERANCES,
+    HermitianForm,
+    Tolerances,
+    generalized_eig,
+    krylov_rank,
+)
 
 __all__ = [
+    "Fiber",
     "SpectralResolution",
     "GroupSignature",
     "spectral_resolution",
@@ -32,61 +47,127 @@ __all__ = [
     "is_generic_by_commutant",
 ]
 
-_TINY = np.finfo(float).tiny
+
+@dataclass(frozen=True, eq=False)
+class Fiber:
+    """One eigenspace of G: its eigenvalue and an h1-orthonormal basis.
+
+    ``basis`` is a read-only (n, dim) column view of the eigenvector
+    matrix of the resolution the fiber belongs to.
+    """
+
+    eigenvalue: float
+    basis: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def weight(self) -> float:
+        """Share dim / n of the normalized discrete measure."""
+        return self.dim / self.basis.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralResolution:
     """Clustered eigendecomposition of a connecting operator.
 
-    ``eigenvalues[l]`` is the representative (cluster mean) of the l-th
-    cluster, ascending; ``bases[l]`` is an h1-orthonormal basis of the
-    corresponding eigenspace as an (n, multiplicities[l]) column block.
-    ``cluster_gap`` is the absolute gap that separated clusters.
+    ``spectrum`` holds the eigenvalues of G, ascending, and the columns of
+    ``eigenvectors`` the matching h1-orthonormal eigenvectors; both are
+    read-only.  ``fibers`` splits them into clusters of eigenvalues at
+    most ``cluster_gap`` apart, in ascending order.  Everything else is
+    derived from these fields.  The resolution is also the fibered
+    decomposition that :mod:`biherm.decomposition` works on.
     """
 
-    eigenvalues: np.ndarray
-    multiplicities: tuple[int, ...]
-    bases: tuple[np.ndarray, ...]
+    connecting: ConnectingOperator
+    spectrum: np.ndarray
+    eigenvectors: np.ndarray
     cluster_gap: float
-    h1: HermitianForm
-
-    def __post_init__(self):
-        eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        eigenvalues.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        frozen = []
-        for b in self.bases:
-            b = np.asarray(b)
-            b.flags.writeable = False
-            frozen.append(b)
-        object.__setattr__(self, "bases", tuple(frozen))
-        if sum(self.multiplicities) != self.h1.dim:
-            raise ValueError("multiplicities must sum to the space dimension")
+    fibers: tuple[Fiber, ...]
 
     @property
     def dim(self) -> int:
-        return self.h1.dim
+        return self.connecting.dim
 
     @property
-    def n_clusters(self) -> int:
-        return len(self.multiplicities)
+    def h1(self) -> HermitianForm:
+        return self.connecting.h1
+
+    @property
+    def h2(self) -> HermitianForm:
+        return self.connecting.h2
+
+    @property
+    def n_fibers(self) -> int:
+        return len(self.fibers)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Representative (cluster mean) of each fiber, ascending."""
+        out = np.array([f.eigenvalue for f in self.fibers])
+        out.flags.writeable = False
+        return out
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(f.dim for f in self.fibers)
+
+    @property
+    def segments(self) -> dict[int, tuple[int, ...]]:
+        """Fiber indices grouped by fiber dimension."""
+        out: dict[int, tuple[int, ...]] = {}
+        for idx, f in enumerate(self.fibers):
+            out[f.dim] = out.get(f.dim, ()) + (idx,)
+        return out
+
+    @property
+    def commutant_dimension(self) -> int:
+        """Number of ordered pairs (i, j) with |w_i - w_j| <= ``cluster_gap``.
+
+        With h1 = L L†, G is similar to the Hermitian G~ = L^{-1} h2 L^{-†},
+        and similar operators have commutants of equal dimension.  The
+        commutator map X -> G~X - XG~ is normal: for orthonormal
+        eigenvectors u_i of G~ it maps u_i u_j† to (w_i - w_j) u_i u_j†, so
+        its singular values are exactly |w_i - w_j| over ``spectrum`` and
+        its null space is counted by these pairs.  The count is over
+        pairs, not chained clusters, so it stays a check independent of
+        :attr:`fibers`; for a diagonalizable G it equals the sum of the
+        squared multiplicities.  O(n^2) time and memory.
+        """
+        w = self.spectrum
+        return int(np.count_nonzero(np.abs(w[:, None] - w[None, :]) <= self.cluster_gap))
+
+    def fiber_slices(self) -> list[slice]:
+        """Column ranges of each fiber inside :meth:`basis_matrix`."""
+        out, start = [], 0
+        for f in self.fibers:
+            out.append(slice(start, start + f.dim))
+            start += f.dim
+        return out
 
     def basis_matrix(self) -> np.ndarray:
-        """All cluster bases concatenated into one h1-orthonormal n x n matrix."""
-        return np.concatenate(self.bases, axis=1)
+        """The read-only h1-orthonormal n x n matrix of all fiber bases."""
+        return self.eigenvectors
 
-    def projector(self, l: int) -> np.ndarray:
-        """h1-orthogonal projector onto the l-th cluster eigenspace."""
-        x = self.bases[l]
-        return x @ x.conj().T @ self.h1.gram
+    def to_fiber_coordinates(self, a: np.ndarray) -> np.ndarray:
+        """Express an ambient operator in the fiber basis."""
+        v = self.eigenvectors
+        return v.conj().T @ self.h1.gram @ a @ v
+
+    def from_fiber_coordinates(self, a_tilde: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_fiber_coordinates`."""
+        v = self.eigenvectors
+        return v @ a_tilde @ v.conj().T @ self.h1.gram
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted projectors; equals G up to tolerance."""
         n = self.dim
         out = np.zeros((n, n), dtype=complex)
-        for lam, x in zip(self.eigenvalues, self.bases):
-            out += lam * (x @ x.conj().T @ self.h1.gram)
+        for f in self.fibers:
+            x = f.basis
+            out += f.eigenvalue * (x @ x.conj().T @ self.h1.gram)
         return out
 
 
@@ -94,14 +175,16 @@ def spectral_resolution(
     g: ConnectingOperator,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SpectralResolution:
-    """Cluster the spectrum of a connecting operator.
+    """Eigendecompose G once and cluster its spectrum into fibers.
 
     Eigenvalues are computed with the h1-metric eigensolver and adjacent
-    values are merged into one cluster whenever their gap is at most
+    values are merged into one fiber whenever their gap is at most
     ``tol.tol_eig`` times the spectral radius (ties merge, so degeneracy
     is never under-reported).
     """
     w, v = generalized_eig(g.mat, g.h1.gram, tol)
+    w.flags.writeable = False
+    v.flags.writeable = False  # before slicing, so the fiber views are read-only too
     radius = max(float(np.max(np.abs(w))), _TINY)
     gap = tol.tol_eig * radius
     boundaries = [0]
@@ -109,19 +192,12 @@ def spectral_resolution(
         if w[i] - w[i - 1] > gap:
             boundaries.append(i)
     boundaries.append(len(w))
-    eigenvalues = []
-    multiplicities = []
-    bases = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        eigenvalues.append(float(np.mean(w[a:b])))
-        multiplicities.append(b - a)
-        bases.append(v[:, a:b])
+    fibers = tuple(
+        Fiber(eigenvalue=float(np.mean(w[a:b])), basis=v[:, a:b])
+        for a, b in zip(boundaries[:-1], boundaries[1:])
+    )
     return SpectralResolution(
-        eigenvalues=np.array(eigenvalues),
-        multiplicities=tuple(multiplicities),
-        bases=tuple(bases),
-        cluster_gap=gap,
-        h1=g.h1,
+        connecting=g, spectrum=w, eigenvectors=v, cluster_gap=gap, fibers=fibers
     )
 
 
@@ -178,13 +254,13 @@ def cyclic_vector(res: SpectralResolution, mu) -> np.ndarray:
         raise DegenerateSpectrumError(
             f"spectrum has degenerate clusters: multiplicities {res.multiplicities}"
         )
-    if mu.shape != (res.n_clusters,):
-        raise ValueError(f"need one coefficient per cluster ({res.n_clusters})")
+    if mu.shape != (res.n_fibers,):
+        raise ValueError(f"need one coefficient per cluster ({res.n_fibers})")
     if np.any(mu == 0):
         raise ZeroCoefficientError("all coefficients must be nonzero")
     x0 = np.zeros(res.dim, dtype=complex)
-    for coeff, basis in zip(mu, res.bases):
-        x0 += coeff * basis[:, 0]
+    for coeff, f in zip(mu, res.fibers):
+        x0 += coeff * f.basis[:, 0]
     return x0
 
 
@@ -220,26 +296,12 @@ def commutant_dimension(
 ) -> int:
     """Complex dimension of {X : GX = XG}, counted over eigenvalue pairs.
 
-    With h1 = L L†, G is similar to the Hermitian G~ = L^{-1} h2 L^{-†},
-    and similar operators have commutants of equal dimension.  The
-    commutator map X -> G~X - XG~ of a Hermitian G~ is normal: for
-    orthonormal eigenvectors u_i of G~ it maps u_i u_j† to
-    (w_i - w_j) u_i u_j†, so its singular values are exactly
-    |w_i - w_j| over the eigenvalues w of G.  Its null-space dimension
-    is therefore the number of ordered pairs (i, j) with
-    |w_i - w_j| <= ``tol.tol_eig`` times the spectral radius max|w|, the
-    same threshold :func:`spectral_resolution` uses for cluster gaps, so
-    the commutant and the clustering are judged in one frame.  The count
-    is over pairs, not chained clusters, so it stays an independent
-    check.  For a diagonalizable G it equals the sum of the squared
-    cluster multiplicities.
-
-    Costs one Hermitian eigendecomposition, O(n^3) time and O(n^2)
-    memory; the n^2 x n^2 commutator map is never formed.
+    Returns :attr:`SpectralResolution.commutant_dimension` of
+    ``spectral_resolution(g, tol)``: one Hermitian eigendecomposition,
+    O(n^3) time and O(n^2) memory; the n^2 x n^2 commutator map is never
+    formed.
     """
-    w, _ = generalized_eig(g.mat, g.h1.gram, tol)
-    radius = max(float(np.max(np.abs(w))), _TINY)
-    return int(np.count_nonzero(np.abs(w[:, None] - w[None, :]) <= tol.tol_eig * radius))
+    return spectral_resolution(g, tol).commutant_dimension
 
 
 def bicommutant_dimension(res: SpectralResolution) -> int:
@@ -248,7 +310,7 @@ def bicommutant_dimension(res: SpectralResolution) -> int:
     The double commutant of a diagonalizable self-adjoint operator is
     the span of its spectral projectors, one per distinct eigenvalue.
     """
-    return res.n_clusters
+    return res.n_fibers
 
 
 def is_generic_by_commutant(
@@ -258,12 +320,11 @@ def is_generic_by_commutant(
 ) -> bool:
     """True when the commutant of G equals its bicommutant.
 
-    Compares :func:`commutant_dimension`, the count of eigenvalue pairs
-    within ``tol.tol_eig`` times the spectral radius, with the cluster
-    count of ``resolution`` (computed when not given).  They agree
-    exactly when every eigenvalue is simple: each one then pairs only
-    with itself.  Costs O(n^3) time and O(n^2) memory.
+    Compares the commutant dimension of ``resolution`` (computed when not
+    given), the count of eigenvalue pairs within its cluster gap, with
+    its fiber count.  They agree exactly when every eigenvalue is simple:
+    each one then pairs only with itself.
     """
     if resolution is None:
         resolution = spectral_resolution(g, tol)
-    return commutant_dimension(g, tol) == bicommutant_dimension(resolution)
+    return resolution.commutant_dimension == bicommutant_dimension(resolution)

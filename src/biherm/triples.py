@@ -24,11 +24,13 @@ from .errors import (
     NotSkewError,
 )
 from .forms import (
+    _TINY,
     DEFAULT_TOLERANCES,
     ComplexStructureJ,
     HermitianForm,
     RealForm,
     Tolerances,
+    _maxabs,
     sqrt_positive,
     validate_positive,
 )
@@ -44,13 +46,6 @@ __all__ = [
     "complexification_from_j",
     "hermitian_from_triple",
 ]
-
-_TINY = np.finfo(float).tiny
-
-
-def _maxabs(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat))) if np.asarray(mat).size else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleTriple:

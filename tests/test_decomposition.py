@@ -223,6 +223,31 @@ class TestGenericityConsistency:
             assert is_generic_by_commutant(op, resolution=res) == is_generic_by_spectrum(res)
 
 
+    def test_chain_runs_one_eigendecomposition(self, monkeypatch):
+        import biherm.spectral
+
+        calls = []
+        eig = biherm.spectral.generalized_eig
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eig(*args, **kwargs)
+
+        rng = np.random.default_rng(21)
+        for mults in ((1, 1, 1, 1), (1, 2, 1, 3)):
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            op = connecting_operator(h1, h2)
+            calls.clear()
+            monkeypatch.setattr(biherm.spectral, "generalized_eig", counted)
+            res = spectral_resolution(op)
+            generic = is_generic_by_commutant(op, resolution=res)
+            dec = build_decomposition(op, resolution=res)
+            assert check_genericity_consistency(dec, op) == generic
+            monkeypatch.undo()
+            assert generic == (mults == (1, 1, 1, 1))
+            assert len(calls) == 1
+
+
 class TestSampleBiunitary:
     def test_deterministic_under_seed(self):
         h1, h2, op = diag_pair(1.0, 1.0, 2.0)

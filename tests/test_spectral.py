@@ -40,7 +40,7 @@ def diag_operator(*values):
 class TestSpectralResolution:
     def test_scalar_operator_single_cluster(self):
         res = spectral_resolution(diag_operator(1.0, 1.0, 1.0))
-        assert res.n_clusters == 1
+        assert res.n_fibers == 1
         assert res.multiplicities == (3,)
         assert res.eigenvalues[0] == pytest.approx(1.0)
 
@@ -71,6 +71,21 @@ class TestSpectralResolution:
             assert np.linalg.norm(recon - op.mat) <= 10 * tol.tol_resid * np.linalg.norm(op.mat)
             v = res.basis_matrix()
             assert np.linalg.norm(v.conj().T @ h1.gram @ v - np.eye(n)) <= 1e-9
+
+    def test_stored_arrays_are_read_only_views(self):
+        rng = np.random.default_rng(8)
+        h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1, 3, 2))
+        res = spectral_resolution(connecting_operator(h1, h2))
+        v = res.basis_matrix()
+        arrays = [res.spectrum, v, res.eigenvalues, h1.eigenvalues]
+        arrays += [f.basis for f in res.fibers]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # each fiber basis is a column view of the one eigenvector matrix
+        for f, s in zip(res.fibers, res.fiber_slices()):
+            assert np.shares_memory(f.basis, v)
+            assert np.array_equal(f.basis, v[:, s])
 
 
 class TestGroupSignature:
