@@ -10,6 +10,8 @@ usage errors.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .decomposition import (
     check_proportionality,
     sample_biunitary,
 )
-from .errors import BihermError, DimensionMismatchError, FileFormatError
+from .errors import BihermError, FileFormatError
 from .forms import (
     _TINY,
     ComplexStructureJ,
@@ -49,75 +51,45 @@ from .triples import (
 )
 
 
-def _common_options(fn):
-    fn = click.option(
+def _input(flag: str, required: bool = True):
+    """An existing input file; its path is reported under ``inputs.<flag>``."""
+    return click.option(
+        f"--{flag}", f"{flag}_path", required=required, type=click.Path(exists=True, dir_okay=False)
+    )
+
+
+_PAIR = (_input("h1"), _input("h2"))
+_ARTIFACT = click.option("--out", required=True, type=click.Path(dir_okay=False))
+_REPORT_OUT = click.option(
+    "--out", "report_out", type=click.Path(dir_okay=False), help="Write the report here instead of stdout."
+)
+# applied innermost first, so they list last in --help, in reverse order
+_COMMON_OPTIONS = (
+    click.option(
         "--tol-eig",
         type=float,
         default=1e-8,
         show_default=True,
         envvar="BIHERM_TOL_EIG",
         help="Relative eigenvalue-cluster / rank threshold (env: BIHERM_TOL_EIG; flag wins).",
-    )(fn)
-    fn = click.option(
+    ),
+    click.option(
         "--tol-resid",
         type=float,
         default=1e-10,
         show_default=True,
         help="Relative residual tolerance for operator identities.",
-    )(fn)
-    fn = click.option(
+    ),
+    click.option(
         "--format",
         "fmt",
         type=click.Choice(["json", "text"]),
         default="json",
         show_default=True,
         help="Report format.",
-    )(fn)
-    fn = click.option("--quiet", is_flag=True, help="Suppress the report on stdout.")(fn)
-    return fn
-
-
-def _tolerances(tol_eig: float, tol_resid: float) -> Tolerances:
-    try:
-        return Tolerances(tol_eig=tol_eig, tol_resid=tol_resid)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _tol_payload(tol: Tolerances) -> dict:
-    return {
-        "tol_sym": tol.tol_sym,
-        "tol_j": tol.tol_j,
-        "tol_eig": tol.tol_eig,
-        "tol_resid": tol.tol_resid,
-    }
-
-
-def _emit(report: dict, passed: bool, fmt: str, quiet: bool, report_out=None):
-    text = render_report(report, fmt) + "\n"
-    if report_out is not None:
-        Path(report_out).write_text(text, encoding="utf-8")
-    elif not quiet:
-        click.echo(text, nl=False)
-    sys.exit(0 if passed else 1)
-
-
-def _run(builder):
-    """Run an analysis body with the exit-code triage applied."""
-    try:
-        return builder()
-    except FileFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except (BihermError, ValueError) as exc:
-        click.echo(f"analysis failed: {exc}", err=True)
-        sys.exit(1)
-
-
-def _load_hermitian_pair(h1_path, h2_path, tol) -> tuple[HermitianForm, HermitianForm]:
-    _, m1 = load_matrix(h1_path, ("complex_hermitian",), tol)
-    _, m2 = load_matrix(h2_path, ("complex_hermitian",), tol)
-    return HermitianForm(m1, tol), HermitianForm(m2, tol)
+    ),
+    click.option("--quiet", is_flag=True, help="Suppress the report on stdout."),
+)
 
 
 @click.group()
@@ -132,306 +104,214 @@ def main():
     """
 
 
-@main.command()
-@click.option("--g", "g_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--j", "j_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--omega", "omega_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_common_options
-def triple(g_path, j_path, omega_path, out_path, tol_eig, tol_resid, fmt, quiet):
+def _command(name: str, *options):
+    """Register ``body(tol, **params) -> (results, passed)`` as subcommand ``name``.
+
+    The command takes ``options`` plus the common tolerance, format and
+    quiet options.  It wraps the results in the report envelope, renders
+    it to stdout (or to ``--out`` when that names the report file), and
+    exits 0 when ``passed``, 1 when not or when the analysis raised, and 2
+    on a malformed file or a usage error.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def callback(tol_eig, tol_resid, fmt, quiet, report_out=None, **params):
+            try:
+                tol = Tolerances(tol_eig=tol_eig, tol_resid=tol_resid)
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
+            try:
+                results, passed = body(tol, **params)
+            except FileFormatError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            except (BihermError, ValueError) as exc:
+                click.echo(f"analysis failed: {exc}", err=True)
+                sys.exit(1)
+            inputs = {k.removesuffix("_path"): v for k, v in params.items() if k.endswith("_path")}
+            report = {
+                "command": name,
+                "inputs": {k: v for k, v in inputs.items() if v is not None},
+                "tolerances": dataclasses.asdict(tol),
+                "results": results,
+                "passed": passed,
+            }
+            if "seed" in params:
+                report["seed"] = params["seed"]
+            text = render_report(report, fmt) + "\n"
+            if report_out is not None:
+                Path(report_out).write_text(text, encoding="utf-8")
+            elif not quiet:
+                click.echo(text, nl=False)
+            sys.exit(0 if passed else 1)
+
+        for option in _COMMON_OPTIONS + options[::-1]:
+            callback = option(callback)
+        return main.command(name)(callback)
+
+    return register
+
+
+def _load_forms(h1_path, h2_path, tol) -> list[HermitianForm]:
+    """Both files are read first, so a malformed file (exit 2) wins over a bad form."""
+    mats = [load_matrix(path, ("complex_hermitian",), tol)[1] for path in (h1_path, h2_path)]
+    return [HermitianForm(mat, tol) for mat in mats]
+
+
+def _load_pair(h1_path, h2_path, tol):
+    """The two forms of a pair and their connecting operator."""
+    h1, h2 = _load_forms(h1_path, h2_path, tol)
+    return h1, h2, connecting_operator(h1, h2, tol)
+
+
+@_command("triple", _input("g"), _input("j", False), _input("omega", False), _ARTIFACT)
+def triple(tol, g_path, j_path, omega_path, out):
     """Build an admissible triple from a metric plus J or omega."""
     if (j_path is None) == (omega_path is None):
         raise click.UsageError("provide exactly one of --j or --omega")
-    tol = _tolerances(tol_eig, tol_resid)
+    _, g_mat = load_matrix(g_path, ("real_symmetric",), tol)
+    g = RealForm(g_mat, "symmetric", tol)
+    if j_path is not None:
+        _, j_mat = load_matrix(j_path, ("real_general",), tol)
+        trip = triple_from_g_j(g, ComplexStructureJ(j_mat, tol), tol)
+    else:
+        _, w_mat = load_matrix(omega_path, ("real_antisymmetric",), tol)
+        trip = triple_from_g_omega(g, RealForm(w_mat, "antisymmetric", tol), tol)
 
-    def body():
-        _, g_mat = load_matrix(g_path, ("real_symmetric",), tol)
-        g = RealForm(g_mat, "symmetric", tol)
-        if j_path is not None:
-            _, j_mat = load_matrix(j_path, ("real_general",), tol)
-            trip = triple_from_g_j(g, ComplexStructureJ(j_mat, tol), tol)
-            source = {"g": g_path, "j": j_path}
-        else:
-            _, w_mat = load_matrix(omega_path, ("real_antisymmetric",), tol)
-            trip = triple_from_g_omega(g, RealForm(w_mat, "antisymmetric", tol), tol)
-            source = {"g": g_path, "omega": omega_path}
-
-        gg, jj, ww = trip.g.gram, trip.j.mat, trip.omega.gram
-        scale = max(float(np.max(np.abs(gg))), _TINY)
-        residuals = {
-            "j_squared": float(np.max(np.abs(jj @ jj + np.eye(trip.dim)))),
-            "anti_hermitian": float(np.max(np.abs(jj.T @ gg + gg @ jj))) / scale,
-            "omega_link": float(np.max(np.abs(ww - gg @ jj))) / scale,
-        }
-        save_triple(out_path, trip, meta={"residuals": residuals})
-        report = {
-            "command": "triple",
-            "inputs": source,
-            "tolerances": _tol_payload(tol),
-            "results": {
-                "dim": trip.dim,
-                "metric_min_eigenvalue": validate_positive(trip.g, tol).min_eigenvalue,
-                "residuals": residuals,
-                "out": str(out_path),
-            },
-            "passed": True,
-        }
-        return report, True
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet)
+    gg, jj, ww = trip.g.gram, trip.j.mat, trip.omega.gram
+    scale = max(float(np.max(np.abs(gg))), _TINY)
+    residuals = {
+        "j_squared": float(np.max(np.abs(jj @ jj + np.eye(trip.dim)))),
+        "anti_hermitian": float(np.max(np.abs(jj.T @ gg + gg @ jj))) / scale,
+        "omega_link": float(np.max(np.abs(ww - gg @ jj))) / scale,
+    }
+    save_triple(out, trip, meta={"residuals": residuals})
+    results = {
+        "dim": trip.dim,
+        "metric_min_eigenvalue": validate_positive(trip.g, tol).min_eigenvalue,
+        "residuals": residuals,
+        "out": str(out),
+    }
+    return results, True
 
 
-@main.command()
-@click.option("--triple", "triple_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_common_options
-def hermitian(triple_path, out_path, tol_eig, tol_resid, fmt, quiet):
+@_command("hermitian", _input("triple"), _ARTIFACT)
+def hermitian(tol, triple_path, out):
     """Hermitian form of a triple in canonical J-adapted coordinates."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        trip = load_triple(triple_path, tol)
-        cmap = complexification_from_j(trip.j, tol)
-        form = hermitian_from_triple(trip, cmap, tol)
-        save_matrix(out_path, form.gram, "complex_hermitian")
-        w = form.eigenvalues
-        report = {
-            "command": "hermitian",
-            "inputs": {"triple": triple_path},
-            "tolerances": _tol_payload(tol),
-            "results": {
-                "complex_dim": form.dim,
-                "min_eigenvalue": float(w[0]),
-                "max_eigenvalue": float(w[-1]),
-                "out": str(out_path),
-            },
-            "passed": True,
-        }
-        return report, True
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet)
+    trip = load_triple(triple_path, tol)
+    cmap = complexification_from_j(trip.j, tol)
+    form = hermitian_from_triple(trip, cmap, tol)
+    save_matrix(out, form.gram, "complex_hermitian")
+    w = form.eigenvalues
+    results = {
+        "complex_dim": form.dim,
+        "min_eigenvalue": float(w[0]),
+        "max_eigenvalue": float(w[-1]),
+        "out": str(out),
+    }
+    return results, True
 
 
-@main.command()
-@click.option("--h1", "h1_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h2", "h2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_common_options
-def connect(h1_path, h2_path, out_path, tol_eig, tol_resid, fmt, quiet):
+@_command("connect", *_PAIR, _ARTIFACT)
+def connect(tol, h1_path, h2_path, out):
     """Connecting operator G with h2(x, y) = h1(Gx, y)."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
-        op = connecting_operator(h1, h2, tol)
-        residuals = op.invariant_residuals()
-        passed = invariants_hold(residuals, tol)
-        save_matrix(out_path, op.mat, "complex_general", meta={"residuals": residuals})
-        report = {
-            "command": "connect",
-            "inputs": {"h1": h1_path, "h2": h2_path},
-            "tolerances": _tol_payload(tol),
-            "results": {
-                "dim": op.dim,
-                "ill_conditioned": op.ill_conditioned,
-                "residuals": residuals,
-                "out": str(out_path),
-            },
-            "passed": passed,
-        }
-        return report, passed
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet)
+    _, _, op = _load_pair(h1_path, h2_path, tol)
+    save_matrix(out, op.mat, "complex_general", meta={"residuals": op.residuals})
+    results = {
+        "dim": op.dim,
+        "ill_conditioned": op.ill_conditioned,
+        "residuals": op.residuals,
+        "out": str(out),
+    }
+    return results, invariants_hold(op.residuals, tol)
 
 
-@main.command()
-@click.option("--h1", "h1_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h2", "h2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "report_out", type=click.Path(dir_okay=False), help="Write the report here instead of stdout.")
-@_common_options
-def spectrum(h1_path, h2_path, report_out, tol_eig, tol_resid, fmt, quiet):
+@_command("spectrum", *_PAIR, _REPORT_OUT)
+def spectrum(tol, h1_path, h2_path):
     """Clustered spectrum and bi-unitary group signature of a pair."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
-        op = connecting_operator(h1, h2, tol)
-        res = spectral_resolution(op, tol)
-        report = {
-            "command": "spectrum",
-            "inputs": {"h1": h1_path, "h2": h2_path},
-            "tolerances": _tol_payload(tol),
-            "results": {
-                "dim": op.dim,
-                "eigenvalues": [float(v) for v in res.eigenvalues],
-                "multiplicities": list(res.multiplicities),
-                "signature": str(group_signature(res)),
-                "cluster_gap": res.cluster_gap,
-            },
-            "passed": True,
-        }
-        return report, True
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet, report_out)
+    _, _, op = _load_pair(h1_path, h2_path, tol)
+    res = spectral_resolution(op, tol)
+    results = {
+        "dim": op.dim,
+        "eigenvalues": [float(v) for v in res.eigenvalues],
+        "multiplicities": list(res.multiplicities),
+        "signature": str(group_signature(res)),
+        "cluster_gap": res.cluster_gap,
+    }
+    return results, True
 
 
-@main.command()
-@click.option("--h1", "h1_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h2", "h2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the cyclicity probe vectors.")
-@click.option("--out", "report_out", type=click.Path(dir_okay=False), help="Write the report here instead of stdout.")
-@_common_options
-def generic(h1_path, h2_path, seed, report_out, tol_eig, tol_resid, fmt, quiet):
+@_command(
+    "generic",
+    *_PAIR,
+    click.option("--seed", type=int, default=0, show_default=True, help="Seed for the cyclicity probe vectors."),
+    _REPORT_OUT,
+)
+def generic(tol, h1_path, h2_path, seed):
     """Genericity verdicts, commutant dimensions and cyclicity."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
-        op = connecting_operator(h1, h2, tol)
-        res = spectral_resolution(op, tol)
-        by_spectrum = is_generic_by_spectrum(res)
-        comm_dim = res.commutant_dimension
-        bicomm_dim = bicommutant_dimension(res)
-        by_commutant = comm_dim == bicomm_dim
-        cyclic = is_cyclic(op, seed=seed, tol=tol)
-        agreement = by_spectrum == by_commutant == cyclic
-        report = {
-            "command": "generic",
-            "inputs": {"h1": h1_path, "h2": h2_path},
-            "tolerances": _tol_payload(tol),
-            "seed": seed,
-            "results": {
-                "generic_by_spectrum": by_spectrum,
-                "generic_by_commutant": by_commutant,
-                "cyclic": cyclic,
-                "commutant_dimension": comm_dim,
-                "bicommutant_dimension": bicomm_dim,
-                "signature": str(group_signature(res)),
-                "agreement": agreement,
-            },
-            "passed": agreement,
-        }
-        return report, agreement
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet, report_out)
+    _, _, op = _load_pair(h1_path, h2_path, tol)
+    res = spectral_resolution(op, tol)
+    by_spectrum = is_generic_by_spectrum(res)
+    comm_dim = res.commutant_dimension
+    bicomm_dim = bicommutant_dimension(res)
+    by_commutant = comm_dim == bicomm_dim
+    cyclic = is_cyclic(op, seed=seed, tol=tol)
+    agreement = by_spectrum == by_commutant == cyclic
+    results = {
+        "generic_by_spectrum": by_spectrum,
+        "generic_by_commutant": by_commutant,
+        "cyclic": cyclic,
+        "commutant_dimension": comm_dim,
+        "bicommutant_dimension": bicomm_dim,
+        "signature": str(group_signature(res)),
+        "agreement": agreement,
+    }
+    return results, agreement
 
 
-@main.command()
-@click.option("--h1", "h1_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h2", "h2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "report_out", type=click.Path(dir_okay=False), help="Write the report here instead of stdout.")
-@_common_options
-def decompose(h1_path, h2_path, report_out, tol_eig, tol_resid, fmt, quiet):
+@_command("decompose", *_PAIR, _REPORT_OUT)
+def decompose(tol, h1_path, h2_path):
     """Fibered decomposition, proportionality and dimension checks."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
-        op = connecting_operator(h1, h2, tol)
-        dec = build_decomposition(op, tol)
-        prop = check_proportionality(dec, h1, h2, tol)
-        unidim = check_genericity_consistency(dec, op, tol)
-        passed = prop.passed
-        report = {
-            "command": "decompose",
-            "inputs": {"h1": h1_path, "h2": h2_path},
-            "tolerances": _tol_payload(tol),
-            "results": {
-                "fibers": [
-                    {"eigenvalue": f.eigenvalue, "weight": f.weight, "dim": f.dim}
-                    for f in dec.fibers
-                ],
-                "segments": {str(k): list(v) for k, v in dec.segments.items()},
-                "proportionality": {
-                    "max_violation": list(prop.max_violation),
-                    "passed": prop.passed,
-                },
-                "all_fibers_unidimensional": unidim,
-            },
-            "passed": passed,
-        }
-        return report, passed
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet, report_out)
+    h1, h2, op = _load_pair(h1_path, h2_path, tol)
+    dec = build_decomposition(op, tol)
+    prop = check_proportionality(dec, h1, h2, tol)
+    results = {
+        "fibers": [{"eigenvalue": f.eigenvalue, "weight": f.weight, "dim": f.dim} for f in dec.fibers],
+        "segments": {str(k): list(v) for k, v in dec.segments.items()},
+        "proportionality": {"max_violation": list(prop.max_violation), "passed": prop.passed},
+        "all_fibers_unidimensional": check_genericity_consistency(dec, op, tol),
+    }
+    return results, prop.passed
 
 
-@main.command(name="sample-u")
-@click.option("--h1", "h1_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h2", "h2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_common_options
-def sample_u(h1_path, h2_path, seed, out_path, tol_eig, tol_resid, fmt, quiet):
+@_command("sample-u", *_PAIR, click.option("--seed", type=int, default=0, show_default=True), _ARTIFACT)
+def sample_u(tol, h1_path, h2_path, seed, out):
     """Sample a random bi-unitary transformation of a pair."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
-        op = connecting_operator(h1, h2, tol)
-        dec = build_decomposition(op, tol)
-        u = sample_biunitary(dec, seed)
-        rep = verify_biunitary(u, h1, h2, tol, connecting=op)
-        save_matrix(out_path, u, "complex_general")
-        report = {
-            "command": "sample-u",
-            "inputs": {"h1": h1_path, "h2": h2_path},
-            "tolerances": _tol_payload(tol),
-            "seed": seed,
-            "results": {
-                "dim": op.dim,
-                "block_dims": [f.dim for f in dec.fibers],
-                "residual_h1": rep.residual_h1,
-                "residual_h2": rep.residual_h2,
-                "residual_commutator": rep.residual_commutator,
-                "out": str(out_path),
-            },
-            "passed": rep.passed,
-        }
-        return report, rep.passed
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet)
+    h1, h2, op = _load_pair(h1_path, h2_path, tol)
+    dec = build_decomposition(op, tol)
+    u = sample_biunitary(dec, seed)
+    rep = verify_biunitary(u, h1, h2, tol, connecting=op)
+    save_matrix(out, u, "complex_general")
+    results = {
+        "dim": op.dim,
+        "block_dims": [f.dim for f in dec.fibers],
+        "residual_h1": rep.residual_h1,
+        "residual_h2": rep.residual_h2,
+        "residual_commutator": rep.residual_commutator,
+        "out": str(out),
+    }
+    return results, rep.passed
 
 
-@main.command(name="verify-u")
-@click.option("--u", "u_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h1", "h1_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--h2", "h2_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "report_out", type=click.Path(dir_okay=False), help="Write the report here instead of stdout.")
-@_common_options
-def verify_u(u_path, h1_path, h2_path, report_out, tol_eig, tol_resid, fmt, quiet):
+@_command("verify-u", _input("u"), *_PAIR, _REPORT_OUT)
+def verify_u(tol, u_path, h1_path, h2_path):
     """Check whether a transformation preserves both forms."""
-    tol = _tolerances(tol_eig, tol_resid)
-
-    def body():
-        _, u = load_matrix(u_path, ("complex_general", "complex_hermitian"), tol)
-        h1, h2 = _load_hermitian_pair(h1_path, h2_path, tol)
-        rep = verify_biunitary(u, h1, h2, tol)
-        report = {
-            "command": "verify-u",
-            "inputs": {"u": u_path, "h1": h1_path, "h2": h2_path},
-            "tolerances": _tol_payload(tol),
-            "results": {
-                "residual_h1": rep.residual_h1,
-                "residual_h2": rep.residual_h2,
-                "residual_commutator": rep.residual_commutator,
-                "h1_ok": rep.h1_ok,
-                "h2_ok": rep.h2_ok,
-                "commutator_ok": rep.commutator_ok,
-                "implication_ok": rep.implication_ok,
-            },
-            "passed": rep.passed,
-        }
-        return report, rep.passed
-
-    report, passed = _run(body)
-    _emit(report, passed, fmt, quiet, report_out)
+    _, u = load_matrix(u_path, ("complex_general", "complex_hermitian"), tol)
+    # no _load_pair: verify_biunitary checks the dimensions before it computes G
+    h1, h2 = _load_forms(h1_path, h2_path, tol)
+    rep = verify_biunitary(u, h1, h2, tol)
+    return dataclasses.asdict(rep), rep.passed
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ class ConnectingOperator:
     with respect to both forms.  ``ill_conditioned`` flags a defining
     form h1 whose condition number exceeds the reciprocal eigenvalue
     tolerance; results are still returned in that case but residuals may
-    be degraded.
+    be degraded.  ``residuals`` holds :meth:`invariant_residuals` as
+    computed once at construction.
     """
 
     mat: np.ndarray
@@ -42,6 +43,7 @@ class ConnectingOperator:
     h2: HermitianForm
     ill_conditioned: bool = False
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
+    residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
@@ -54,6 +56,7 @@ class ConnectingOperator:
         mat = np.array(mat, copy=True)
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "residuals", self.invariant_residuals())
 
     @property
     def dim(self) -> int:
@@ -118,10 +121,9 @@ def connecting_operator(
     ill = cond > 1.0 / tol.tol_eig
     g = np.linalg.solve(h1.gram, h2.gram)
     op = ConnectingOperator(g, h1, h2, ill_conditioned=ill, tol=tol)
-    resid = op.invariant_residuals()
-    if not invariants_hold(resid, tol) and not ill:
+    if not invariants_hold(op.residuals, tol) and not ill:
         raise InternalInconsistencyError(
-            f"connecting operator failed invariant verification: {resid}"
+            f"connecting operator failed invariant verification: {op.residuals}"
         )
     return op
 

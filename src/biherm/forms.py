@@ -247,18 +247,6 @@ def validate_positive(form, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationR
     )
 
 
-def _check_metric(metric: np.ndarray, tol: Tolerances) -> np.ndarray:
-    metric = _require_square(metric, "metric")
-    scale = max(_maxabs(metric), _TINY)
-    if _maxabs(metric - metric.conj().T) > tol.tol_sym * scale:
-        raise SingularMetricError("metric is not Hermitian within tolerance")
-    try:
-        np.linalg.cholesky(0.5 * (metric + metric.conj().T))
-    except np.linalg.LinAlgError:
-        raise SingularMetricError("metric is not positive-definite") from None
-    return metric
-
-
 def generalized_eig(
     a: np.ndarray,
     metric: np.ndarray,
@@ -283,10 +271,12 @@ def generalized_eig(
     NotSelfAdjointError
         If ``metric @ a`` is not Hermitian within ``tol.tol_resid``.
     SingularMetricError
-        If ``metric`` fails positivity.
+        If ``metric`` is not Hermitian or not positive-definite.
     """
     a = _require_square(a, "operator")
-    metric = _check_metric(metric, tol)
+    metric = _require_square(metric, "metric")
+    if _maxabs(metric - metric.conj().T) > tol.tol_sym * max(_maxabs(metric), _TINY):
+        raise SingularMetricError("metric is not Hermitian within tolerance")
     if a.shape != metric.shape:
         raise ValueError("operator and metric dimensions differ")
     k = metric @ a
@@ -297,7 +287,10 @@ def generalized_eig(
             f"{resid / max(_maxabs(k), _TINY):.3e})"
         )
     k = 0.5 * (k + k.conj().T)
-    w, v = scipy.linalg.eigh(k, 0.5 * (metric + metric.conj().T))
+    try:
+        w, v = scipy.linalg.eigh(k, 0.5 * (metric + metric.conj().T))
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("metric is not positive-definite") from None
     if not (np.iscomplexobj(a) or np.iscomplexobj(metric)):
         v = np.real_if_close(v)
     return w, v

@@ -310,13 +310,12 @@ def complexification_from_j(
     n = m // 2
     eye = np.eye(m)
     picks: list[int] = []
-    scratch: list[np.ndarray] = []  # Euclidean-orthonormal, for the span test only
+    span = np.empty((m, 0))  # Euclidean-orthonormal columns, for the span test only
 
     def leftover(vec: np.ndarray) -> np.ndarray:
         w = vec.astype(float)
         for _ in range(2):
-            for c in scratch:
-                w = w - c * (c @ w)
+            w = w - span @ (span.T @ w)
         return w
 
     for i in range(m):
@@ -327,13 +326,13 @@ def complexification_from_j(
         if nrm <= tol.tol_eig:
             continue  # e_i already in span
         picks.append(i)
-        scratch.append(w / nrm)
+        span = np.column_stack([span, w / nrm])
         # J e_i is always independent of a J-invariant span plus e_i
         w = leftover(j.mat[:, i])
         nrm = float(np.linalg.norm(w))
         if nrm <= tol.tol_eig * max(float(np.linalg.norm(j.mat[:, i])), _TINY):
             raise NotAdmissibleError("complex structure is numerically degenerate")
-        scratch.append(w / nrm)
+        span = np.column_stack([span, w / nrm])
     if len(picks) != n:
         raise NotAdmissibleError("failed to build a J-adapted basis")
     us = [eye[:, i] for i in picks]

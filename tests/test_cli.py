@@ -114,6 +114,22 @@ class TestPipeline:
         _, g_mat = load_matrix(out)
         assert np.allclose(g_mat, np.diag([1.0, 2.0]))
 
+    def test_connect_computes_residuals_once(self, runner, files, tmp_path, monkeypatch):
+        from biherm.connecting import ConnectingOperator
+
+        calls = []
+        original = ConnectingOperator.invariant_residuals
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ConnectingOperator, "invariant_residuals", counted)
+        out = str(tmp_path / "G.json")
+        result = invoke(runner, ["connect", "--h1", files["h1"], "--h2", files["h2"], "--out", out])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+
 
 class TestSpectrumAndGeneric:
     def test_spectrum_generic_pair(self, runner, files):
@@ -246,3 +262,301 @@ class TestCommonFlags:
             main, ["connect", "--h1", str(tmp_path / "nope.json"), "--h2", files["h2"], "--out", "x"]
         )
         assert result.exit_code == 2
+
+
+# Golden bytes: every subcommand in both formats plus the common flags and
+# the two error exits.  Inputs are identity/diagonal forms and the 2x2 J,
+# whose reports are exact in IEEE arithmetic, so the expected bytes hold on
+# any LAPACK build.  sample-u draws a Haar block, so only its exit code and
+# report keys are pinned.
+GOLDEN_CASES = {
+    "triple-j-json": ["triple", "--g", "g.json", "--j", "j.json", "--out", "trip.json"],
+    "triple-j-text": ["triple", "--g", "g.json", "--j", "j.json", "--out", "trip.json", "--format", "text"],
+    "triple-omega-json": ["triple", "--g", "g.json", "--omega", "omega.json", "--out", "trip_w.json"],
+    "hermitian-json": ["hermitian", "--triple", "trip.json", "--out", "herm.json"],
+    "hermitian-text": ["hermitian", "--triple", "trip.json", "--out", "herm.json", "--format", "text"],
+    "connect-json": ["connect", "--h1", "h1.json", "--h2", "h2.json", "--out", "G.json"],
+    "connect-text": ["connect", "--h1", "h1.json", "--h2", "h2.json", "--out", "G.json", "--format", "text"],
+    "spectrum-json": ["spectrum", "--h1", "h1.json", "--h2", "h2.json"],
+    "spectrum-text": ["spectrum", "--h1", "h1.json", "--h2", "h2.json", "--format", "text"],
+    "generic-json": ["generic", "--h1", "h1.json", "--h2", "h2.json"],
+    "generic-text": ["generic", "--h1", "h1.json", "--h2", "h2d.json", "--seed", "3", "--format", "text"],
+    "decompose-json": ["decompose", "--h1", "h1.json", "--h2", "h2.json"],
+    "decompose-text": ["decompose", "--h1", "h1.json", "--h2", "h2d.json", "--format", "text"],
+    "sample-u-json": ["sample-u", "--h1", "h1.json", "--h2", "h2.json", "--seed", "5", "--out", "U.json"],
+    "sample-u-text": ["sample-u", "--h1", "h1.json", "--h2", "h2.json", "--out", "U.json", "--format", "text"],
+    "verify-u-json": ["verify-u", "--u", "diag.json", "--h1", "h1.json", "--h2", "h2.json"],
+    "verify-u-text": ["verify-u", "--u", "swap.json", "--h1", "h1.json", "--h2", "h2.json", "--format", "text"],
+    "quiet": ["connect", "--h1", "h1.json", "--h2", "h2.json", "--out", "G.json", "--quiet"],
+    "report-out": ["spectrum", "--h1", "h1.json", "--h2", "h2.json", "--out", "report.json"],
+    "bad-tol-eig": ["spectrum", "--h1", "h1.json", "--h2", "h2.json", "--tol-eig", "0"],
+    "malformed": ["triple", "--g", "bad.json", "--j", "j.json", "--out", "trip.json"],
+}
+
+GOLDEN_ARTIFACTS = ("trip.json", "trip_w.json", "herm.json", "G.json", "report.json")
+
+
+def _golden_outcomes(tmp_path, monkeypatch) -> tuple[dict, dict]:
+    """Run GOLDEN_CASES in order from ``tmp_path``; return outcomes and artifacts."""
+    monkeypatch.chdir(tmp_path)
+    save_matrix("g.json", np.diag([1.0, 4.0]), "real_symmetric")
+    save_matrix("j.json", J2, "real_general")
+    save_matrix("omega.json", np.array([[0.0, 2.5], [-2.5, 0.0]]), "real_antisymmetric")
+    save_matrix("h1.json", np.eye(2), "complex_hermitian")
+    save_matrix("h2.json", np.diag([1.0, 2.0]), "complex_hermitian")
+    save_matrix("h2d.json", 3.0 * np.eye(2), "complex_hermitian")
+    save_matrix("swap.json", np.array([[0.0, 1.0], [1.0, 0.0]]), "complex_general")
+    save_matrix("diag.json", np.diag([1j, -1.0]), "complex_general")
+    (tmp_path / "bad.json").write_text('{"kind": "real_symmetric", "dim": 2, "data": [1, 2, 3]}')
+    runner = CliRunner()
+    outcomes = {}
+    for name, argv in GOLDEN_CASES.items():
+        result = runner.invoke(main, argv)
+        if argv[0] == "sample-u":
+            if "--format" in argv:
+                keys = [line.partition(" = ")[0] for line in result.stdout.splitlines()]
+            else:
+                report = json.loads(result.stdout)
+                keys = sorted(report) + sorted(f"results.{k}" for k in report["results"])
+            outcomes[name] = (result.exit_code, keys, result.stderr)
+        else:
+            outcomes[name] = (result.exit_code, result.stdout, result.stderr)
+    artifacts = {name: (tmp_path / name).read_text(encoding="utf-8") for name in GOLDEN_ARTIFACTS}
+    return outcomes, artifacts
+
+
+GOLDEN = {'triple-j-json': (0,
+                   '{"command": "triple", "inputs": {"g": "g.json", "j": "j.json"}, "passed": '
+                   'true, "results": {"dim": 2, "metric_min_eigenvalue": 2.5, "out": "trip.json", '
+                   '"residuals": {"anti_hermitian": 0, "j_squared": 0, "omega_link": 0}}, '
+                   '"tolerances": {"tol_eig": 1e-08, "tol_j": 1.0000000000000001e-09, "tol_resid": '
+                   '1e-10, "tol_sym": 1e-10}}\n',
+                   ''),
+ 'triple-j-text': (0,
+                   'command = triple\n'
+                   'inputs.g = g.json\n'
+                   'inputs.j = j.json\n'
+                   'passed = true\n'
+                   'results.dim = 2\n'
+                   'results.metric_min_eigenvalue = 2.5\n'
+                   'results.out = trip.json\n'
+                   'results.residuals.anti_hermitian = 0\n'
+                   'results.residuals.j_squared = 0\n'
+                   'results.residuals.omega_link = 0\n'
+                   'tolerances.tol_eig = 1e-08\n'
+                   'tolerances.tol_j = 1.0000000000000001e-09\n'
+                   'tolerances.tol_resid = 1e-10\n'
+                   'tolerances.tol_sym = 1e-10\n',
+                   ''),
+ 'triple-omega-json': (0,
+                       '{"command": "triple", "inputs": {"g": "g.json", "omega": "omega.json"}, '
+                       '"passed": true, "results": {"dim": 2, "metric_min_eigenvalue": 1.25, '
+                       '"out": "trip_w.json", "residuals": {"anti_hermitian": 0, "j_squared": 0, '
+                       '"omega_link": 0}}, "tolerances": {"tol_eig": 1e-08, "tol_j": '
+                       '1.0000000000000001e-09, "tol_resid": 1e-10, "tol_sym": 1e-10}}\n',
+                       ''),
+ 'hermitian-json': (0,
+                    '{"command": "hermitian", "inputs": {"triple": "trip.json"}, "passed": true, '
+                    '"results": {"complex_dim": 1, "max_eigenvalue": 2.5, "min_eigenvalue": 2.5, '
+                    '"out": "herm.json"}, "tolerances": {"tol_eig": 1e-08, "tol_j": '
+                    '1.0000000000000001e-09, "tol_resid": 1e-10, "tol_sym": 1e-10}}\n',
+                    ''),
+ 'hermitian-text': (0,
+                    'command = hermitian\n'
+                    'inputs.triple = trip.json\n'
+                    'passed = true\n'
+                    'results.complex_dim = 1\n'
+                    'results.max_eigenvalue = 2.5\n'
+                    'results.min_eigenvalue = 2.5\n'
+                    'results.out = herm.json\n'
+                    'tolerances.tol_eig = 1e-08\n'
+                    'tolerances.tol_j = 1.0000000000000001e-09\n'
+                    'tolerances.tol_resid = 1e-10\n'
+                    'tolerances.tol_sym = 1e-10\n',
+                    ''),
+ 'connect-json': (0,
+                  '{"command": "connect", "inputs": {"h1": "h1.json", "h2": "h2.json"}, "passed": '
+                  'true, "results": {"dim": 2, "ill_conditioned": false, "out": "G.json", '
+                  '"residuals": {"defining": 0, "min_eigenvalue": 1, "selfadjoint_h1": 0, '
+                  '"selfadjoint_h2": 0}}, "tolerances": {"tol_eig": 1e-08, "tol_j": '
+                  '1.0000000000000001e-09, "tol_resid": 1e-10, "tol_sym": 1e-10}}\n',
+                  ''),
+ 'connect-text': (0,
+                  'command = connect\n'
+                  'inputs.h1 = h1.json\n'
+                  'inputs.h2 = h2.json\n'
+                  'passed = true\n'
+                  'results.dim = 2\n'
+                  'results.ill_conditioned = false\n'
+                  'results.out = G.json\n'
+                  'results.residuals.defining = 0\n'
+                  'results.residuals.min_eigenvalue = 1\n'
+                  'results.residuals.selfadjoint_h1 = 0\n'
+                  'results.residuals.selfadjoint_h2 = 0\n'
+                  'tolerances.tol_eig = 1e-08\n'
+                  'tolerances.tol_j = 1.0000000000000001e-09\n'
+                  'tolerances.tol_resid = 1e-10\n'
+                  'tolerances.tol_sym = 1e-10\n',
+                  ''),
+ 'spectrum-json': (0,
+                   '{"command": "spectrum", "inputs": {"h1": "h1.json", "h2": "h2.json"}, '
+                   '"passed": true, "results": {"cluster_gap": 2e-08, "dim": 2, "eigenvalues": [1, '
+                   '2], "multiplicities": [1, 1], "signature": "U(1)\\u00d7U(1)"}, "tolerances": '
+                   '{"tol_eig": 1e-08, "tol_j": 1.0000000000000001e-09, "tol_resid": 1e-10, '
+                   '"tol_sym": 1e-10}}\n',
+                   ''),
+ 'spectrum-text': (0,
+                   'command = spectrum\n'
+                   'inputs.h1 = h1.json\n'
+                   'inputs.h2 = h2.json\n'
+                   'passed = true\n'
+                   'results.cluster_gap = 2e-08\n'
+                   'results.dim = 2\n'
+                   'results.eigenvalues = [1, 2]\n'
+                   'results.multiplicities = [1, 1]\n'
+                   'results.signature = U(1)×U(1)\n'
+                   'tolerances.tol_eig = 1e-08\n'
+                   'tolerances.tol_j = 1.0000000000000001e-09\n'
+                   'tolerances.tol_resid = 1e-10\n'
+                   'tolerances.tol_sym = 1e-10\n',
+                   ''),
+ 'generic-json': (0,
+                  '{"command": "generic", "inputs": {"h1": "h1.json", "h2": "h2.json"}, "passed": '
+                  'true, "results": {"agreement": true, "bicommutant_dimension": 2, '
+                  '"commutant_dimension": 2, "cyclic": true, "generic_by_commutant": true, '
+                  '"generic_by_spectrum": true, "signature": "U(1)\\u00d7U(1)"}, "seed": 0, '
+                  '"tolerances": {"tol_eig": 1e-08, "tol_j": 1.0000000000000001e-09, "tol_resid": '
+                  '1e-10, "tol_sym": 1e-10}}\n',
+                  ''),
+ 'generic-text': (0,
+                  'command = generic\n'
+                  'inputs.h1 = h1.json\n'
+                  'inputs.h2 = h2d.json\n'
+                  'passed = true\n'
+                  'results.agreement = true\n'
+                  'results.bicommutant_dimension = 1\n'
+                  'results.commutant_dimension = 4\n'
+                  'results.cyclic = false\n'
+                  'results.generic_by_commutant = false\n'
+                  'results.generic_by_spectrum = false\n'
+                  'results.signature = U(2)\n'
+                  'seed = 3\n'
+                  'tolerances.tol_eig = 1e-08\n'
+                  'tolerances.tol_j = 1.0000000000000001e-09\n'
+                  'tolerances.tol_resid = 1e-10\n'
+                  'tolerances.tol_sym = 1e-10\n',
+                  ''),
+ 'decompose-json': (0,
+                    '{"command": "decompose", "inputs": {"h1": "h1.json", "h2": "h2.json"}, '
+                    '"passed": true, "results": {"all_fibers_unidimensional": true, "fibers": '
+                    '[{"dim": 1, "eigenvalue": 1, "weight": 0.5}, {"dim": 1, "eigenvalue": 2, '
+                    '"weight": 0.5}], "proportionality": {"max_violation": [0, 0], "passed": '
+                    'true}, "segments": {"1": [0, 1]}}, "tolerances": {"tol_eig": 1e-08, "tol_j": '
+                    '1.0000000000000001e-09, "tol_resid": 1e-10, "tol_sym": 1e-10}}\n',
+                    ''),
+ 'decompose-text': (0,
+                    'command = decompose\n'
+                    'inputs.h1 = h1.json\n'
+                    'inputs.h2 = h2d.json\n'
+                    'passed = true\n'
+                    'results.all_fibers_unidimensional = false\n'
+                    'results.fibers[0].dim = 2\n'
+                    'results.fibers[0].eigenvalue = 3\n'
+                    'results.fibers[0].weight = 1\n'
+                    'results.proportionality.max_violation = [0]\n'
+                    'results.proportionality.passed = true\n'
+                    'results.segments.2 = [0]\n'
+                    'tolerances.tol_eig = 1e-08\n'
+                    'tolerances.tol_j = 1.0000000000000001e-09\n'
+                    'tolerances.tol_resid = 1e-10\n'
+                    'tolerances.tol_sym = 1e-10\n',
+                    ''),
+ 'sample-u-json': (0,
+                   ['command',
+                    'inputs',
+                    'passed',
+                    'results',
+                    'seed',
+                    'tolerances',
+                    'results.block_dims',
+                    'results.dim',
+                    'results.out',
+                    'results.residual_commutator',
+                    'results.residual_h1',
+                    'results.residual_h2'],
+                   ''),
+ 'sample-u-text': (0,
+                   ['command',
+                    'inputs.h1',
+                    'inputs.h2',
+                    'passed',
+                    'results.block_dims',
+                    'results.dim',
+                    'results.out',
+                    'results.residual_commutator',
+                    'results.residual_h1',
+                    'results.residual_h2',
+                    'seed',
+                    'tolerances.tol_eig',
+                    'tolerances.tol_j',
+                    'tolerances.tol_resid',
+                    'tolerances.tol_sym'],
+                   ''),
+ 'verify-u-json': (0,
+                   '{"command": "verify-u", "inputs": {"h1": "h1.json", "h2": "h2.json", "u": '
+                   '"diag.json"}, "passed": true, "results": {"commutator_ok": true, "h1_ok": '
+                   'true, "h2_ok": true, "implication_ok": true, "residual_commutator": 0, '
+                   '"residual_h1": 0, "residual_h2": 0}, "tolerances": {"tol_eig": 1e-08, "tol_j": '
+                   '1.0000000000000001e-09, "tol_resid": 1e-10, "tol_sym": 1e-10}}\n',
+                   ''),
+ 'verify-u-text': (1,
+                   'command = verify-u\n'
+                   'inputs.h1 = h1.json\n'
+                   'inputs.h2 = h2.json\n'
+                   'inputs.u = swap.json\n'
+                   'passed = false\n'
+                   'results.commutator_ok = false\n'
+                   'results.h1_ok = true\n'
+                   'results.h2_ok = false\n'
+                   'results.implication_ok = true\n'
+                   'results.residual_commutator = 0.44721359549995793\n'
+                   'results.residual_h1 = 0\n'
+                   'results.residual_h2 = 0.63245553203367588\n'
+                   'tolerances.tol_eig = 1e-08\n'
+                   'tolerances.tol_j = 1.0000000000000001e-09\n'
+                   'tolerances.tol_resid = 1e-10\n'
+                   'tolerances.tol_sym = 1e-10\n',
+                   ''),
+ 'quiet': (0, '', ''),
+ 'report-out': (0, '', ''),
+ 'bad-tol-eig': (2,
+                 '',
+                 'Usage: main spectrum [OPTIONS]\n'
+                 "Try 'main spectrum --help' for help.\n"
+                 '\n'
+                 'Error: tol_eig must be strictly positive\n'),
+ 'malformed': (2, '', "error: bad.json: field 'data' must be a list of 4 entries, got 3\n")}
+
+GOLDEN_FILES = {'trip.json': '{"g": {"data": [2.5, 0, 0, 2.5], "dim": 2, "kind": "real_symmetric"}, "j": {"data": '
+              '[0, -1, 1, 0], "dim": 2, "kind": "real_general"}, "meta": {"residuals": '
+              '{"anti_hermitian": 0, "j_squared": 0, "omega_link": 0}}, "omega": {"data": [0, '
+              '-2.5, 2.5, 0], "dim": 2, "kind": "real_antisymmetric"}}\n',
+ 'trip_w.json': '{"g": {"data": [1.25, 0, 0, 5], "dim": 2, "kind": "real_symmetric"}, "j": '
+                '{"data": [0, 2, -0.5, 0], "dim": 2, "kind": "real_general"}, "meta": '
+                '{"residuals": {"anti_hermitian": 0, "j_squared": 0, "omega_link": 0}}, "omega": '
+                '{"data": [0, 2.5, -2.5, 0], "dim": 2, "kind": "real_antisymmetric"}}\n',
+ 'herm.json': '{"data": [[2.5, 0]], "dim": 1, "kind": "complex_hermitian"}\n',
+ 'G.json': '{"data": [[1, 0], [0, 0], [0, 0], [2, 0]], "dim": 2, "kind": "complex_general", '
+           '"meta": {"residuals": {"defining": 0, "min_eigenvalue": 1, "selfadjoint_h1": 0, '
+           '"selfadjoint_h2": 0}}}\n',
+ 'report.json': '{"command": "spectrum", "inputs": {"h1": "h1.json", "h2": "h2.json"}, "passed": '
+                'true, "results": {"cluster_gap": 2e-08, "dim": 2, "eigenvalues": [1, 2], '
+                '"multiplicities": [1, 1], "signature": "U(1)\\u00d7U(1)"}, "tolerances": '
+                '{"tol_eig": 1e-08, "tol_j": 1.0000000000000001e-09, "tol_resid": 1e-10, '
+                '"tol_sym": 1e-10}}\n'}
+
+
+def test_golden_bytes(tmp_path, monkeypatch):
+    outcomes, artifacts = _golden_outcomes(tmp_path, monkeypatch)
+    assert outcomes == GOLDEN
+    assert artifacts == GOLDEN_FILES

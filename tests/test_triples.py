@@ -180,16 +180,17 @@ class TestComplexification:
 
     def test_round_trip(self):
         rng = np.random.default_rng(32)
-        for builder in (build_complexification, None):
-            for _ in range(20):
-                m = int(rng.integers(1, 9)) * 2
-                g, j = random_admissible_pair(rng, m)
-                trip = triple_from_g_j(g, j)
-                cmap = build_complexification(trip) if builder else complexification_from_j(j)
-                z = rng.standard_normal(m // 2) + 1j * rng.standard_normal(m // 2)
-                assert np.allclose(cmap.to_complex(cmap.to_real(z)), z, atol=1e-10)
-                x = rng.standard_normal(m)
-                assert np.allclose(cmap.to_real(cmap.to_complex(x)), x, atol=1e-10)
+        # 20 small random J per builder, then one larger J (m = 64) for each
+        small = [(builder, None) for builder in (build_complexification, None) for _ in range(20)]
+        for builder, m in small + [(build_complexification, 64), (None, 64)]:
+            m = m or int(rng.integers(1, 9)) * 2
+            g, j = random_admissible_pair(rng, m)
+            trip = triple_from_g_j(g, j)
+            cmap = build_complexification(trip) if builder else complexification_from_j(j)
+            z = rng.standard_normal(m // 2) + 1j * rng.standard_normal(m // 2)
+            assert np.allclose(cmap.to_complex(cmap.to_real(z)), z, atol=1e-10)
+            x = rng.standard_normal(m)
+            assert np.allclose(cmap.to_real(cmap.to_complex(x)), x, atol=1e-10)
 
     def test_own_basis_is_g_orthonormal(self):
         rng = np.random.default_rng(33)
