@@ -15,6 +15,8 @@ so every emitted artifact reloads as a valid input.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,12 @@ __all__ = [
 REAL_KINDS = ("real_symmetric", "real_antisymmetric", "real_general")
 COMPLEX_KINDS = ("complex_hermitian", "complex_general")
 MATRIX_KINDS = REAL_KINDS + COMPLEX_KINDS
+_NUMBER_TYPES = {int, float}  # exact types: a JSON boolean is not a number
+
+
+def _parse_int(literal: str):
+    # The writer prints -0.0 as "-0", which int() would read as 0.
+    return -0.0 if literal == "-0" else int(literal)
 
 
 def _load_json(path) -> dict:
@@ -46,14 +54,61 @@ def _load_json(path) -> dict:
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read file: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than int() accepts
+        raise FileFormatError(f"{path}: integer too large for a double: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     return obj
+
+
+def _parse_entries(data: list, pairs: bool, where: str) -> np.ndarray:
+    """The ``data`` entries as one flat float array, or complex for pairs.
+
+    An entry must be a JSON number (not a boolean) that is finite as a
+    double; a complex kind's entry is a pair of them.  Valid input is
+    checked and converted by whole-list operations.  Only when a check
+    fails are the entries walked in order, so the ``data[i]`` diagnostic
+    names the first bad entry, as an entry-by-entry check would.
+    """
+    if pairs:
+        shaped = set(map(type, data)) == {list} and set(map(len, data)) == {2}
+        flat = list(chain.from_iterable(data)) if shaped else []
+    else:
+        shaped, flat = True, data
+    if shaped and set(map(type, flat)) <= _NUMBER_TYPES:
+        try:
+            values = np.fromiter(flat, dtype=float, count=len(flat))
+        except OverflowError:  # an integer beyond the double range
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values.view(complex) if pairs else values
+
+    def bad(i, msg):
+        return FileFormatError(f"{where}: data[{i}]: {msg}")
+
+    for i, v in enumerate(data):
+        if pairs:
+            if not isinstance(v, list) or len(v) != 2 or not all(type(p) in _NUMBER_TYPES for p in v):
+                raise bad(i, f"expected a [re, im] pair, got {v!r}")
+            parts = v
+        elif type(v) not in _NUMBER_TYPES:
+            raise bad(i, f"expected a real number, got {v!r}")
+        else:
+            parts = [v]
+        for p in parts:
+            try:
+                finite = math.isfinite(p)
+            except OverflowError:
+                raise bad(i, "integer too large for a double") from None
+            if not finite:
+                raise bad(i, f"non-finite entry {v!r}")
+    raise AssertionError("whole-list check failed on entries that all pass")
 
 
 def _parse_matrix_section(obj: dict, where: str, tol: Tolerances) -> tuple[str, np.ndarray]:
@@ -72,31 +127,7 @@ def _parse_matrix_section(obj: dict, where: str, tol: Tolerances) -> tuple[str, 
             f"{where}: field 'data' must be a list of {dim * dim} entries, got {got}"
         )
 
-    def bad(i, msg):
-        return FileFormatError(f"{where}: data[{i}]: {msg}")
-
-    if kind in REAL_KINDS:
-        entries = []
-        for i, v in enumerate(data):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise bad(i, f"expected a real number, got {v!r}")
-            if not np.isfinite(v):
-                raise bad(i, f"non-finite entry {v!r}")
-            entries.append(float(v))
-        mat = np.array(entries, dtype=float).reshape(dim, dim)
-    else:
-        entries = []
-        for i, v in enumerate(data):
-            if (
-                not isinstance(v, list)
-                or len(v) != 2
-                or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in v)
-            ):
-                raise bad(i, f"expected a [re, im] pair, got {v!r}")
-            if not all(np.isfinite(p) for p in v):
-                raise bad(i, f"non-finite entry {v!r}")
-            entries.append(complex(v[0], v[1]))
-        mat = np.array(entries, dtype=complex).reshape(dim, dim)
+    mat = _parse_entries(data, kind in COMPLEX_KINDS, where).reshape(dim, dim)
 
     scale = max(float(np.max(np.abs(mat))), _TINY)
     if kind == "real_symmetric" and np.max(np.abs(mat - mat.T)) > tol.tol_sym * scale:
@@ -137,9 +168,9 @@ def matrix_payload(mat: np.ndarray, kind: str) -> dict:
     """MatrixFile JSON object for a matrix."""
     mat = np.asarray(mat)
     if kind in REAL_KINDS:
-        data = [float(v) for v in np.real(mat).ravel()]
+        data = np.real(mat).astype(float).ravel().tolist()
     elif kind in COMPLEX_KINDS:
-        data = [[float(v.real), float(v.imag)] for v in mat.astype(complex).ravel()]
+        data = np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1, 2).tolist()
     else:
         raise ValueError(f"unknown matrix kind {kind!r}")
     return {"kind": kind, "dim": int(mat.shape[0]), "data": data}

@@ -9,6 +9,7 @@ golden-file tests rely on.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +36,15 @@ def _render(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        # Lists of floats and of [re, im] float pairs (matrix files, spectra)
+        # are formatted whole by one %-template; "%.17g" % x is format(x, ".17g").
+        types = set(map(type, obj))
+        if types == {float}:
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
+        if types == {list} and set(map(len, obj)) == {2}:
+            parts = tuple(chain.from_iterable(obj))
+            if set(map(type, parts)) == {float}:
+                return "[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % parts + "]"
         return "[" + ", ".join(_render(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))

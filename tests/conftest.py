@@ -8,6 +8,8 @@ are deliberately independent of the library code paths they check.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from biherm import ComplexStructureJ, HermitianForm, RealForm
@@ -146,3 +148,30 @@ def brute_bicommutant_dim(mat: np.ndarray, rtol: float = 1e-8) -> int:
     basis = brute_commutant_basis(mat, rtol)
     stacked = np.vstack([commutator_map(x) for x in basis])
     return nullspace_dim(stacked, rtol, scale=1.0)
+
+
+def reference_canonical_json(obj) -> str:
+    """Canonical JSON walked entry by entry, each float as ``format(x, ".17g")``.
+
+    ``report.canonical_json`` formats whole lists of floats with one
+    template; this is the per-entry rendering it must reproduce byte for
+    byte.  It covers what a matrix file holds: dicts, lists, floats, ints
+    and strings.
+    """
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_canonical_json(v)}" for k, v in items) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(reference_canonical_json(v) for v in obj) + "]"
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    return json.dumps(obj)
+
+
+def reference_matrix_file(mat: np.ndarray, kind: str) -> str:
+    """The bytes of a matrix file whose entries are converted one at a time."""
+    if kind.startswith("real"):
+        data = [float(v) for v in np.real(mat).ravel()]
+    else:
+        data = [[float(v.real), float(v.imag)] for v in np.asarray(mat, dtype=complex).ravel()]
+    return reference_canonical_json({"kind": kind, "dim": mat.shape[0], "data": data}) + "\n"

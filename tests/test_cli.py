@@ -89,6 +89,15 @@ class TestTripleCommand:
         assert result.exit_code == 2
         assert "error:" in result.output
 
+    def test_integer_beyond_double_range_exits_two(self, runner, files, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"kind": "real_symmetric", "dim": 1, "data": [1' + "0" * 400 + "]}")
+        result = invoke(
+            runner, ["triple", "--g", str(huge), "--j", files["j"], "--out", str(tmp_path / "t.json")]
+        )
+        assert result.exit_code == 2
+        assert "data[0]: integer too large for a double" in result.output
+
 
 class TestPipeline:
     def test_triple_hermitian_connect_chain(self, runner, files, tmp_path):

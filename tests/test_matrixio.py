@@ -4,17 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biherm import ComplexStructureJ, FileFormatError, RealForm, triple_from_g_j
 from biherm.matrixio import (
+    MATRIX_KINDS,
     load_matrix,
     load_triple,
     matrix_payload,
     save_matrix,
     save_triple,
 )
+from conftest import reference_matrix_file
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
 
 
 class TestMatrixRoundTrip:
@@ -89,6 +94,53 @@ class TestDiagnostics:
         with pytest.raises(FileFormatError, match=r"data\[2\]"):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "kind,dim,data,message",
+        [
+            ("real_general", 2, "[1, true, 3, 4]", "data[1]: expected a real number, got True"),
+            ("complex_general", 1, "[[true, 0.0]]", "data[0]: expected a [re, im] pair, got [True, 0.0]"),
+            ("real_general", 2, '[1, NaN, "x", 4]', "data[1]: non-finite entry nan"),
+            ("real_general", 2, '[1, "x", NaN, 4]', "data[1]: expected a real number, got 'x'"),
+            ("real_general", 2, "[1, 2, 3, Infinity]", "data[3]: non-finite entry inf"),
+            ("complex_general", 1, "[[0, -Infinity]]", "data[0]: non-finite entry [0, -inf]"),
+            ("complex_general", 1, "[[1.0, 2.0, 3.0]]",
+             "data[0]: expected a [re, im] pair, got [1.0, 2.0, 3.0]"),
+        ],
+    )
+    def test_bad_entry_message(self, tmp_path, kind, dim, data, message):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"kind": "{kind}", "dim": {dim}, "data": {data}}}')
+        with pytest.raises(FileFormatError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "kind,data",
+        [
+            ("real_symmetric", f"[{HUGE}]"),
+            ("complex_general", f"[[{HUGE}, 0]]"),
+            ("complex_general", f"[[0, -{HUGE}]]"),
+        ],
+        ids=["real", "complex-re", "complex-im"],
+    )
+    def test_integer_beyond_double_range_rejected(self, tmp_path, kind, data):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"kind": "{kind}", "dim": 1, "data": {data}}}')
+        with pytest.raises(FileFormatError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: data[0]: integer too large for a double"
+
+    def test_integer_beyond_parser_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": "real_symmetric", "dim": 1, "data": [1' + "0" * 5000 + "]}")
+        with pytest.raises(FileFormatError, match="integer too large for a double"):
+            load_matrix(path)
+
+    def test_large_integer_within_double_range_accepted(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": "real_general", "dim": 1, "data": [100000000000000000000]}')
+        assert load_matrix(path)[1][0, 0] == 1e20
+
     def test_complex_needs_pairs(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"kind": "complex_general", "dim": 1, "data": [3.0]}')
@@ -124,3 +176,58 @@ class TestTripleBundle:
         save_triple(p1, trip)
         save_triple(p2, trip)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+SPECIAL_ENTRIES = (-0.0, 5e-324, 1.7976931348623157e308, 1 / 3)
+
+
+def _exact_matrix(kind: str, n: int, seed: int, injected) -> np.ndarray:
+    """A matrix of the given kind, symmetric exactly, with entries of many
+    magnitudes (subnormals included) and the ``(index, value)`` pairs of
+    ``injected`` written into its real part."""
+    rng = np.random.default_rng(seed)
+
+    def part():
+        return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-320, 300, (n, n))
+
+    mat = part() if kind.startswith("real") else part() + 0j
+    if kind.startswith("complex"):
+        mat.imag = part()
+    for index, value in injected:
+        mat.real.flat[index % (n * n)] = value
+    low = np.tril_indices(n, -1)
+    if kind == "real_symmetric":
+        mat[low] = mat.T[low]
+    elif kind == "real_antisymmetric":
+        mat[low] = -mat.T[low]
+        np.fill_diagonal(mat, np.copysign(0.0, np.diagonal(mat)))
+    elif kind == "complex_hermitian":
+        mat[low] = mat.T[low].conj()
+        mat.imag[np.diag_indices(n)] = 0.0
+    return mat
+
+
+class TestRoundTripOracle:
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        injected=st.lists(
+            st.tuples(
+                st.integers(0, 64 * 64 - 1),
+                st.sampled_from(SPECIAL_ENTRIES) | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=8,
+        ),
+    )
+    @example(n=2, seed=0, injected=list(enumerate(SPECIAL_ENTRIES)))
+    @example(n=64, seed=1, injected=[(i * 1031, v) for i, v in enumerate(SPECIAL_ENTRIES)])
+    def test_bytes_and_values(self, tmp_path_factory, kind, n, seed, injected):
+        mat = _exact_matrix(kind, n, seed, injected)
+        path = tmp_path_factory.mktemp("oracle") / "m.json"
+        save_matrix(path, mat, kind)
+        assert path.read_text(encoding="utf-8") == reference_matrix_file(mat, kind)
+        got_kind, got = load_matrix(path)
+        assert got_kind == kind
+        assert got.dtype == mat.dtype and got.tobytes() == mat.tobytes()
