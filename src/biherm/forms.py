@@ -3,8 +3,9 @@
 Everything downstream (triple construction, connecting operators, spectral
 analysis, fibered decompositions) is built on the five operations in this
 module: positivity validation, the metric generalized eigensolver, the
-positive operator square root, form-orthonormalization, and the Krylov
-rank test.  All types are immutable after construction and all operations
+positive operator square root and form-orthonormalization.  The module
+also keeps the Krylov rank of a start vector, which no default path
+calls.  All types are immutable after construction and all operations
 are pure functions, so values can be shared freely across threads.
 """
 
@@ -384,6 +385,14 @@ def krylov_rank(
     the same exact-arithmetic rank and stays well-scaled.  A new
     direction counts as dependent when its residual is at most
     ``tol.tol_eig`` relative to its pre-projection norm.
+
+    The rank can be trusted when ``x0`` is known to be cyclic (for
+    example one built by :func:`biherm.spectral.cyclic_vector`) and the
+    spectrum of G is well separated.  It is not a cyclicity test for an
+    arbitrary G: at n ~ 100 the degree-k Krylov polynomials lose small
+    eigencomponents to rounding, so the rank of a degenerate G often
+    reaches n.  No default path calls it; :func:`biherm.spectral.is_cyclic`
+    counts Lanczos Ritz values instead.
 
     Raises
     ------

@@ -95,6 +95,21 @@ def hermitian_pair_with_multiplicities(
     return HermitianForm(h1), HermitianForm(h2), np.asarray(eigenvalues, dtype=float)
 
 
+def hermitian_pair_with_spectrum(
+    rng: np.random.Generator, lam: np.ndarray, kappa: float
+) -> tuple[HermitianForm, HermitianForm]:
+    """Form pair with cond(h1) = kappa whose connecting operator has
+    eigenvalues ``lam`` (repeats included)."""
+    n = len(lam)
+    w = np.exp(np.log(kappa) * np.concatenate([[0.0, 1.0], rng.random(max(n - 2, 0))]))[:n]
+    q = random_unitary(rng, n)
+    h1 = (q * w) @ q.conj().T
+    h1 = 0.5 * (h1 + h1.conj().T)
+    lu = np.linalg.cholesky(h1) @ random_unitary(rng, n)  # h1 = lu lu^H
+    h2 = (lu * np.asarray(lam, dtype=float)) @ lu.conj().T
+    return HermitianForm(h1), HermitianForm(0.5 * (h2 + h2.conj().T))
+
+
 def random_multiplicity_pattern(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     """Random composition of n with a mix of simple and degenerate parts."""
     parts = []

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from biherm.cli import main
 from biherm.matrixio import load_matrix, save_matrix
+from conftest import hermitian_pair_with_multiplicities
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -172,6 +173,22 @@ class TestSpectrumAndGeneric:
         assert r["generic_by_spectrum"] is False
         assert r["commutant_dimension"] == 4
         assert r["bicommutant_dimension"] == 1
+
+    def test_generic_on_degenerate_pair_at_n128(self, runner, tmp_path):
+        # a Krylov rank overstates the cyclicity of such a pair; the
+        # Lanczos Ritz-value count agrees with the other two verdicts
+        mults = (1, 2, 1, 3, 1, 1, 4) * 9 + (2, 1, 1, 1, 2, 1, 1, 1, 1)
+        h1, h2, _ = hermitian_pair_with_multiplicities(np.random.default_rng(31), mults)
+        save_matrix(tmp_path / "h1.json", h1.gram, "complex_hermitian")
+        save_matrix(tmp_path / "h2.json", h2.gram, "complex_hermitian")
+        result = invoke(
+            runner, ["generic", "--h1", str(tmp_path / "h1.json"), "--h2", str(tmp_path / "h2.json")]
+        )
+        assert result.exit_code == 0
+        r = json.loads(result.output)["results"]
+        assert r["cyclic"] is False
+        assert r["agreement"] is True
+        assert r["bicommutant_dimension"] == len(mults)
 
 
 class TestDecomposeCommand:

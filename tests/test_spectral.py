@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biherm import (
     DegenerateSpectrumError,
@@ -24,6 +26,7 @@ from biherm import (
 from conftest import (
     brute_bicommutant_dim,
     hermitian_pair_with_multiplicities,
+    hermitian_pair_with_spectrum,
     nullspace_dim,
     commutator_map,
     random_multiplicity_pattern,
@@ -168,6 +171,50 @@ class TestIsCyclic:
             assert is_cyclic(op, seed=int(rng.integers(0, 2**31))) == all(
                 m == 1 for m in mults
             )
+
+    def test_exact_breakdown_is_not_cyclic(self):
+        # the Krylov space of every probe is invariant after 1 (2·I) or
+        # 2 (diag(1, 1, 2)) steps; the restarted probes find the repeats
+        for values in ([2.0] * 5, [1.0, 1.0, 2.0]):
+            op = diag_operator(*values)
+            for seed in range(5):
+                assert not is_cyclic(op, seed=seed)
+
+    def test_n128_matches_ground_truth(self):
+        # a Krylov rank calls most degenerate pairs of this size cyclic
+        rng = np.random.default_rng(21)
+        for degenerate in (True, False) * 8:
+            mults = (1,) * 128
+            while degenerate and max(mults) == 1:
+                mults = random_multiplicity_pattern(rng, 128)
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            op = connecting_operator(h1, h2)
+            assert is_cyclic(op, seed=int(rng.integers(0, 2**31))) is not degenerate
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 48),
+        st.floats(0.0, 6.0),
+        st.sampled_from([1e-9, 2e-7]),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.booleans(),
+    )
+    def test_agrees_with_eigenvalue_pair_count(self, seed, n, log_kappa, split, at, degenerate):
+        # one eigenvalue, `at` of the way up the spectrum, split off by
+        # `split` (relative) at cond(h1) up to 1e6.  The cluster gap is
+        # 1e-8 of the largest eigenvalue, so a 2e-7 split of a low
+        # eigenvalue of a wide spectrum falls on either side of it.
+        rng = np.random.default_rng(seed)
+        mults = random_multiplicity_pattern(rng, n - 1) if degenerate else (1,) * (n - 1)
+        values = 0.5 + np.cumsum(0.05 + rng.random(len(mults)))
+        lam = np.repeat(values, mults)
+        j = int(at * (n - 1))
+        lam = np.sort(np.append(lam, lam[j] * (1.0 + split)))
+        h1, h2 = hermitian_pair_with_spectrum(rng, lam, 10.0**log_kappa)
+        op = connecting_operator(h1, h2)
+        res = spectral_resolution(op)
+        assert is_cyclic(op, seed=seed) == (res.commutant_dimension == res.n_fibers)
 
 
 class TestCommutantDimensions:
