@@ -71,9 +71,9 @@ class ConnectingOperator:
         G (positive for a valid pair).
         """
         h1, h2, g = self.h1.gram, self.h2.gram, self.mat
-        out = {"defining": _fro(h2 - h1 @ g) / max(_fro(h2), _TINY)}
-        for key, metric in (("selfadjoint_h1", h1), ("selfadjoint_h2", h2)):
-            k = metric @ g
+        h1g = h1 @ g
+        out = {"defining": _fro(h2 - h1g) / max(_fro(h2), _TINY)}
+        for key, k in (("selfadjoint_h1", h1g), ("selfadjoint_h2", h2 @ g)):
             out[key] = _fro(k - k.conj().T) / max(_fro(k), _TINY)
         out["min_eigenvalue"] = float(scipy.linalg.eigh(h2, h1, eigvals_only=True)[0])
         return out

@@ -14,6 +14,7 @@ one-dimensional.  Every function here takes the resolution as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -252,14 +253,6 @@ def check_genericity_consistency(
     return unidimensional
 
 
-def _haar_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed k x k unitary via phase-fixed QR of a Ginibre matrix."""
-    z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def sample_biunitary(dec: SpectralResolution, seed: int) -> np.ndarray:
     """Draw a random transformation preserving both Hermitian forms.
 
@@ -269,12 +262,23 @@ def sample_biunitary(dec: SpectralResolution, seed: int) -> np.ndarray:
     converted back to ambient coordinates.  In the generic case every
     block is 1 x 1, i.e. the sample is a diagonal of phases in the fiber
     basis.
+
+    A block is the phase-fixed QR factor Q of a complex Ginibre matrix.
+    Each run of m consecutive fibers of equal dimension k is drawn as one
+    (m, 2, k, k) array, the real and then the imaginary part of each
+    fiber in turn, and factored by one stacked QR: the same stream and
+    the same LAPACK calls as one draw per fiber, so the same bytes.
     """
     rng = np.random.default_rng(seed)
     n = dec.dim
     u_tilde = np.zeros((n, n), dtype=complex)
-    for s, f in zip(dec.fiber_slices(), dec.fibers):
-        u_tilde[s, s] = _haar_unitary(f.dim, rng)
+    slices = iter(dec.fiber_slices())
+    for k, run in groupby(dec.multiplicities):
+        z = rng.standard_normal((len(tuple(run)), 2, k, k))
+        q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        for block, s in zip(q * (d / np.abs(d))[:, None, :], slices):
+            u_tilde[s, s] = block
     return dec.from_fiber_coordinates(u_tilde)
 
 

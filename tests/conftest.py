@@ -126,6 +126,23 @@ def random_multiplicity_pattern(rng: np.random.Generator, n: int) -> tuple[int, 
 
 # --- independent oracles -------------------------------------------------
 
+def reference_sample_biunitary(dec, seed: int) -> np.ndarray:
+    """``sample_biunitary`` drawn one fiber at a time.
+
+    Each fiber gets its own real and then imaginary Ginibre draw and its
+    own QR, the loop that the batched draw must reproduce byte for byte.
+    """
+    rng = np.random.default_rng(seed)
+    u_tilde = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for s, f in zip(dec.fiber_slices(), dec.fibers):
+        k = f.dim
+        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        u_tilde[s, s] = q * (d / np.abs(d))
+    return dec.from_fiber_coordinates(u_tilde)
+
+
 def commutator_map(mat: np.ndarray) -> np.ndarray:
     """Matrix of X -> mat X - X mat acting on row-major vec(X)."""
     n = mat.shape[0]

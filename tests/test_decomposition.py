@@ -24,6 +24,7 @@ from conftest import (
     hermitian_pair_with_multiplicities,
     random_multiplicity_pattern,
     random_unitary,
+    reference_sample_biunitary,
 )
 
 
@@ -280,6 +281,25 @@ class TestSampleBiunitary:
             v = sample_biunitary(dec, seed=int(rng.integers(0, 2**31)))
             for cand in (u, v, u @ v, np.linalg.inv(u)):
                 assert verify_biunitary(cand, h1, h2, connecting=op).passed
+
+    def test_bytes_equal_per_fiber_draws(self):
+        rng = np.random.default_rng(58)
+        patterns = [
+            (1,) * 128,
+            (1,) * 50 + (2,) * 9 + (1,) * 40 + (3,) * 3,
+            (1, 2) * 20 + (3, 1) * 10,
+            (2, 1, 1, 3, 3, 3, 1),
+            (128,),
+            (12,),
+            (1, 1),
+        ]
+        for mults in patterns:
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            dec = build_decomposition(connecting_operator(h1, h2))
+            assert dec.multiplicities == mults
+            for seed in (0, int(rng.integers(0, 2**31))):
+                got = sample_biunitary(dec, seed=seed)
+                assert got.tobytes() == reference_sample_biunitary(dec, seed).tobytes()
 
     def test_generic_case_is_diagonal_phases(self):
         rng = np.random.default_rng(57)

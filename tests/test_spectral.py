@@ -70,7 +70,7 @@ class TestSpectralResolution:
             op = connecting_operator(h1, h2)
             res = spectral_resolution(op)
             assert res.multiplicities == mults
-            recon = res.reconstruct()
+            recon = sum(f.eigenvalue * (f.basis @ f.basis.conj().T @ h1.gram) for f in res.fibers)
             assert np.linalg.norm(recon - op.mat) <= 10 * tol.tol_resid * np.linalg.norm(op.mat)
             v = res.basis_matrix()
             assert np.linalg.norm(v.conj().T @ h1.gram @ v - np.eye(n)) <= 1e-9
@@ -190,6 +190,25 @@ class TestIsCyclic:
             h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
             op = connecting_operator(h1, h2)
             assert is_cyclic(op, seed=int(rng.integers(0, 2**31))) is not degenerate
+
+    def test_one_lanczos_run_per_call(self, monkeypatch):
+        # the Ritz values depend on the probe only through rounding, so
+        # one run decides even when G is not cyclic
+        import biherm.spectral
+
+        calls = []
+        ritz = biherm.spectral._lanczos_ritz_values
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ritz(*args, **kwargs)
+
+        rng = np.random.default_rng(24)
+        h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1,) * 100 + (4,) * 7)
+        op = connecting_operator(h1, h2)
+        monkeypatch.setattr(biherm.spectral, "_lanczos_ritz_values", counted)
+        assert not is_cyclic(op, seed=5)
+        assert len(calls) == 1
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
