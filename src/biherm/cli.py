@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .connecting import connecting_operator, invariants_hold, verify_biunitary
 from .decomposition import (
@@ -26,14 +25,7 @@ from .decomposition import (
     sample_biunitary,
 )
 from .errors import BihermError, FileFormatError
-from .forms import (
-    _TINY,
-    ComplexStructureJ,
-    HermitianForm,
-    RealForm,
-    Tolerances,
-    validate_positive,
-)
+from .forms import ComplexStructureJ, HermitianForm, RealForm, Tolerances
 from .matrixio import load_matrix, load_triple, save_matrix, save_triple
 from .report import render_report
 from .spectral import (
@@ -178,19 +170,11 @@ def triple(tol, g_path, j_path, omega_path, out):
     else:
         _, w_mat = load_matrix(omega_path, ("real_antisymmetric",), tol)
         trip = triple_from_g_omega(g, RealForm(w_mat, "antisymmetric", tol), tol)
-
-    gg, jj, ww = trip.g.gram, trip.j.mat, trip.omega.gram
-    scale = max(float(np.max(np.abs(gg))), _TINY)
-    residuals = {
-        "j_squared": float(np.max(np.abs(jj @ jj + np.eye(trip.dim)))),
-        "anti_hermitian": float(np.max(np.abs(jj.T @ gg + gg @ jj))) / scale,
-        "omega_link": float(np.max(np.abs(ww - gg @ jj))) / scale,
-    }
-    save_triple(out, trip, meta={"residuals": residuals})
+    save_triple(out, trip, meta={"residuals": trip.residuals})
     results = {
         "dim": trip.dim,
-        "metric_min_eigenvalue": validate_positive(trip.g, tol).min_eigenvalue,
-        "residuals": residuals,
+        "metric_min_eigenvalue": trip.metric_min_eigenvalue,
+        "residuals": trip.residuals,
         "out": str(out),
     }
     return results, True

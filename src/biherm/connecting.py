@@ -152,6 +152,11 @@ class BiUnitaryReport:
         return self.h1_ok and self.h2_ok and self.commutator_ok
 
 
+def _commutator_residual(a: np.ndarray, g: np.ndarray) -> float:
+    """||[G, A]|| relative to ||G|| * ||A||."""
+    return _fro(g @ a - a @ g) / max(_fro(g) * _fro(a), _TINY)
+
+
 def verify_biunitary(
     u: np.ndarray,
     h1: HermitianForm,
@@ -187,7 +192,7 @@ def verify_biunitary(
 
     r1 = _fro(u.conj().T @ h1.gram @ u - h1.gram) / max(_fro(h1.gram), _TINY)
     r2 = _fro(u.conj().T @ h2.gram @ u - h2.gram) / max(_fro(h2.gram), _TINY)
-    rc = _fro(g @ u - u @ g) / max(_fro(g) * _fro(u), _TINY)
+    rc = _commutator_residual(u, g)
     h1_ok = r1 <= tol.tol_resid
     h2_ok = r2 <= tol.tol_resid
     comm_ok = rc <= tol.tol_resid

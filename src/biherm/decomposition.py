@@ -18,7 +18,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .connecting import ConnectingOperator
+from .connecting import ConnectingOperator, _commutator_residual
 from .errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
@@ -121,10 +121,6 @@ def check_proportionality(
     return ProportionalityReport(
         max_violation=tuple(violations), tolerance=tol.tol_resid
     )
-
-
-def _commutator_residual(a: np.ndarray, g: np.ndarray) -> float:
-    return _fro(g @ a - a @ g) / max(_fro(g) * _fro(a), _TINY)
 
 
 def project_to_commutant_blocks(

@@ -1,12 +1,13 @@
 """Validated matrix-backed forms and the shared dense-algebra kernel.
 
 Everything downstream (triple construction, connecting operators, spectral
-analysis, fibered decompositions) is built on the five operations in this
-module: positivity validation, the metric generalized eigensolver, the
-positive operator square root and form-orthonormalization.  The module
-also keeps the Krylov rank of a start vector, which no default path
-calls.  All types are immutable after construction and all operations
-are pure functions, so values can be shared freely across threads.
+analysis, fibered decompositions) is built on the form types and three
+operations in this module: positivity validation, the metric generalized
+eigensolver and the positive operator square root.  The module also
+keeps form-orthonormalization and the Krylov rank of a start vector,
+which no other module calls.  All types are immutable after
+construction and all operations are pure functions, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -135,22 +136,27 @@ class RealForm:
 
 @dataclass(frozen=True, eq=False)
 class ComplexStructureJ:
-    """A real linear operator J with J^2 = -1 on an even-dimensional space."""
+    """A real linear operator J with J^2 = -1 on an even-dimensional space.
+
+    ``residual`` holds max |J^2 + 1| as checked at construction.
+    """
 
     mat: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
+    residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _require_square(self.mat, "mat")
         if np.iscomplexobj(mat):
             raise ValueError("complex structure matrix must be real")
-        mat = mat.astype(float, copy=True)
         if mat.shape[0] % 2 != 0:
             raise ValueError("complex structure requires even dimension")
+        mat = _freeze(mat.astype(float, copy=False))
         resid = _maxabs(mat @ mat + np.eye(mat.shape[0]))
         if resid > self.tol.tol_j:
             raise ValueError(f"J^2 = -1 violated: residual {resid:.3e} exceeds {self.tol.tol_j:.3e}")
-        object.__setattr__(self, "mat", _freeze(mat))
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "residual", resid)
 
     @property
     def dim(self) -> int:

@@ -15,6 +15,7 @@ linear in the second argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,11 @@ __all__ = [
 class AdmissibleTriple:
     """A compatible (g, J, omega) triple; invariants checked on construction.
 
+    The checked quantities are kept: ``residuals`` holds ``j_squared``
+    (max |J^2 + 1|), ``anti_hermitian`` (max |J^T g + g J|) and
+    ``omega_link`` (max |omega - g J|), the last two relative to max |g|;
+    ``metric_min_eigenvalue`` holds the smallest eigenvalue of g.
+
     Raises
     ------
     NotAdmissibleError
@@ -62,6 +68,8 @@ class AdmissibleTriple:
     j: ComplexStructureJ
     omega: RealForm
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
+    residuals: dict[str, float] = field(init=False, repr=False)
+    metric_min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
         g, j, omega = self.g.gram, self.j.mat, self.omega.gram
@@ -71,19 +79,24 @@ class AdmissibleTriple:
             raise NotAdmissibleError("g must be tagged symmetric")
         if self.omega.symmetry_tag != "antisymmetric":
             raise NotAdmissibleError("omega must be tagged antisymmetric")
-        if not validate_positive(self.g, self.tol).passed:
+        positive = validate_positive(self.g, self.tol)
+        if not positive.passed:
             raise NotAdmissibleError("g is not positive-definite")
         scale = max(_maxabs(g), _TINY)
-        anti = _maxabs(j.T @ g + g @ j)
+        gj = g @ j
+        anti = _maxabs(j.T @ g + gj)
         if anti > self.tol.tol_resid * scale:
             raise NotAdmissibleError(
                 f"J is not g-anti-Hermitian (relative residual {anti / scale:.3e})"
             )
-        link = _maxabs(omega - g @ j)
+        link = _maxabs(omega - gj)
         if link > self.tol.tol_resid * scale:
             raise NotAdmissibleError(
                 f"omega != g o J (relative residual {link / scale:.3e})"
             )
+        residuals = {"j_squared": self.j.residual, "anti_hermitian": anti / scale, "omega_link": link / scale}
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "metric_min_eigenvalue", positive.min_eigenvalue)
 
     @property
     def dim(self) -> int:
@@ -216,7 +229,6 @@ class ComplexificationMap:
 
     basis: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
-    _basis_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -224,10 +236,13 @@ class ComplexificationMap:
             raise ValueError("basis must be a square matrix of even dimension")
         basis = np.array(basis, copy=True)
         basis.flags.writeable = False
-        inv = np.linalg.inv(basis)
-        inv.flags.writeable = False
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_basis_inv", inv)
+
+    @cached_property
+    def _basis_inv(self) -> np.ndarray:
+        inv = np.linalg.inv(self.basis)
+        inv.flags.writeable = False
+        return inv
 
     @property
     def real_dim(self) -> int:
@@ -260,37 +275,23 @@ def build_complexification(
 ) -> ComplexificationMap:
     """Deterministic J-adapted g-orthonormal basis for an admissible triple.
 
-    Greedy construction: take the first standard basis vector outside the
-    current span, g-orthonormalize it into u_k, adjoin J u_k (which is
-    automatically g-orthonormal to everything so far), and repeat.  The
-    second block of the result equals J applied to the first block
-    exactly.
+    Takes the standard basis vectors that :func:`complexification_from_j`
+    picks, g-orthonormalizes each in turn into u_k against the span of
+    the earlier u and J u (two block projection passes), and adjoins
+    J u_k, which is then g-orthonormal to everything so far.  The second
+    block of the result equals J applied to the first block exactly.
+    A degenerate J raises :class:`NotAdmissibleError` from
+    :func:`complexification_from_j`.
     """
     g, j = triple.g.gram, triple.j.mat
-    m = triple.dim
-    n = m // 2
-    us: list[np.ndarray] = []
-    span: list[np.ndarray] = []  # g-orthonormal: u_1, Ju_1, u_2, Ju_2, ...
-    for i in range(m):
-        if len(us) == n:
-            break
-        w = np.zeros(m)
-        w[i] = 1.0
-        ref = float(np.sqrt(w @ g @ w))
+    n = triple.dim // 2
+    span = np.empty((triple.dim, 0))  # g-orthonormal: u_1, Ju_1, u_2, Ju_2, ...
+    for w in complexification_from_j(triple.j, tol).basis[:, :n].T:
         for _ in range(2):
-            for c in span:
-                w = w - c * (c @ g @ w)
-        nrm = float(np.sqrt(max(w @ g @ w, 0.0)))
-        if nrm <= tol.tol_eig * ref:
-            continue
-        u = w / nrm
-        ju = j @ u
-        us.append(u)
-        span.extend([u, ju])
-    if len(us) != n:
-        raise NotAdmissibleError("failed to build a J-adapted basis (structure degenerate)")
-    basis = np.column_stack(us + [j @ u for u in us])
-    return ComplexificationMap(basis, tol)
+            w = w - span @ (span.T @ (g @ w))
+        u = w / np.sqrt(w @ g @ w)
+        span = np.column_stack([span, u, j @ u])
+    return ComplexificationMap(np.column_stack([span[:, 0::2], span[:, 1::2]]), tol)
 
 
 def complexification_from_j(

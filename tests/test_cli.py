@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from biherm.cli import main
 from biherm.matrixio import load_matrix, save_matrix
-from conftest import hermitian_pair_with_multiplicities
+from biherm.triples import omega_from_g_j
+from conftest import hermitian_pair_with_multiplicities, random_admissible_pair, random_spd
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -89,6 +90,31 @@ class TestTripleCommand:
         )
         assert result.exit_code == 2
         assert "error:" in result.output
+
+    def test_non_antisymmetric_omega_exits_two(self, runner, files, tmp_path):
+        bad = tmp_path / "bad_omega.json"
+        bad.write_text('{"kind": "real_antisymmetric", "dim": 2, "data": [0, 1, 1, 0]}')
+        result = invoke(
+            runner, ["triple", "--g", files["g"], "--omega", str(bad), "--out", str(tmp_path / "t.json")]
+        )
+        assert result.exit_code == 2
+        assert f"error: {bad}: matrix is not antisymmetric within tolerance" in result.output
+
+    @pytest.mark.parametrize("source", ["j", "omega"])
+    def test_report_residuals_equal_file_meta(self, runner, tmp_path, source):
+        rng = np.random.default_rng(7)
+        g, j = random_admissible_pair(rng, 24)
+        paths = {k: tmp_path / f"{k}.json" for k in ("g", "j", "omega", "trip")}
+        save_matrix(paths["g"], random_spd(rng, 24), "real_symmetric")
+        save_matrix(paths["j"], j.mat, "real_general")
+        save_matrix(paths["omega"], omega_from_g_j(g, j).gram, "real_antisymmetric")
+        args = ["triple", "--g", str(paths["g"]), f"--{source}", str(paths[source]), "--out", str(paths["trip"])]
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        residuals = json.loads(result.output)["results"]["residuals"]
+        assert set(residuals) == {"j_squared", "anti_hermitian", "omega_link"}
+        assert max(residuals.values()) > 0.0
+        assert residuals == json.loads(paths["trip"].read_text())["meta"]["residuals"]
 
     def test_integer_beyond_double_range_exits_two(self, runner, files, tmp_path):
         huge = tmp_path / "huge.json"

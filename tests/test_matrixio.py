@@ -153,6 +153,22 @@ class TestDiagnostics:
         with pytest.raises(FileFormatError, match="not symmetric"):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "kind,data,message",
+        [
+            ("real_symmetric", "[1, 2, 3, 4]", "matrix is not symmetric within tolerance"),
+            ("real_antisymmetric", "[0, 1, 1, 0]", "matrix is not antisymmetric within tolerance"),
+            ("complex_hermitian", "[[1, 0], [2, 1], [2, 1], [4, 0]]",
+             "matrix is not Hermitian within tolerance"),
+        ],
+    )
+    def test_symmetry_message_at_boundary(self, tmp_path, kind, data, message):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"kind": "{kind}", "dim": 2, "data": {data}}}')
+        with pytest.raises(FileFormatError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestTripleBundle:
     def test_round_trip(self, tmp_path):

@@ -16,6 +16,7 @@ from biherm import (
     symmetrize_metric,
     triple_from_g_j,
     triple_from_g_omega,
+    validate_positive,
 )
 from conftest import random_admissible_pair, random_complex_structure, random_spd
 
@@ -152,6 +153,36 @@ class TestAdmissibleTriple:
             assert np.max(np.abs(ww - gg @ jj)) <= 10 * 1e-10 * scale
 
 
+def cli_triple_residuals(trip):
+    """Oracle: the residual formulas the CLI ``triple`` command used to
+    evaluate on the finished triple, and its metric validation."""
+    gg, jj, ww = trip.g.gram, trip.j.mat, trip.omega.gram
+    scale = max(float(np.max(np.abs(gg))), np.finfo(float).tiny)
+    residuals = {
+        "j_squared": float(np.max(np.abs(jj @ jj + np.eye(trip.dim)))),
+        "anti_hermitian": float(np.max(np.abs(jj.T @ gg + gg @ jj))) / scale,
+        "omega_link": float(np.max(np.abs(ww - gg @ jj))) / scale,
+    }
+    return residuals, validate_positive(trip.g).min_eigenvalue
+
+
+class TestStoredResiduals:
+    @pytest.mark.parametrize("route", ["g_j", "g_omega"])
+    def test_equal_to_cli_formulas(self, route):
+        rng = np.random.default_rng(22)
+        for m in [2, 4, 6, 10, 16, 24, 32, 64, 128, 256]:
+            g, j = random_admissible_pair(rng, m)
+            if route == "g_j":
+                trip = triple_from_g_j(RealForm(random_spd(rng, m), "symmetric"), j)
+            else:
+                trip = triple_from_g_omega(RealForm(random_spd(rng, m), "symmetric"), omega_from_g_j(g, j))
+            residuals, min_eig = cli_triple_residuals(trip)
+            assert trip.residuals == residuals
+            assert list(trip.residuals) == ["j_squared", "anti_hermitian", "omega_link"]
+            assert trip.metric_min_eigenvalue == min_eig
+            assert trip.j.residual == residuals["j_squared"]
+
+
 class TestComplexification:
     def test_canonical_basis_is_standard(self):
         cmap = build_complexification(canonical_triple())
@@ -202,6 +233,31 @@ class TestComplexification:
             assert np.allclose(b.T @ trip.g.gram @ b, np.eye(m), atol=1e-9)
             n = m // 2
             assert np.allclose(b[:, n:], j.mat @ b[:, :n])
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_picks_skip_vectors_already_in_span(self, m):
+        # with J = kron(I, J2), J e_{2k} = e_{2k+1}, so every odd e_i is
+        # already in the span when its turn comes
+        d = np.arange(1.0, m + 1.0) ** 2
+        trip = triple_from_g_j(RealForm(np.diag(d), "symmetric"), ComplexStructureJ(np.kron(np.eye(m // 2), J2)))
+        picks = np.eye(m)[:, 0::2]
+        assert np.array_equal(complexification_from_j(trip.j).basis[:, : m // 2], picks)
+        g_norms = np.sqrt(np.diag(trip.g.gram)[0::2])
+        assert not np.allclose(g_norms, 1.0)
+        b = build_complexification(trip).basis
+        assert np.allclose(b[:, : m // 2], picks / g_norms, rtol=1e-14, atol=0.0)
+        assert np.allclose(b[:, m // 2 :], trip.j.mat @ picks / g_norms, rtol=1e-14, atol=0.0)
+
+    def test_inverse_only_on_demand(self):
+        rng = np.random.default_rng(34)
+        g, j = random_admissible_pair(rng, 8)
+        trip = triple_from_g_j(g, j)
+        cmap = complexification_from_j(j)
+        hermitian_from_triple(trip, cmap)
+        assert "_basis_inv" not in vars(cmap)
+        x = rng.standard_normal(8)
+        assert np.allclose(cmap.to_real(cmap.to_complex(x)), x, atol=1e-12)
+        assert not vars(cmap)["_basis_inv"].flags.writeable
 
 
 class TestHermitianFromTriple:
