@@ -4,8 +4,8 @@ Reads matrices and forms from JSON files, runs the analyses, and writes
 deterministic structured reports.  Exit codes: 0 when the analysis ran
 and every asserted check passed, 1 when the analysis ran but a
 mathematical check failed (for example a candidate transformation that
-is not bi-unitary, or an inadmissible triple), 2 for malformed files or
-usage errors.
+is not bi-unitary, or an inadmissible triple), 2 for malformed files,
+output files that cannot be written, or usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .connecting import connecting_operator, invariants_hold, verify_biunitary
 from .decomposition import (
     build_decomposition,
@@ -25,7 +26,7 @@ from .decomposition import (
     sample_biunitary,
 )
 from .errors import BihermError, FileFormatError
-from .forms import ComplexStructureJ, HermitianForm, RealForm, Tolerances
+from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, HermitianForm, RealForm, Tolerances
 from .matrixio import load_matrix, load_triple, save_matrix, save_triple
 from .report import render_report
 from .spectral import (
@@ -60,7 +61,7 @@ _COMMON_OPTIONS = (
     click.option(
         "--tol-eig",
         type=float,
-        default=1e-8,
+        default=DEFAULT_TOLERANCES.tol_eig,
         show_default=True,
         envvar="BIHERM_TOL_EIG",
         help="Relative eigenvalue-cluster / rank threshold (env: BIHERM_TOL_EIG; flag wins).",
@@ -68,7 +69,7 @@ _COMMON_OPTIONS = (
     click.option(
         "--tol-resid",
         type=float,
-        default=1e-10,
+        default=DEFAULT_TOLERANCES.tol_resid,
         show_default=True,
         help="Relative residual tolerance for operator identities.",
     ),
@@ -85,7 +86,7 @@ _COMMON_OPTIONS = (
 
 
 @click.group()
-@click.version_option("0.1.0", prog_name="biherm")
+@click.version_option(__version__, prog_name="biherm")
 def main():
     """Analyze pairs of Hermitian structures on finite-dimensional spaces.
 
@@ -96,6 +97,11 @@ def main():
     """
 
 
+def _exit(code: int, message: str):
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
 def _command(name: str, *options):
     """Register ``body(tol, **params) -> (results, passed)`` as subcommand ``name``.
 
@@ -103,7 +109,8 @@ def _command(name: str, *options):
     quiet options.  It wraps the results in the report envelope, renders
     it to stdout (or to ``--out`` when that names the report file), and
     exits 0 when ``passed``, 1 when not or when the analysis raised, and 2
-    on a malformed file or a usage error.
+    on a malformed file, an output file that cannot be written, or a
+    usage error.
     """
 
     def register(body):
@@ -116,11 +123,11 @@ def _command(name: str, *options):
             try:
                 results, passed = body(tol, **params)
             except FileFormatError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(2)
+                _exit(2, f"error: {exc}")
+            except OSError as exc:  # inputs are read through matrixio, so an artifact write failed
+                _exit(2, f"error: cannot write file: {exc}")
             except (BihermError, ValueError) as exc:
-                click.echo(f"analysis failed: {exc}", err=True)
-                sys.exit(1)
+                _exit(1, f"analysis failed: {exc}")
             inputs = {k.removesuffix("_path"): v for k, v in params.items() if k.endswith("_path")}
             report = {
                 "command": name,
@@ -133,7 +140,10 @@ def _command(name: str, *options):
                 report["seed"] = params["seed"]
             text = render_report(report, fmt) + "\n"
             if report_out is not None:
-                Path(report_out).write_text(text, encoding="utf-8")
+                try:
+                    Path(report_out).write_text(text, encoding="utf-8")
+                except OSError as exc:
+                    _exit(2, f"error: cannot write file: {exc}")
             elif not quiet:
                 click.echo(text, nl=False)
             sys.exit(0 if passed else 1)

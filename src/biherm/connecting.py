@@ -42,7 +42,6 @@ class ConnectingOperator:
     h1: HermitianForm
     h2: HermitianForm
     ill_conditioned: bool = False
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
     residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ def connecting_operator(
     cond = float(w1[-1] / max(w1[0], _TINY))
     ill = cond > 1.0 / tol.tol_eig
     g = np.linalg.solve(h1.gram, h2.gram)
-    op = ConnectingOperator(g, h1, h2, ill_conditioned=ill, tol=tol)
+    op = ConnectingOperator(g, h1, h2, ill_conditioned=ill)
     if not invariants_hold(op.residuals, tol) and not ill:
         raise InternalInconsistencyError(
             f"connecting operator failed invariant verification: {op.residuals}"

@@ -60,6 +60,8 @@ class Tolerances:
         against the spectral radius / largest singular value.
     tol_resid : float
         Relative residual allowed in operator identities.
+
+    Each tolerance must be finite and strictly positive.
     """
 
     tol_sym: float = 1e-10
@@ -69,7 +71,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_sym", "tol_j", "tol_eig", "tol_resid"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if np.isinf(value):
+                raise ValueError(f"{name} must be finite")
+            if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -99,6 +104,15 @@ def _fro(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat))
 
 
+def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:
+    """max|A - Aᴴ| (sign +1) or max|A + Aᴴ| (sign -1), and the scale max(max|A|, tiny).
+
+    Every symmetric, antisymmetric and Hermitian check compares these two.
+    """
+    adj = mat.conj().T
+    return _maxabs(mat - adj if sign > 0 else mat + adj), max(_maxabs(mat), _TINY)
+
+
 @dataclass(frozen=True, eq=False)
 class RealForm:
     """A real bilinear form on R^m given by its Gram matrix.
@@ -115,15 +129,13 @@ class RealForm:
         if np.iscomplexobj(mat):
             raise ValueError("RealForm gram must be real")
         mat = mat.astype(float, copy=True)
-        scale = max(_maxabs(mat), _TINY)
-        if self.symmetry_tag == "symmetric":
-            if _maxabs(mat - mat.T) > self.tol.tol_sym * scale:
-                raise ValueError("gram is not symmetric within tolerance")
-        elif self.symmetry_tag == "antisymmetric":
-            if _maxabs(mat + mat.T) > self.tol.tol_sym * scale:
-                raise ValueError("gram is not antisymmetric within tolerance")
-        elif self.symmetry_tag != "general":
-            raise ValueError(f"unknown symmetry_tag {self.symmetry_tag!r}")
+        if self.symmetry_tag != "general":
+            sign = {"symmetric": 1, "antisymmetric": -1}.get(self.symmetry_tag)
+            if sign is None:
+                raise ValueError(f"unknown symmetry_tag {self.symmetry_tag!r}")
+            resid, scale = _asymmetry(mat, sign)
+            if resid > self.tol.tol_sym * scale:
+                raise ValueError(f"gram is not {self.symmetry_tag} within tolerance")
         object.__setattr__(self, "gram", _freeze(mat))
 
     @property
@@ -178,8 +190,8 @@ class HermitianForm:
 
     def __post_init__(self):
         mat = _require_square(self.gram, "gram").astype(complex, copy=True)
-        scale = max(_maxabs(mat), _TINY)
-        if _maxabs(mat - mat.conj().T) > self.tol.tol_sym * scale:
+        resid, scale = _asymmetry(mat, 1)
+        if resid > self.tol.tol_sym * scale:
             raise ValueError("gram is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(mat)
         if w[0] <= 0.0:
@@ -240,8 +252,8 @@ def validate_positive(form, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationR
     else:
         mat = np.asarray(form)
     mat = _require_square(mat, "form")
-    scale = max(_maxabs(mat), _TINY)
-    sym_resid = _maxabs(mat - mat.conj().T) / scale
+    resid, scale = _asymmetry(mat, 1)
+    sym_resid = resid / scale
     sym_ok = sym_resid <= tol.tol_sym
     herm = 0.5 * (mat + mat.conj().T)
     w_min = float(np.linalg.eigvalsh(herm)[0])
@@ -282,16 +294,16 @@ def generalized_eig(
     """
     a = _require_square(a, "operator")
     metric = _require_square(metric, "metric")
-    if _maxabs(metric - metric.conj().T) > tol.tol_sym * max(_maxabs(metric), _TINY):
+    resid, scale = _asymmetry(metric, 1)
+    if resid > tol.tol_sym * scale:
         raise SingularMetricError("metric is not Hermitian within tolerance")
     if a.shape != metric.shape:
         raise ValueError("operator and metric dimensions differ")
     k = metric @ a
-    resid = _maxabs(k - k.conj().T)
-    if resid > tol.tol_resid * max(_maxabs(k), _TINY):
+    resid, scale = _asymmetry(k, 1)
+    if resid > tol.tol_resid * scale:
         raise NotSelfAdjointError(
-            f"operator is not metric-self-adjoint (relative residual "
-            f"{resid / max(_maxabs(k), _TINY):.3e})"
+            f"operator is not metric-self-adjoint (relative residual {resid / scale:.3e})"
         )
     k = 0.5 * (k + k.conj().T)
     try:

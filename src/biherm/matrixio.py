@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .forms import _TINY, DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances
+from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances, _asymmetry
 from .report import canonical_json
 from .triples import AdmissibleTriple
 
@@ -40,6 +40,9 @@ __all__ = [
 REAL_KINDS = ("real_symmetric", "real_antisymmetric", "real_general")
 COMPLEX_KINDS = ("complex_hermitian", "complex_general")
 MATRIX_KINDS = REAL_KINDS + COMPLEX_KINDS
+# kind -> sign passed to forms._asymmetry, and the word its diagnostic uses
+_SYMMETRY = {"real_symmetric": (1, "symmetric"), "real_antisymmetric": (-1, "antisymmetric"),
+             "complex_hermitian": (1, "Hermitian")}
 _NUMBER_TYPES = {int, float}  # exact types: a JSON boolean is not a number
 
 
@@ -128,14 +131,11 @@ def _parse_matrix_section(obj: dict, where: str, tol: Tolerances) -> tuple[str, 
         )
 
     mat = _parse_entries(data, kind in COMPLEX_KINDS, where).reshape(dim, dim)
-
-    scale = max(float(np.max(np.abs(mat))), _TINY)
-    if kind == "real_symmetric" and np.max(np.abs(mat - mat.T)) > tol.tol_sym * scale:
-        raise FileFormatError(f"{where}: matrix is not symmetric within tolerance")
-    if kind == "real_antisymmetric" and np.max(np.abs(mat + mat.T)) > tol.tol_sym * scale:
-        raise FileFormatError(f"{where}: matrix is not antisymmetric within tolerance")
-    if kind == "complex_hermitian" and np.max(np.abs(mat - mat.conj().T)) > tol.tol_sym * scale:
-        raise FileFormatError(f"{where}: matrix is not Hermitian within tolerance")
+    if kind in _SYMMETRY:
+        sign, word = _SYMMETRY[kind]
+        resid, scale = _asymmetry(mat, sign)
+        if resid > tol.tol_sym * scale:
+            raise FileFormatError(f"{where}: matrix is not {word} within tolerance")
     return kind, mat
 
 

@@ -31,6 +31,7 @@ from .forms import (
     HermitianForm,
     RealForm,
     Tolerances,
+    _asymmetry,
     _maxabs,
     sqrt_positive,
     validate_positive,
@@ -202,12 +203,9 @@ def triple_from_g_omega(
             f"symplectic form is degenerate (relative smallest singular value "
             f"{svals[-1] / max(svals[0], _TINY):.3e})"
         )
-    skew = g.gram @ b
-    skew_resid = _maxabs(skew + skew.T)
-    if skew_resid > tol.tol_resid * max(_maxabs(skew), _TINY):
-        raise NotSkewError(
-            f"B is not g-skew (relative residual {skew_resid / max(_maxabs(skew), _TINY):.3e})"
-        )
+    skew_resid, scale = _asymmetry(g.gram @ b, -1)
+    if skew_resid > tol.tol_resid * scale:
+        raise NotSkewError(f"B is not g-skew (relative residual {skew_resid / scale:.3e})")
     r = sqrt_positive(-(b @ b), g.gram, tol)
     j_mat = b @ np.linalg.inv(r)
     gram_w = g.gram @ r
@@ -228,7 +226,6 @@ class ComplexificationMap:
     """
 
     basis: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -291,7 +288,7 @@ def build_complexification(
             w = w - span @ (span.T @ (g @ w))
         u = w / np.sqrt(w @ g @ w)
         span = np.column_stack([span, u, j @ u])
-    return ComplexificationMap(np.column_stack([span[:, 0::2], span[:, 1::2]]), tol)
+    return ComplexificationMap(np.column_stack([span[:, 0::2], span[:, 1::2]]))
 
 
 def complexification_from_j(
@@ -338,7 +335,7 @@ def complexification_from_j(
         raise NotAdmissibleError("failed to build a J-adapted basis")
     us = [eye[:, i] for i in picks]
     basis = np.column_stack(us + [j.mat @ u for u in us])
-    return ComplexificationMap(basis, tol)
+    return ComplexificationMap(basis)
 
 
 def hermitian_from_triple(

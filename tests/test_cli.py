@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import biherm
 from biherm.cli import main
 from biherm.matrixio import load_matrix, save_matrix
 from biherm.triples import omega_from_g_j
@@ -314,6 +315,30 @@ class TestCommonFlags:
             main, ["connect", "--h1", str(tmp_path / "nope.json"), "--h2", files["h2"], "--out", "x"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["connect", "spectrum"])  # an artifact and a report --out
+    def test_unwritable_out_exits_two(self, runner, files, tmp_path, command):
+        out = tmp_path / "missing_dir" / "out.json"
+        result = invoke(runner, [command, "--h1", files["h1"], "--h2", files["h2"], "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot write file: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_infinite_tol_eig_is_usage_error(self, runner, files, how):
+        args = ["spectrum", "--h1", files["h1"], "--h2", files["h2"]]
+        if how == "flag":
+            result = invoke(runner, args + ["--tol-eig", "inf"])
+        else:
+            result = invoke(runner, args, env={"BIHERM_TOL_EIG": "inf"})
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith("Error: tol_eig must be finite\n")
+
+    def test_version_is_package_version(self, runner):
+        result = invoke(runner, ["--version"])
+        assert result.exit_code == 0
+        assert result.output == f"biherm, version {biherm.__version__}\n"
 
 
 # Golden bytes: every subcommand in both formats plus the common flags and

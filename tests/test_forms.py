@@ -46,6 +46,17 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["tol_sym", "tol_j", "tol_eig", "tol_resid"])
+    def test_rejects_infinite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            Tolerances(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan])
+    def test_nonpositive_and_nan_keep_their_message(self, value):
+        with pytest.raises(ValueError, match="^tol_eig must be strictly positive$"):
+            Tolerances(tol_eig=value)
+
 
 class TestFormTypes:
     def test_real_form_symmetry_enforced(self):
