@@ -189,8 +189,9 @@ def verify_biunitary(
         connecting = connecting_operator(h1, h2, tol)
     g = connecting.mat
 
-    r1 = _fro(u.conj().T @ h1.gram @ u - h1.gram) / max(_fro(h1.gram), _TINY)
-    r2 = _fro(u.conj().T @ h2.gram @ u - h2.gram) / max(_fro(h2.gram), _TINY)
+    uh = u.conj().T
+    r1 = _fro(uh @ h1.gram @ u - h1.gram) / max(_fro(h1.gram), _TINY)
+    r2 = _fro(uh @ h2.gram @ u - h2.gram) / max(_fro(h2.gram), _TINY)
     rc = _commutator_residual(u, g)
     h1_ok = r1 <= tol.tol_resid
     h2_ok = r2 <= tol.tol_resid

@@ -61,7 +61,9 @@ class Tolerances:
     tol_resid : float
         Relative residual allowed in operator identities.
 
-    Each tolerance must be finite and strictly positive.
+    Each tolerance must be finite, strictly positive and less than 1:
+    every one is relative, and a value of 1 or more makes products such
+    as ``tol_eig`` times the spectral radius overflow.
     """
 
     tol_sym: float = 1e-10
@@ -76,6 +78,8 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite")
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+            if value >= 1.0:
+                raise ValueError(f"{name} must be less than 1")
 
 
 DEFAULT_TOLERANCES = Tolerances()

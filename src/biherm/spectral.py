@@ -118,10 +118,10 @@ class SpectralResolution:
     @property
     def segments(self) -> dict[int, tuple[int, ...]]:
         """Fiber indices grouped by fiber dimension."""
-        out: dict[int, tuple[int, ...]] = {}
+        out: dict[int, list[int]] = {}
         for idx, f in enumerate(self.fibers):
-            out[f.dim] = out.get(f.dim, ()) + (idx,)
-        return out
+            out.setdefault(f.dim, []).append(idx)
+        return {k: tuple(idx) for k, idx in out.items()}
 
     @property
     def commutant_dimension(self) -> int:
@@ -178,13 +178,13 @@ def spectral_resolution(
     v.flags.writeable = False  # before slicing, so the fiber views are read-only too
     radius = max(float(np.max(np.abs(w))), _TINY)
     gap = tol.tol_eig * radius
-    boundaries = [0]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > gap:
-            boundaries.append(i)
-    boundaries.append(len(w))
+    boundaries = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), len(w)]
+    # the mean of one value is the value itself, so only clusters pay for np.mean
     fibers = tuple(
-        Fiber(eigenvalue=float(np.mean(w[a:b])), basis=v[:, a:b])
+        Fiber(
+            eigenvalue=float(w[a]) if b - a == 1 else float(np.mean(w[a:b])),
+            basis=v[:, a:b],
+        )
         for a, b in zip(boundaries[:-1], boundaries[1:])
     )
     return SpectralResolution(

@@ -124,7 +124,51 @@ def random_multiplicity_pattern(rng: np.random.Generator, n: int) -> tuple[int, 
     return tuple(parts)
 
 
+# Fiber-dimension patterns at n = 2..128: all simple, degenerate runs that
+# are adjacent or interleaved, and a single fiber.
+PER_FIBER_PATTERNS = [
+    (1,) * 128,
+    (1,) * 50 + (2,) * 9 + (1,) * 40 + (3,) * 3,
+    (1, 2) * 20 + (3, 1) * 10,
+    (2, 1, 1, 3, 3, 3, 1),
+    (128,),
+    (12,),
+    (1, 1),
+]
+
+
 # --- independent oracles -------------------------------------------------
+
+def reference_fiber_eigenvalues(spectrum: np.ndarray, gap: float) -> list[float]:
+    """Fiber eigenvalues by a loop over adjacent gaps: each cluster's ``np.mean``.
+
+    Adjacent eigenvalues more than ``gap`` apart start a new cluster, as
+    in ``spectral_resolution``, whose eigenvalues must equal these bit for
+    bit.
+    """
+    boundaries = [0]
+    for i in range(1, len(spectrum)):
+        if spectrum[i] - spectrum[i - 1] > gap:
+            boundaries.append(i)
+    boundaries.append(len(spectrum))
+    return [float(np.mean(spectrum[a:b])) for a, b in zip(boundaries[:-1], boundaries[1:])]
+
+
+def reference_check_proportionality(dec, h1, h2) -> tuple[float, ...]:
+    """``check_proportionality(...).max_violation`` computed one fiber at a time.
+
+    Two Gram blocks per fiber from the fiber's own basis view, the loop
+    that the per-segment stacked products must reproduce byte for byte.
+    """
+    scale = max(float(np.linalg.norm(h2.gram)), np.finfo(float).tiny)
+    violations = []
+    for f in dec.fibers:
+        x = f.basis
+        m1 = x.conj().T @ h1.gram @ x
+        m2 = x.conj().T @ h2.gram @ x
+        violations.append(float(np.max(np.abs(m2 - f.eigenvalue * m1))) / scale)
+    return tuple(violations)
+
 
 def reference_sample_biunitary(dec, seed: int) -> np.ndarray:
     """``sample_biunitary`` drawn one fiber at a time.

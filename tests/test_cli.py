@@ -335,6 +335,16 @@ class TestCommonFlags:
         assert result.stdout == ""
         assert result.stderr.endswith("Error: tol_eig must be finite\n")
 
+    def test_huge_tol_eig_is_usage_error(self, runner, files):
+        # 1e308 times the spectral radius 2 would print "cluster_gap": inf
+        args = ["spectrum", "--h1", files["h1"], "--h2", files["h2"], "--tol-eig", "1e308"]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
+        assert errors == ["Error: tol_eig must be less than 1"]
+        assert result.stderr.endswith("Error: tol_eig must be less than 1\n")
+
     def test_version_is_package_version(self, runner):
         result = invoke(runner, ["--version"])
         assert result.exit_code == 0

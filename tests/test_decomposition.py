@@ -21,9 +21,12 @@ from biherm import (
     verify_biunitary,
 )
 from conftest import (
+    PER_FIBER_PATTERNS,
     hermitian_pair_with_multiplicities,
+    random_hpd,
     random_multiplicity_pattern,
     random_unitary,
+    reference_check_proportionality,
     reference_sample_biunitary,
 )
 
@@ -92,6 +95,18 @@ class TestProportionality:
             op = connecting_operator(h1, h2)
             rep = check_proportionality(build_decomposition(op), h1, h2)
             assert rep.worst <= 10 * 1e-10
+
+    def test_bytes_equal_per_fiber_products(self):
+        # the pair's own h2, where violations are rounding, and an
+        # unrelated h2, where they are of order one
+        rng = np.random.default_rng(60)
+        for mults in PER_FIBER_PATTERNS:
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            dec = build_decomposition(connecting_operator(h1, h2))
+            other = HermitianForm(random_hpd(rng, dec.dim))
+            for form in (h2, other):
+                got = check_proportionality(dec, h1, form).max_violation
+                assert got == reference_check_proportionality(dec, h1, form)
 
 
 class TestCommutantBlocks:
@@ -284,22 +299,29 @@ class TestSampleBiunitary:
 
     def test_bytes_equal_per_fiber_draws(self):
         rng = np.random.default_rng(58)
-        patterns = [
-            (1,) * 128,
-            (1,) * 50 + (2,) * 9 + (1,) * 40 + (3,) * 3,
-            (1, 2) * 20 + (3, 1) * 10,
-            (2, 1, 1, 3, 3, 3, 1),
-            (128,),
-            (12,),
-            (1, 1),
-        ]
-        for mults in patterns:
+        for mults in PER_FIBER_PATTERNS:
             h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
             dec = build_decomposition(connecting_operator(h1, h2))
             assert dec.multiplicities == mults
             for seed in (0, int(rng.integers(0, 2**31))):
                 got = sample_biunitary(dec, seed=seed)
                 assert got.tobytes() == reference_sample_biunitary(dec, seed).tobytes()
+
+    def test_one_qr_per_fiber_dimension(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1, 2) * 20 + (3, 1) * 10)
+        dec = build_decomposition(connecting_operator(h1, h2))
+        shapes = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        sample_biunitary(dec, seed=4)
+        # one stacked call per distinct dimension, over all 30, 20 and 10 fibers
+        assert sorted(shapes) == [(10, 3, 3), (20, 2, 2), (30, 1, 1)]
 
     def test_generic_case_is_diagonal_phases(self):
         rng = np.random.default_rng(57)

@@ -57,6 +57,16 @@ class TestTolerances:
         with pytest.raises(ValueError, match="^tol_eig must be strictly positive$"):
             Tolerances(tol_eig=value)
 
+    @pytest.mark.parametrize("value", [1.0, 2.0, 1e308])
+    @pytest.mark.parametrize("field", ["tol_sym", "tol_j", "tol_eig", "tol_resid"])
+    def test_rejects_one_and_above(self, field, value):
+        # every tolerance is relative; 1e308 times a spectral radius overflows
+        with pytest.raises(ValueError, match=f"^{field} must be less than 1$"):
+            Tolerances(**{field: value})
+
+    def test_accepts_just_below_one(self):
+        assert Tolerances(tol_eig=np.nextafter(1.0, 0.0)).tol_eig < 1.0
+
 
 class TestFormTypes:
     def test_real_form_symmetry_enforced(self):

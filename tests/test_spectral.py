@@ -24,12 +24,14 @@ from biherm import (
     spectral_resolution,
 )
 from conftest import (
+    PER_FIBER_PATTERNS,
     brute_bicommutant_dim,
     hermitian_pair_with_multiplicities,
     hermitian_pair_with_spectrum,
     nullspace_dim,
     commutator_map,
     random_multiplicity_pattern,
+    reference_fiber_eigenvalues,
 )
 
 
@@ -89,6 +91,33 @@ class TestSpectralResolution:
         for f, s in zip(res.fibers, res.fiber_slices()):
             assert np.shares_memory(f.basis, v)
             assert np.array_equal(f.basis, v[:, s])
+
+    def test_fiber_eigenvalues_equal_cluster_means(self):
+        rng = np.random.default_rng(61)
+        patterns = [hermitian_pair_with_multiplicities(rng, m)[:2] for m in PER_FIBER_PATTERNS]
+        # each eigenvalue split off by a tenth, one or ten times the cluster
+        # gap, so near the gap some clusters merge and some do not
+        split_pairs = []
+        for _ in range(6):
+            values = 0.5 + np.cumsum(0.05 + rng.random(40))
+            shift = 1e-8 * max(values) * rng.choice([0.1, 1.0, 10.0], 40)
+            lam = np.sort(np.concatenate([values, values + shift, values[::3]]))
+            split_pairs.append(hermitian_pair_with_spectrum(rng, lam, 10.0))
+        split_dims = set()
+        for i, (h1, h2) in enumerate(patterns + split_pairs):
+            res = spectral_resolution(connecting_operator(h1, h2))
+            expected = reference_fiber_eigenvalues(res.spectrum, res.cluster_gap)
+            assert [f.eigenvalue for f in res.fibers] == expected
+            if i >= len(patterns):
+                split_dims.update(res.multiplicities)
+        assert {1, 2, 3} <= split_dims
+
+    def test_segments_group_fibers_by_dimension(self):
+        rng = np.random.default_rng(62)
+        h1, h2, _ = hermitian_pair_with_multiplicities(rng, (2, 1, 1, 3, 3, 3, 1))
+        res = spectral_resolution(connecting_operator(h1, h2))
+        assert res.segments == {2: (0,), 1: (1, 2, 6), 3: (3, 4, 5)}
+        assert list(res.segments) == [2, 1, 3]
 
 
 class TestGroupSignature:
