@@ -2,9 +2,11 @@
 
 Two positive-definite Hermitian forms h1, h2 on the same space determine
 a unique positive operator G with h2(x, y) = h1(Gx, y); G is self-adjoint
-with respect to both forms.  A transformation preserving both forms
-necessarily commutes with G, which is what :func:`verify_biunitary`
-checks numerically.
+with respect to both forms, and its eigenpairs solve the pencil
+h2 x = lam h1 x, which :class:`ConnectingOperator` solves once, at
+construction, for every later stage.  A transformation preserving both
+forms necessarily commutes with G, which is what
+:func:`verify_biunitary` checks numerically.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatchError, InternalInconsistencyError, NonFiniteError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro
+from .errors import DimensionMismatchError, InternalInconsistencyError, NonFiniteError, SingularMetricError
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _metric_eigh
 
 __all__ = [
     "ConnectingOperator",
@@ -34,14 +35,20 @@ class ConnectingOperator:
     with respect to both forms.  ``ill_conditioned`` flags a defining
     form h1 whose condition number exceeds the reciprocal eigenvalue
     tolerance; results are still returned in that case but residuals may
-    be degraded.  ``residuals`` holds :meth:`invariant_residuals` as
-    computed once at construction.
+    be degraded.  ``spectrum`` (the eigenvalues of G, ascending) and
+    ``eigenvectors`` (the matching h1-orthonormal eigenvectors, as
+    column-major columns) are the one solve of the pencil
+    h2 x = lam h1 x, made at construction and read-only; a numerically
+    singular h1 raises :class:`SingularMetricError` there.  ``residuals``
+    holds :meth:`invariant_residuals` as computed once at construction.
     """
 
     mat: np.ndarray
     h1: HermitianForm
     h2: HermitianForm
     ill_conditioned: bool = False
+    spectrum: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
     residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -55,6 +62,16 @@ class ConnectingOperator:
         mat = np.array(mat, copy=True)
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
+        try:
+            w, v = _metric_eigh(self.h2.gram, self.h1.gram)
+        except SingularMetricError:
+            w_min = self.h1.eigenvalues[0]
+            msg = f"h1 is numerically singular: its Cholesky factorization failed (min eigenvalue {w_min:.3e})"
+            raise SingularMetricError(msg) from None
+        w.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "spectrum", w)
+        object.__setattr__(self, "eigenvectors", v)
         object.__setattr__(self, "residuals", self.invariant_residuals())
 
     @property
@@ -67,14 +84,14 @@ class ConnectingOperator:
         Keys: ``defining`` for ||h2 - h1 G|| / ||h2||, ``selfadjoint_h1``
         and ``selfadjoint_h2`` for the two metric self-adjointness
         residuals, and ``min_eigenvalue`` for the smallest eigenvalue of
-        G (positive for a valid pair).
+        G (positive for a valid pair), ``spectrum[0]``.
         """
         h1, h2, g = self.h1.gram, self.h2.gram, self.mat
         h1g = h1 @ g
         out = {"defining": _fro(h2 - h1g) / max(_fro(h2), _TINY)}
         for key, k in (("selfadjoint_h1", h1g), ("selfadjoint_h2", h2 @ g)):
             out[key] = _fro(k - k.conj().T) / max(_fro(k), _TINY)
-        out["min_eigenvalue"] = float(scipy.linalg.eigh(h2, h1, eigvals_only=True)[0])
+        out["min_eigenvalue"] = float(self.spectrum[0])
         return out
 
 
@@ -112,6 +129,9 @@ def connecting_operator(
     ------
     DimensionMismatchError
         If the two forms have different dimensions.
+    SingularMetricError
+        If h1 passed its positivity check but is numerically singular: its
+        Cholesky factorization fails, so G has no spectrum to report.
     """
     if h1.dim != h2.dim:
         raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")

@@ -1,13 +1,15 @@
 """Validated matrix-backed forms and the shared dense-algebra kernel.
 
 Everything downstream (triple construction, connecting operators, spectral
-analysis, fibered decompositions) is built on the form types and three
-operations in this module: positivity validation, the metric generalized
-eigensolver and the positive operator square root.  The module also
-keeps form-orthonormalization and the Krylov rank of a start vector,
-which no other module calls.  All types are immutable after
-construction and all operations are pure functions, so values can be
-shared freely across threads.
+analysis, fibered decompositions) is built on the form types and two
+operations in this module: the metric generalized eigensolver and the
+positive operator square root.  Both rest on one numpy-only kernel, the
+Cholesky congruence of a Hermitian pencil (Golub & Van Loan, *Matrix
+Computations*, section 8.7), which :mod:`biherm.connecting` also uses to
+solve the pencil (h2, h1) once per pair.  The module also keeps the
+Krylov rank of a start vector, which no other module calls.  All types
+are immutable after construction and all operations are pure functions,
+so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NegativeSpectrumError,
@@ -31,11 +32,8 @@ __all__ = [
     "RealForm",
     "ComplexStructureJ",
     "HermitianForm",
-    "ValidationReport",
-    "validate_positive",
     "generalized_eig",
     "sqrt_positive",
-    "orthonormalize",
     "krylov_rank",
 ]
 
@@ -212,62 +210,21 @@ class HermitianForm:
         return complex(np.asarray(x).conj() @ self.gram @ np.asarray(y))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a positivity/symmetry validation.
+def _metric_eigh(k: np.ndarray, metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian pencil k x = lam metric x, by Cholesky congruence.
 
-    ``passed`` is true exactly when the symmetry residual is within
-    tolerance and the smallest eigenvalue is strictly positive.
+    With metric = L L^H the pencil is congruent to (L^{-1} k L^{-H}) y = lam y,
+    and x = L^{-H} y.  Returns the ascending eigenvalues and the
+    metric-orthonormal eigenvectors as the columns of a column-major
+    matrix.  Raises :class:`SingularMetricError` when the Cholesky
+    factorization fails.
     """
-
-    dim: int
-    min_eigenvalue: float
-    symmetry_residual: float
-    symmetry_ok: bool
-    positive_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.symmetry_ok and self.positive_ok
-
-
-def validate_positive(form, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationReport:
-    """Check that a form is symmetric/Hermitian and positive-definite.
-
-    Parameters
-    ----------
-    form : RealForm, HermitianForm or array_like
-        The form (or a bare Gram matrix) to validate.
-    tol : Tolerances
-        Symmetry tolerance to apply.
-
-    Returns
-    -------
-    ValidationReport
-        Smallest eigenvalue, relative symmetry residual and pass flags.
-
-    Raises
-    ------
-    NonFiniteError
-        If any entry is NaN or infinite.
-    """
-    if isinstance(form, (RealForm, HermitianForm)):
-        mat = form.gram
-    else:
-        mat = np.asarray(form)
-    mat = _require_square(mat, "form")
-    resid, scale = _asymmetry(mat, 1)
-    sym_resid = resid / scale
-    sym_ok = sym_resid <= tol.tol_sym
-    herm = 0.5 * (mat + mat.conj().T)
-    w_min = float(np.linalg.eigvalsh(herm)[0])
-    return ValidationReport(
-        dim=mat.shape[0],
-        min_eigenvalue=w_min,
-        symmetry_residual=sym_resid,
-        symmetry_ok=sym_ok,
-        positive_ok=bool(sym_ok and w_min > 0.0),
-    )
+    try:
+        linv = np.linalg.inv(np.linalg.cholesky(metric))
+        w, y = np.linalg.eigh(linv @ k @ linv.conj().T)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("metric is not positive-definite") from None
+    return w, np.asfortranarray(linv.conj().T @ y)
 
 
 def generalized_eig(
@@ -280,7 +237,8 @@ def generalized_eig(
     Solves ``a @ v = lam * v`` for an operator that is self-adjoint with
     respect to the positive-definite ``metric`` M (that is, M·a = a†·M).
     The problem is reduced by Cholesky congruence of M to a standard
-    Hermitian one, which keeps the eigenvectors exactly M-orthonormal.
+    Hermitian one (:func:`_metric_eigh`), which keeps the eigenvectors
+    M-orthonormal.
 
     Returns
     -------
@@ -310,13 +268,7 @@ def generalized_eig(
             f"operator is not metric-self-adjoint (relative residual {resid / scale:.3e})"
         )
     k = 0.5 * (k + k.conj().T)
-    try:
-        w, v = scipy.linalg.eigh(k, 0.5 * (metric + metric.conj().T))
-    except np.linalg.LinAlgError:
-        raise SingularMetricError("metric is not positive-definite") from None
-    if not (np.iscomplexobj(a) or np.iscomplexobj(metric)):
-        v = np.real_if_close(v)
-    return w, v
+    return _metric_eigh(k, 0.5 * (metric + metric.conj().T))
 
 
 def sqrt_positive(
@@ -347,49 +299,7 @@ def sqrt_positive(
         )
     root = np.sqrt(np.clip(w, 0.0, None))
     vinv = v.conj().T @ metric
-    r = (v * root) @ vinv
-    if not (np.iscomplexobj(mat) or np.iscomplexobj(metric)):
-        r = np.real_if_close(r)
-    return r
-
-
-def orthonormalize(
-    vectors,
-    form: HermitianForm | RealForm,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[np.ndarray]:
-    """Gram-Schmidt orthonormalization with respect to a form.
-
-    Processes the vectors in input order (deterministic) and drops any
-    vector whose residual norm after projection is at most
-    ``tol.tol_eig`` times the largest input norm, so a rank-deficient
-    family simply yields fewer output vectors.  Two projection passes are
-    used for numerical stability.
-    """
-    gram = form.gram
-    vecs = [np.asarray(v) for v in vectors]
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] != gram.shape[0]:
-            raise ValueError("vectors must be 1-D and match the form dimension")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("vector contains non-finite entries")
-
-    def norm(v):
-        return float(np.sqrt(np.real(v.conj() @ gram @ v)))
-
-    max_norm = max((norm(v) for v in vecs), default=0.0)
-    threshold = tol.tol_eig * max_norm
-    basis: list[np.ndarray] = []
-    for v in vecs:
-        w = v.astype(complex if np.iscomplexobj(gram) or np.iscomplexobj(v) else float)
-        for _ in range(2):
-            for b in basis:
-                w = w - b * (b.conj() @ gram @ w)
-        nrm = norm(w)
-        if nrm <= threshold:
-            continue
-        basis.append(w / nrm)
-    return basis
+    return (v * root) @ vinv
 
 
 def krylov_rank(

@@ -1,10 +1,10 @@
 """Spectral resolution of the connecting operator and genericity tests.
 
 The connecting operator G of a form pair is diagonalizable with positive
-eigenvalues.  One h1-metric eigendecomposition of G gives its spectral
-resolution: the eigenvalues are clustered into fibers, the eigenspaces,
-each carrying an h1-orthonormal basis and the weight m_l / n of its
-multiplicity m_l.  In finite dimension this discrete measure is the
+eigenvalues.  The h1-metric eigendecomposition that G holds gives its
+spectral resolution: the eigenvalues are clustered into fibers, the
+eigenspaces, each carrying an h1-orthonormal basis and the weight m_l / n
+of its multiplicity m_l.  In finite dimension this discrete measure is the
 direct integral over the spectrum of G, so the resolution *is* the
 fibered decomposition that :mod:`biherm.decomposition` works on.
 
@@ -22,17 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .connecting import ConnectingOperator
 from .errors import DegenerateSpectrumError, ZeroCoefficientError
-from .forms import (
-    _TINY,
-    DEFAULT_TOLERANCES,
-    HermitianForm,
-    Tolerances,
-    generalized_eig,
-)
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances
 
 __all__ = [
     "Fiber",
@@ -166,16 +159,14 @@ def spectral_resolution(
     g: ConnectingOperator,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SpectralResolution:
-    """Eigendecompose G once and cluster its spectrum into fibers.
+    """Cluster the spectrum of G into fibers, with no eigensolve of its own.
 
-    Eigenvalues are computed with the h1-metric eigensolver and adjacent
-    values are merged into one fiber whenever their gap is at most
-    ``tol.tol_eig`` times the spectral radius (ties merge, so degeneracy
-    is never under-reported).
+    Adjacent values of ``g.spectrum`` are merged into one fiber whenever
+    their gap is at most ``tol.tol_eig`` times the spectral radius (ties
+    merge, so degeneracy is never under-reported).  Each fiber basis is a
+    read-only column view of ``g.eigenvectors``.
     """
-    w, v = generalized_eig(g.mat, g.h1.gram, tol)
-    w.flags.writeable = False
-    v.flags.writeable = False  # before slicing, so the fiber views are read-only too
+    w, v = g.spectrum, g.eigenvectors
     radius = max(float(np.max(np.abs(w))), _TINY)
     gap = tol.tol_eig * radius
     boundaries = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), len(w)]
@@ -270,9 +261,9 @@ def is_cyclic(
     eigenvalues are distinct, so G is found cyclic when the count of
     Ritz-value pairs (i, j) with |theta_i - theta_j| <= ``tol.tol_eig``
     times max |theta| is n: the gap rule of :func:`spectral_resolution`,
-    applied to values computed without a Cholesky factor or a generalized
-    eigensolver, so the verdict stays independent of the other two
-    genericity tests.
+    applied to values computed without a Cholesky factor or the pencil
+    solve behind ``g.spectrum``, so the verdict stays independent of the
+    other two genericity tests.
 
     One run decides.  Because T is similar to G whatever the probe, the
     Ritz values depend on the probe only through rounding, and a run from
@@ -303,7 +294,8 @@ def _probe(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _lanczos_ritz_values(g: ConnectingOperator, rng: np.random.Generator) -> np.ndarray:
-    """Ritz values of n Lanczos steps on G in the h1 inner product.
+    """Ritz values of n Lanczos steps on G in the h1 inner product: the
+    eigenvalues of the dense tridiagonal T.
 
     The start vector is a probe drawn from ``rng``.  Each new direction is
     reorthogonalized against all previous ones with two block passes
@@ -342,7 +334,7 @@ def _lanczos_ritz_values(g: ConnectingOperator, rng: np.random.Generator) -> np.
         if k:
             w -= beta[k - 1] * q[k - 1]
         scale = float(np.hypot(alpha[k], beta[k - 1] if k else 0.0))
-    return scipy.linalg.eigh_tridiagonal(alpha, beta, eigvals_only=True)
+    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, -1))  # reads the lower triangle
 
 
 def commutant_dimension(
@@ -352,8 +344,8 @@ def commutant_dimension(
     """Complex dimension of {X : GX = XG}, counted over eigenvalue pairs.
 
     Returns :attr:`SpectralResolution.commutant_dimension` of
-    ``spectral_resolution(g, tol)``: one Hermitian eigendecomposition,
-    O(n^3) time and O(n^2) memory; the n^2 x n^2 commutator map is never
+    ``spectral_resolution(g, tol)``, counted over the spectrum G already
+    holds: O(n^2) time and memory; the n^2 x n^2 commutator map is never
     formed.
     """
     return spectral_resolution(g, tol).commutant_dimension

@@ -34,7 +34,6 @@ from .forms import (
     _asymmetry,
     _maxabs,
     sqrt_positive,
-    validate_positive,
 )
 
 __all__ = [
@@ -48,6 +47,19 @@ __all__ = [
     "complexification_from_j",
     "hermitian_from_triple",
 ]
+
+
+def _metric_min_eigenvalue(g: RealForm, tol: Tolerances, message: str) -> float:
+    """Smallest eigenvalue of the symmetrized Gram matrix of g; raises
+    NotAdmissibleError(message) unless g is symmetric within ``tol.tol_sym``
+    and that eigenvalue is positive."""
+    mat = g.gram
+    resid, scale = _asymmetry(mat, 1)
+    w_min = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    if not (resid / scale <= tol.tol_sym and w_min > 0.0):
+        raise NotAdmissibleError(message)
+    return w_min
+
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleTriple:
@@ -80,9 +92,7 @@ class AdmissibleTriple:
             raise NotAdmissibleError("g must be tagged symmetric")
         if self.omega.symmetry_tag != "antisymmetric":
             raise NotAdmissibleError("omega must be tagged antisymmetric")
-        positive = validate_positive(self.g, self.tol)
-        if not positive.passed:
-            raise NotAdmissibleError("g is not positive-definite")
+        min_eig = _metric_min_eigenvalue(self.g, self.tol, "g is not positive-definite")
         scale = max(_maxabs(g), _TINY)
         gj = g @ j
         anti = _maxabs(j.T @ g + gj)
@@ -97,7 +107,7 @@ class AdmissibleTriple:
             )
         residuals = {"j_squared": self.j.residual, "anti_hermitian": anti / scale, "omega_link": link / scale}
         object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "metric_min_eigenvalue", positive.min_eigenvalue)
+        object.__setattr__(self, "metric_min_eigenvalue", min_eig)
 
     @property
     def dim(self) -> int:
@@ -117,8 +127,7 @@ def symmetrize_metric(
     """
     if g.dim != j.dim:
         raise NotAdmissibleError("metric and complex structure dimensions differ")
-    if not validate_positive(g, tol).passed:
-        raise NotAdmissibleError("metric is not symmetric positive-definite")
+    _metric_min_eigenvalue(g, tol, "metric is not symmetric positive-definite")
     gram = 0.5 * (j.mat.T @ g.gram @ j.mat + g.gram)
     gram = 0.5 * (gram + gram.T)
     return RealForm(gram, "symmetric", tol)
@@ -194,8 +203,7 @@ def triple_from_g_omega(
     """
     if g.dim != omega.dim:
         raise NotAdmissibleError("metric and symplectic form dimensions differ")
-    if not validate_positive(g, tol).passed:
-        raise NotAdmissibleError("metric is not symmetric positive-definite")
+    _metric_min_eigenvalue(g, tol, "metric is not symmetric positive-definite")
     b = np.linalg.solve(g.gram, omega.gram)
     svals = np.linalg.svd(b, compute_uv=False)
     if svals[-1] <= tol.tol_eig * max(svals[0], _TINY):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import mpmath
 import numpy as np
 
 from biherm import ComplexStructureJ, HermitianForm, RealForm
@@ -137,7 +138,42 @@ PER_FIBER_PATTERNS = [
 ]
 
 
+# Hermitian and accepted by HermitianForm (smallest eigenvalue 5.6e-17), but
+# too close to singular for a Cholesky factorization.
+NEAR_SINGULAR_H1 = np.array([[3.0, 1.0], [1.0, 0.33333333333333337]])
+
+
 # --- independent oracles -------------------------------------------------
+
+def reference_pencil_eigenvalues(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the pencil h2 x = lam h1 x, in 50-digit arithmetic.
+
+    The eigenvalues of the connecting operator G = h1^{-1} h2: mpmath's
+    Cholesky factor L of h1, the congruence L^{-1} h2 L^{-H} and
+    ``mpmath.eigh`` of it, rounded to floats and sorted ascending.  No
+    step shares code or precision with the library's solve.
+    """
+    with mpmath.workdps(50):
+        linv = mpmath.cholesky(mpmath.matrix(np.asarray(h1).tolist())) ** -1
+        c = linv * mpmath.matrix(np.asarray(h2).tolist()) * linv.transpose_conj()
+        w = mpmath.eigh((c + c.transpose_conj()) / 2, eigvals_only=True)
+        return np.sort(np.array([float(x) for x in w]))
+
+
+def reference_cluster_structure(values: np.ndarray, gap: float) -> tuple[tuple[int, ...], float]:
+    """Multiplicities of the clusters of ascending ``values`` under ``gap``, and their margin.
+
+    Adjacent values more than ``gap`` apart start a new cluster.  The
+    margin is how far the decision nearest to flipping sits from the
+    threshold, as a ratio of at least 1: the minimum over adjacent
+    differences d of max(d / gap, gap / d) (infinite for one value).
+    """
+    diffs = np.diff(values)
+    cuts = np.flatnonzero(diffs > gap) + 1
+    mults = tuple(int(m) for m in np.diff([0, *cuts.tolist(), len(values)]))
+    ratios = np.maximum(diffs / gap, gap / np.maximum(diffs, np.finfo(float).tiny))
+    return mults, float(np.min(ratios)) if ratios.size else np.inf
+
 
 def reference_fiber_eigenvalues(spectrum: np.ndarray, gap: float) -> list[float]:
     """Fiber eigenvalues by a loop over adjacent gaps: each cluster's ``np.mean``.

@@ -1,6 +1,10 @@
 """CLI behavior: subcommands, exit-code triage, determinism plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,12 @@ import biherm
 from biherm.cli import main
 from biherm.matrixio import load_matrix, save_matrix
 from biherm.triples import omega_from_g_j
-from conftest import hermitian_pair_with_multiplicities, random_admissible_pair, random_spd
+from conftest import (
+    NEAR_SINGULAR_H1,
+    hermitian_pair_with_multiplicities,
+    random_admissible_pair,
+    random_spd,
+)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -166,6 +175,17 @@ class TestPipeline:
         result = invoke(runner, ["connect", "--h1", files["h1"], "--h2", files["h2"], "--out", out])
         assert result.exit_code == 0
         assert len(calls) == 1
+
+
+    def test_numerically_singular_h1_exits_one_naming_h1(self, runner, files, tmp_path):
+        h1 = tmp_path / "h1_singular.json"
+        save_matrix(h1, NEAR_SINGULAR_H1, "complex_hermitian")
+        out = tmp_path / "G.json"
+        result = invoke(runner, ["connect", "--h1", str(h1), "--h2", files["h1"], "--out", str(out)])
+        assert result.exit_code == 1
+        (line,) = result.output.splitlines()
+        assert line.startswith("analysis failed: h1 is numerically singular")
+        assert not out.exists()
 
 
 class TestSpectrumAndGeneric:
@@ -647,3 +667,46 @@ def test_golden_bytes(tmp_path, monkeypatch):
     outcomes, artifacts = _golden_outcomes(tmp_path, monkeypatch)
     assert outcomes == GOLDEN
     assert artifacts == GOLDEN_FILES
+
+
+# Every command, in a fresh interpreter, from a working directory of its own.
+_SESSION = """
+import json, sys
+import numpy as np
+from click.testing import CliRunner
+from biherm.cli import main
+from biherm.matrixio import save_matrix
+
+j = np.array([[0.0, -1.0], [1.0, 0.0]])
+save_matrix("g.json", np.diag([1.0, 4.0]), "real_symmetric")
+save_matrix("j.json", j, "real_general")
+save_matrix("omega.json", 2.5 * j.T, "real_antisymmetric")
+b = np.eye(6) + 0.3 * np.arange(36.0).reshape(6, 6) / 36
+save_matrix("h1.json", b @ b.T, "complex_hermitian")
+save_matrix("h2.json", (b * [1.0, 1.0, 2.0, 3.0, 3.0, 3.0]) @ b.T, "complex_hermitian")
+pair = ["--h1", "h1.json", "--h2", "h2.json"]
+runner = CliRunner()
+codes = [
+    runner.invoke(main, args, catch_exceptions=False).exit_code
+    for args in [
+        ["triple", "--g", "g.json", "--j", "j.json", "--out", "t.json"],
+        ["triple", "--g", "g.json", "--omega", "omega.json", "--out", "tw.json"],
+        ["hermitian", "--triple", "t.json", "--out", "h.json"],
+        ["connect", *pair, "--out", "G.json"],
+        ["spectrum", *pair],
+        ["generic", *pair],
+        ["decompose", *pair],
+        ["sample-u", *pair, "--seed", "3", "--out", "U.json"],
+        ["verify-u", "--u", "U.json", *pair],
+    ]
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(biherm.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SESSION], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    session = json.loads(out.stdout)
+    assert session == {"codes": [0] * 9, "scipy": []}

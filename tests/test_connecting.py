@@ -6,11 +6,12 @@ import pytest
 from biherm import (
     DimensionMismatchError,
     HermitianForm,
+    SingularMetricError,
     Tolerances,
     connecting_operator,
     verify_biunitary,
 )
-from conftest import random_hpd, random_unitary
+from conftest import NEAR_SINGULAR_H1, hermitian_pair_with_spectrum, random_hpd, random_unitary
 
 
 def form(mat):
@@ -39,6 +40,29 @@ class TestConnectingOperator:
         op = connecting_operator(h1, form(np.eye(2)))
         assert op.ill_conditioned
         assert np.allclose(op.mat, np.diag([1.0, 1e9]))
+
+    def test_numerically_singular_h1_is_a_singular_metric_error(self):
+        h1 = form(NEAR_SINGULAR_H1)
+        assert h1.eigenvalues[0] > 0.0
+        with pytest.raises(SingularMetricError, match="^h1 is numerically singular"):
+            connecting_operator(h1, form(np.eye(2)))
+
+    def test_spectrum_solves_the_pencil(self):
+        rng = np.random.default_rng(19)
+        for n, kappa in [(2, 1.0), (12, 4.0), (64, 1e4)]:
+            lam = np.sort(np.repeat(0.5 + np.cumsum(0.05 + rng.random(n // 2)), 2))
+            h1, h2 = hermitian_pair_with_spectrum(rng, lam, kappa)
+            op = connecting_operator(h1, h2)
+            w, v = op.spectrum, op.eigenvectors
+            assert v.flags.f_contiguous
+            for a in (w, v):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+            assert np.all(np.diff(w) >= 0.0)
+            assert np.allclose(w, lam, rtol=1e-10)
+            assert np.linalg.norm(v.conj().T @ h1.gram @ v - np.eye(n)) <= 1e-9
+            assert np.linalg.norm(h2.gram @ v - h1.gram @ v * w) <= 1e-9 * np.linalg.norm(h2.gram)
+            assert op.residuals["min_eigenvalue"] == w[0]
 
     def test_invariants_on_random_pairs(self):
         rng = np.random.default_rng(17)

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from biherm import (
     ComplexStructureJ,
@@ -17,9 +15,7 @@ from biherm import (
     ZeroVectorError,
     generalized_eig,
     krylov_rank,
-    orthonormalize,
     sqrt_positive,
-    validate_positive,
 )
 from conftest import random_spd
 
@@ -91,6 +87,15 @@ class TestFormTypes:
         with pytest.raises(ValueError):
             HermitianForm(np.diag([1.0, -1.0]).astype(complex))
 
+    def test_hermitian_form_keeps_hilbert4_min_eigenvalue(self):
+        assert HermitianForm(hilbert(4)).eigenvalues[0] == pytest.approx(HILBERT4_MIN_EIG, rel=1e-10)
+
+    def test_nonfinite_gram_rejected(self):
+        with pytest.raises(NonFiniteError):
+            HermitianForm(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NonFiniteError):
+            RealForm(np.array([[np.inf, 0.0], [0.0, 1.0]]), "symmetric")
+
     def test_hermitian_form_linear_in_second_argument(self):
         form = HermitianForm(np.array([[2.0, 1j], [-1j, 3.0]]))
         x = np.array([1.0, 1j])
@@ -102,34 +107,6 @@ class TestFormTypes:
         form = RealForm(np.eye(2), "symmetric")
         with pytest.raises(ValueError):
             form.gram[0, 0] = 5.0
-
-
-class TestValidatePositive:
-    def test_identity_passes(self):
-        rep = validate_positive(RealForm(np.eye(2), "symmetric"))
-        assert rep.passed
-        assert rep.min_eigenvalue == pytest.approx(1.0)
-
-    def test_indefinite_fails(self):
-        rep = validate_positive(np.diag([1.0, -1.0]))
-        assert not rep.passed
-        assert rep.min_eigenvalue == pytest.approx(-1.0)
-
-    def test_hilbert4_min_eigenvalue(self):
-        rep = validate_positive(hilbert(4))
-        assert rep.passed
-        assert rep.min_eigenvalue == pytest.approx(HILBERT4_MIN_EIG, rel=1e-10)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            validate_positive(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(NonFiniteError):
-            validate_positive(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    def test_asymmetric_reported(self):
-        rep = validate_positive(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        assert not rep.symmetry_ok
-        assert not rep.passed
 
 
 class TestGeneralizedEig:
@@ -206,53 +183,6 @@ class TestSqrtPositive:
             # result is again metric-self-adjoint with non-negative spectrum
             km = metric @ r
             assert np.linalg.norm(km - km.conj().T) <= 1e-9 * np.linalg.norm(km)
-
-
-class TestOrthonormalize:
-    def test_standard_basis_unchanged(self):
-        form = HermitianForm(np.eye(2))
-        out = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])], form)
-        assert np.allclose(out[0], [1.0, 0.0])
-        assert np.allclose(out[1], [0.0, 1.0])
-
-    def test_gram_schmidt_forced(self):
-        form = HermitianForm(np.eye(2))
-        out = orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 1.0])], form)
-        assert np.allclose(out[0], [1.0, 0.0])
-        assert np.allclose(out[1], [0.0, 1.0])
-
-    def test_form_norm_scaling(self):
-        form = HermitianForm(np.diag([4.0, 1.0]).astype(complex))
-        (b,) = orthonormalize([np.array([1.0, 0.0])], form)
-        assert np.allclose(b, [0.5, 0.0])
-
-    def test_rank_deficiency_drops_vectors(self):
-        form = HermitianForm(np.eye(2))
-        out = orthonormalize(
-            [np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 1.0])], form
-        )
-        assert len(out) == 2
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        form = HermitianForm(random_spd(rng, 5))
-        vecs = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(4)]
-        a = orthonormalize(vecs, form)
-        b = orthonormalize(vecs, form)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 10))
-    def test_output_is_h_orthonormal(self, seed, n, count):
-        rng = np.random.default_rng(seed)
-        form = HermitianForm(random_spd(rng, n))
-        vecs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)]
-        out = orthonormalize(vecs, form)
-        for i, x in enumerate(out):
-            for j, y in enumerate(out):
-                expected = 1.0 if i == j else 0.0
-                assert abs(form(x, y) - expected) < 1e-10
 
 
 class TestKrylovRank:

@@ -31,8 +31,12 @@ from conftest import (
     nullspace_dim,
     commutator_map,
     random_multiplicity_pattern,
+    reference_cluster_structure,
     reference_fiber_eigenvalues,
+    reference_pencil_eigenvalues,
 )
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def diag_operator(*values):
@@ -355,3 +359,56 @@ class TestGenericByCommutant:
             d2 = is_generic_by_commutant(op, resolution=res)
             cyc = is_cyclic(op, seed=int(rng.integers(0, 2**31)))
             assert d1 == d2 == cyc
+
+
+class TestOracleContract:
+    """The numerical contract, checked against 50-digit pencil eigenvalues.
+
+    Every eigenvalue is within 8 u kappa(h1) max|lam| of the oracle, and
+    every cluster decision that the oracle makes with a margin of 10x or
+    more comes out the same.
+    """
+
+    def test_eigenvalues_within_backward_error_bound(self):
+        rng = np.random.default_rng(1101)
+        for i in range(48):
+            n = int(rng.integers(2, 13))
+            lam = 0.5 + np.cumsum(0.05 + rng.random(n))
+            if i % 3 == 1:  # adjacent repeats
+                lam = np.sort(np.concatenate([lam[: (n + 1) // 2], lam[: n // 2]]))
+            elif i % 3 == 2:  # a repeated pair interleaved with simple values
+                lam = np.sort(np.concatenate([lam[: n - 2], lam[:2]])) if n >= 4 else np.repeat(lam[:1], n)
+            h1, h2 = hermitian_pair_with_spectrum(rng, lam, float(10 ** rng.uniform(0, 7)))
+            kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
+            expected = reference_pencil_eigenvalues(h1.gram, h2.gram)
+            op = connecting_operator(h1, h2)
+            w = spectral_resolution(op).spectrum
+            bound = 8 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
+            assert np.max(np.abs(w - expected)) <= bound
+            assert op.residuals["min_eigenvalue"] == w[0]
+
+    def test_clusters_match_oracle_away_from_the_threshold(self):
+        rng = np.random.default_rng(1102)
+        tol = Tolerances()
+        checked = []
+        for _ in range(40):
+            values = 0.5 + np.cumsum(0.05 + rng.random(int(rng.integers(2, 7))))
+            # copies split off by 0 (an exact repeat) or by a multiple of the
+            # cluster gap, on both sides of it, down to 20x from it
+            shift = tol.tol_eig * values.max() * rng.choice([0.0, 1e-3, 0.05, 20.0, 1e3], len(values))
+            keep = rng.random(len(values)) < 0.6
+            lam = np.sort(np.concatenate([values, (values + shift)[keep]]))
+            h1, h2 = hermitian_pair_with_spectrum(rng, lam, float(10 ** rng.uniform(0, 5)))
+            expected = reference_pencil_eigenvalues(h1.gram, h2.gram)
+            mults, margin = reference_cluster_structure(expected, tol.tol_eig * np.max(np.abs(expected)))
+            if margin < 10.0:
+                continue
+            op = connecting_operator(h1, h2, tol)
+            res = spectral_resolution(op, tol)
+            assert res.multiplicities == mults
+            generic = max(mults) == 1
+            assert is_generic_by_spectrum(res) is generic
+            assert is_generic_by_commutant(op, tol, resolution=res) is generic
+            assert is_cyclic(op, tol=tol) is generic
+            checked.append(generic)
+        assert len(checked) >= 30 and set(checked) == {True, False}

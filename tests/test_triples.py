@@ -16,11 +16,13 @@ from biherm import (
     symmetrize_metric,
     triple_from_g_j,
     triple_from_g_omega,
-    validate_positive,
 )
 from conftest import random_admissible_pair, random_complex_structure, random_spd
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# positive-definite but not symmetric: tagged general, so only the metric check can reject it
+ASYMMETRIC_G = np.array([[1.0, 0.5], [0.0, 1.0]])
+NOT_SPD = "^metric is not symmetric positive-definite$"
 
 
 def canonical_triple(scale=1.0):
@@ -60,6 +62,10 @@ class TestSymmetrizeMetric:
     def test_rejects_indefinite_metric(self):
         with pytest.raises(NotAdmissibleError):
             symmetrize_metric(RealForm(np.diag([1.0, -1.0]), "symmetric"), ComplexStructureJ(J2))
+
+    def test_rejects_asymmetric_metric(self):
+        with pytest.raises(NotAdmissibleError, match=NOT_SPD):
+            symmetrize_metric(RealForm(ASYMMETRIC_G), ComplexStructureJ(J2))
 
 
 class TestOmegaFromGJ:
@@ -111,6 +117,13 @@ class TestTripleFromGOmega:
         with pytest.raises(DegenerateSymplecticError):
             triple_from_g_omega(g, w)
 
+    @pytest.mark.parametrize(
+        "g", [RealForm(ASYMMETRIC_G), RealForm(np.diag([1.0, -1.0]), "symmetric")], ids=["asymmetric", "indefinite"]
+    )
+    def test_rejects_metric_that_is_not_spd(self, g):
+        with pytest.raises(NotAdmissibleError, match=NOT_SPD):
+            triple_from_g_omega(g, RealForm(J2, "antisymmetric"))
+
     def test_round_trip_recovers_structure(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
@@ -155,7 +168,8 @@ class TestAdmissibleTriple:
 
 def cli_triple_residuals(trip):
     """Oracle: the residual formulas the CLI ``triple`` command used to
-    evaluate on the finished triple, and its metric validation."""
+    evaluate on the finished triple, and the smallest eigenvalue of its
+    symmetrized metric."""
     gg, jj, ww = trip.g.gram, trip.j.mat, trip.omega.gram
     scale = max(float(np.max(np.abs(gg))), np.finfo(float).tiny)
     residuals = {
@@ -163,7 +177,7 @@ def cli_triple_residuals(trip):
         "anti_hermitian": float(np.max(np.abs(jj.T @ gg + gg @ jj))) / scale,
         "omega_link": float(np.max(np.abs(ww - gg @ jj))) / scale,
     }
-    return residuals, validate_positive(trip.g).min_eigenvalue
+    return residuals, float(np.linalg.eigvalsh(0.5 * (gg + gg.T))[0])
 
 
 class TestStoredResiduals:
