@@ -13,8 +13,10 @@ one-dimensional.  Every function here takes the resolution as it is.
 The unit of work is the segment, all fibers of one dimension k: the
 bi-unitary group U(n_1) x ... x U(n_k) regrouped as the product over k
 of U(k)^(m_k).  Each segment is handled by stacked numpy calls over its
-m_k fibers, which hand LAPACK and BLAS the same per-fiber operands as a
-loop over fibers would, so the results are the same to the last bit.
+m_k fibers, with column dots for k = 1, after the n x n products that
+touch every fiber at once have been formed as whole-matrix gemms.  The
+results agree with a loop over fibers up to rounding (the sums run in
+another order), and are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -114,32 +116,30 @@ def check_proportionality(
     The decomposition must come from the connecting operator of
     (h1, h2); violations are reported per fiber, never raised.
 
-    Per segment of m fibers of dimension k, the fiber bases X_j are
-    stacked as an (m, n, k) array and their adjoints as (m, k, n), and
-    the Gram blocks X_j^H h1 X_j and X_j^H h2 X_j are two stacked
-    products.  Each block keeps the layout of ``f.basis`` and of
-    ``f.basis.conj().T``, so numpy calls the same BLAS routine per fiber
-    (dot and gemv for k = 1, gemm otherwise) as fiber-by-fiber products.
+    With V the basis matrix, h1 V and h2 V are two n x n gemms.  The Gram
+    blocks X_j^H h1 X_j and X_j^H h2 X_j of the fibers then need column
+    dots for a segment of dimension 1, and stacked (k, n) x (n, k)
+    products for a segment of dimension k >= 2.
     """
     if h1.dim != dec.dim or h2.dim != dec.dim:
         raise DimensionMismatchError("form and decomposition dimensions differ")
-    n = dec.dim
     scale = max(_fro(h2.gram), _TINY)
     lam = dec.eigenvalues
-    starts = np.array([s.start for s in dec.fiber_slices()])
+    v = dec.eigenvectors
+    hv1, hv2 = h1.gram @ v, h2.gram @ v
     violations = np.empty(dec.n_fibers)
     for k, idx in dec.segments.items():
-        idx = np.array(idx)
-        # a column gather is column-major like the basis matrix, so every
-        # (n, k) item of x is laid out as f.basis, whose unit row stride picks
-        # the BLAS kernel for k = 1, and every (k, n) item of xh as
-        # f.basis.conj().T
-        x = dec.eigenvectors[:, (starts[idx, None] + np.arange(k)).ravel()]
-        x = x.reshape(n, idx.size, k).transpose(1, 0, 2)
-        xh = x.conj().transpose(0, 2, 1)
-        m1 = xh @ h1.gram @ x
-        m2 = xh @ h2.gram @ x
-        violations[idx] = np.max(np.abs(m2 - lam[idx, None, None] * m1), axis=(1, 2)) / scale
+        idx, cols = _segment_columns(dec, k, idx)
+        xh = v[:, cols].conj()
+        if k == 1:
+            m1 = np.einsum("ij,ij->j", xh, hv1[:, cols])
+            m2 = np.einsum("ij,ij->j", xh, hv2[:, cols])
+            violations[idx] = np.abs(m2 - lam[idx] * m1) / scale
+        else:
+            xh = _by_fiber(xh, k).transpose(0, 2, 1)
+            m1 = xh @ _by_fiber(hv1[:, cols], k)
+            m2 = xh @ _by_fiber(hv2[:, cols], k)
+            violations[idx] = np.max(np.abs(m2 - lam[idx, None, None] * m1), axis=(1, 2)) / scale
     return ProportionalityReport(
         max_violation=tuple(violations.tolist()), tolerance=tol.tol_resid
     )
@@ -286,32 +286,37 @@ def sample_biunitary(dec: SpectralResolution, seed: int) -> np.ndarray:
     in fiber order.  It is drawn as one vector of sum 2 k^2 values, which
     is the same stream as one draw per fiber, and each fiber's chunk is
     sliced at its offset.  Per segment of fibers of dimension k, the
-    chunks are factored by one stacked QR and phase-fixed together, then
-    written into their diagonal blocks by one index assignment: the same
-    values and the same LAPACK calls per block as one QR per fiber, so
-    the same bytes.
+    chunks are factored by one stacked QR and phase-fixed together, so
+    each block is the one a QR per fiber would give.  The blocks Q_j act
+    on the fiber bases X_j directly, X_j Q_j (a column scaling for
+    k = 1), and the sample is (V U~)(V^H h1): two n x n products, not
+    the three of :meth:`~biherm.spectral.SpectralResolution.from_fiber_coordinates`.
     """
     rng = np.random.default_rng(seed)
     dims = np.array(dec.multiplicities)
-    offsets = np.concatenate(([0], np.cumsum(2 * dims * dims)))
-    z = rng.standard_normal(offsets[-1])
-    starts = np.array([s.start for s in dec.fiber_slices()])
-    u_tilde = np.zeros((dec.dim, dec.dim), dtype=complex)
+    draws = np.concatenate(([0], np.cumsum(2 * dims * dims)))
+    z = rng.standard_normal(draws[-1])
+    v = dec.eigenvectors
+    vu = np.empty_like(v)
     for k, idx in dec.segments.items():
-        idx = np.array(idx)
-        chunks = z[offsets[idx, None] + np.arange(2 * k * k)].reshape(-1, 2, k, k)
+        idx, cols = _segment_columns(dec, k, idx)
+        chunks = z[draws[idx, None] + np.arange(2 * k * k)].reshape(-1, 2, k, k)
         q, r = np.linalg.qr((chunks[:, 0] + 1j * chunks[:, 1]) / np.sqrt(2.0))
         d = np.diagonal(r, axis1=1, axis2=2)
-        rows = starts[idx, None] + np.arange(k)
-        u_tilde[rows[:, :, None], rows[:, None, :]] = q * (d / np.abs(d))[:, None, :]
-    return dec.from_fiber_coordinates(u_tilde)
+        q *= (d / np.abs(d))[:, None, :]
+        if k == 1:
+            vu[:, cols] = v[:, cols] * q[:, 0, 0]
+        else:
+            vu[:, cols] = (_by_fiber(v[:, cols], k) @ q).transpose(1, 0, 2).reshape(dec.dim, -1)
+    return _to_ambient(dec, vu)
 
 
 def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
     """Bi-unitary transformation from one phase per fiber (generic case).
 
-    Returns sum_j e^{i phi_j} P_j with P_j the fiber projectors.
-    Composing two phase transformations adds their phases modulo 2 pi.
+    Returns sum_j e^{i phi_j} P_j with P_j the fiber projectors, as
+    (V e^{i phi}) (V^H h1).  Composing two phase transformations adds
+    their phases modulo 2 pi.
 
     Raises
     ------
@@ -326,5 +331,23 @@ def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
         )
     if phases.shape != (dec.n_fibers,):
         raise ValueError(f"need one phase per fiber ({dec.n_fibers})")
-    u_tilde = np.diag(np.exp(1j * phases))
-    return dec.from_fiber_coordinates(u_tilde)
+    return _to_ambient(dec, dec.eigenvectors * np.exp(1j * phases))
+
+
+def _segment_columns(
+    dec: SpectralResolution, k: int, idx: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fiber indices ``idx`` of one segment of dimension k as an array, and
+    the basis-matrix columns of those fibers, fiber by fiber."""
+    idx = np.array(idx)
+    return idx, (dec.offsets[idx, None] + np.arange(k)).ravel()
+
+
+def _by_fiber(cols: np.ndarray, k: int) -> np.ndarray:
+    """The (n, m k) columns of m fibers of dimension k as an (m, n, k) stack."""
+    return cols.reshape(cols.shape[0], -1, k).transpose(1, 0, 2)
+
+
+def _to_ambient(dec: SpectralResolution, vu: np.ndarray) -> np.ndarray:
+    """V U~ V^H h1 from V U~: the ambient operator of the fiber-basis U~."""
+    return vu @ (dec.eigenvectors.conj().T @ dec.h1.gram)

@@ -19,6 +19,7 @@ each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,11 @@ class SpectralResolution:
     ``spectrum`` holds the eigenvalues of G, ascending, and the columns of
     ``eigenvectors`` the matching h1-orthonormal eigenvectors; both are
     read-only.  ``fibers`` splits them into clusters of eigenvalues at
-    most ``cluster_gap`` apart, in ascending order.  Everything else is
-    derived from these fields.  The resolution is also the fibered
-    decomposition that :mod:`biherm.decomposition` works on.
+    most ``cluster_gap`` apart, in ascending order, and the read-only int
+    array ``offsets`` holds their column boundaries: fiber j spans columns
+    ``offsets[j]:offsets[j + 1]``.  Everything else is derived from these
+    fields.  The resolution is also the fibered decomposition that
+    :mod:`biherm.decomposition` works on.
     """
 
     connecting: ConnectingOperator
@@ -80,6 +83,7 @@ class SpectralResolution:
     eigenvectors: np.ndarray
     cluster_gap: float
     fibers: tuple[Fiber, ...]
+    offsets: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -106,14 +110,15 @@ class SpectralResolution:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.fibers)
+        off = self.offsets
+        return tuple((off[1:] - off[:-1]).tolist())
 
     @property
     def segments(self) -> dict[int, tuple[int, ...]]:
         """Fiber indices grouped by fiber dimension."""
         out: dict[int, list[int]] = {}
-        for idx, f in enumerate(self.fibers):
-            out.setdefault(f.dim, []).append(idx)
+        for idx, k in enumerate(self.multiplicities):
+            out.setdefault(k, []).append(idx)
         return {k: tuple(idx) for k, idx in out.items()}
 
     @property
@@ -134,11 +139,8 @@ class SpectralResolution:
 
     def fiber_slices(self) -> list[slice]:
         """Column ranges of each fiber inside :meth:`basis_matrix`."""
-        out, start = [], 0
-        for f in self.fibers:
-            out.append(slice(start, start + f.dim))
-            start += f.dim
-        return out
+        off = self.offsets.tolist()
+        return [slice(a, b) for a, b in zip(off[:-1], off[1:])]
 
     def basis_matrix(self) -> np.ndarray:
         """The read-only h1-orthonormal n x n matrix of all fiber bases."""
@@ -169,17 +171,19 @@ def spectral_resolution(
     w, v = g.spectrum, g.eigenvectors
     radius = max(float(np.max(np.abs(w))), _TINY)
     gap = tol.tol_eig * radius
-    boundaries = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), len(w)]
+    offsets = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1, [len(w)]))
+    offsets.flags.writeable = False
+    bounds = offsets.tolist()
     # the mean of one value is the value itself, so only clusters pay for np.mean
     fibers = tuple(
         Fiber(
             eigenvalue=float(w[a]) if b - a == 1 else float(np.mean(w[a:b])),
             basis=v[:, a:b],
         )
-        for a, b in zip(boundaries[:-1], boundaries[1:])
+        for a, b in zip(bounds[:-1], bounds[1:])
     )
     return SpectralResolution(
-        connecting=g, spectrum=w, eigenvectors=v, cluster_gap=gap, fibers=fibers
+        connecting=g, spectrum=w, eigenvectors=v, cluster_gap=gap, fibers=fibers, offsets=offsets
     )
 
 
@@ -255,12 +259,14 @@ def is_cyclic(
 
     Runs n Lanczos steps on G in the h1 inner product, in which G is
     self-adjoint, from a random probe vector drawn from ``seed`` (see
-    :func:`_lanczos_ritz_values`).  With full reorthogonalization the
-    n x n tridiagonal matrix T is h1-unitarily similar to G, so its Ritz
-    values are the eigenvalues of G.  G is cyclic exactly when its
-    eigenvalues are distinct, so G is found cyclic when the count of
-    Ritz-value pairs (i, j) with |theta_i - theta_j| <= ``tol.tol_eig``
-    times max |theta| is n: the gap rule of :func:`spectral_resolution`,
+    :func:`_lanczos_ritz_values`).  Each new direction is
+    reorthogonalized against all earlier ones by one block pass, and by a
+    second only when the first cancelled, so the n x n tridiagonal matrix
+    T stays h1-unitarily similar to G and its Ritz values are the
+    eigenvalues of G.  G is cyclic exactly when its eigenvalues are
+    distinct, so G is found cyclic when the count of Ritz-value pairs
+    (i, j) with |theta_i - theta_j| <= ``tol.tol_eig`` times max |theta|
+    is n: the gap rule of :func:`spectral_resolution`,
     applied to values computed without a Cholesky factor or the pencil
     solve behind ``g.spectrum``, so the verdict stays independent of the
     other two genericity tests.
@@ -298,12 +304,17 @@ def _lanczos_ritz_values(g: ConnectingOperator, rng: np.random.Generator) -> np.
     eigenvalues of the dense tridiagonal T.
 
     The start vector is a probe drawn from ``rng``.  Each new direction is
-    reorthogonalized against all previous ones with two block passes
-    ``w -= Q @ (HQ^H w)``, where ``HQ = h1 Q`` is stored as Q grows, so T
-    stays h1-unitarily similar to G.  On breakdown (the Krylov space of
-    the probe is invariant, as for a scalar G) the next vector is a fresh
-    probe from ``rng`` projected out of Q, and that coupling of T stays 0.
-    O(n^3) time and O(n^2) memory.
+    reorthogonalized against all previous ones by the block pass
+    ``w -= Q @ c`` with ``c = HQ^H w``, where ``HQ = h1 Q`` is stored as Q
+    grows, so T stays h1-unitarily similar to G.  Q is h1-orthonormal, so
+    the h1 norm of w before the pass is ``hypot(|w|, |c|)`` of the result,
+    with no extra product.  A second pass runs only when the first left
+    less than 1/sqrt(2) of it: the "twice is enough" test of Daniel,
+    Gragg, Kaufman and Stewart (Math. Comp. 30, 1976), after which w is
+    orthogonal to Q to working precision.  On breakdown (the Krylov space
+    of the probe is invariant, as for a scalar G) the next vector is a
+    fresh probe from ``rng`` projected out of Q, and that coupling of T
+    stays 0.  O(n^3) time and O(n^2) memory.
     """
     mat, h1, n = g.mat, g.h1.gram, g.dim
     q = np.zeros((n, n), dtype=complex)  # row k is q_k
@@ -314,26 +325,34 @@ def _lanczos_ritz_values(g: ConnectingOperator, rng: np.random.Generator) -> np.
     def project_out(w, k):
         """w without its h1 components along q_0..q_{k-1}, h1 w, and its h1 norm."""
         for _ in range(2):
-            w -= (hqh[:k] @ w) @ q[:k]
-        hw = h1 @ w
-        return w, hw, float(np.sqrt(max(np.vdot(w, hw).real, 0.0)))
+            c = np.dot(hqh[:k], w)
+            w -= np.dot(c, q[:k])
+            hw = np.dot(h1, w)
+            nrm2 = max(np.vdot(w, hw).real, 0.0)
+            # before the pass, ||w||^2 was nrm2 + ||c||^2: repeat once when
+            # ||w|| fell below 1/sqrt(2) of that
+            if nrm2 >= np.vdot(c, c).real:
+                break
+        return w, hw, math.sqrt(nrm2)
 
     w = _probe(rng, n)
     scale = 0.0  # h1 norm of the last G q_k, the yardstick for breakdown
+    b = 0.0  # beta[k - 1]
     for k in range(n):
         w, hw, nrm = project_out(w, k)
         if k and nrm <= _BREAKDOWN * scale:
             w, hw, nrm = project_out(_probe(rng, n), k)  # beta[k - 1] stays 0
+            b = 0.0
         elif k:
-            beta[k - 1] = nrm
-        q[k] = w / nrm
-        hqh[k] = hw.conj() / nrm
-        gq = mat @ q[k]
-        alpha[k] = (hqh[k] @ gq).real
-        w = gq - alpha[k] * q[k]
-        if k:
-            w -= beta[k - 1] * q[k - 1]
-        scale = float(np.hypot(alpha[k], beta[k - 1] if k else 0.0))
+            beta[k - 1] = b = nrm
+        inv = 1.0 / nrm
+        qk = np.multiply(w, inv, out=q[k])
+        hqk = np.multiply(hw.conj(), inv, out=hqh[k])
+        w = np.dot(mat, qk)
+        a = alpha[k] = float(np.dot(hqk, w).real)
+        # the three-term recurrence, w -= beta[k - 1] q_{k-1} + alpha[k] q_k
+        w -= np.dot((b, a), q[k - 1 : k + 1]) if k else a * qk
+        scale = math.hypot(a, b)
     return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, -1))  # reads the lower triangle
 
 

@@ -193,8 +193,8 @@ def reference_fiber_eigenvalues(spectrum: np.ndarray, gap: float) -> list[float]
 def reference_check_proportionality(dec, h1, h2) -> tuple[float, ...]:
     """``check_proportionality(...).max_violation`` computed one fiber at a time.
 
-    Two Gram blocks per fiber from the fiber's own basis view, the loop
-    that the per-segment stacked products must reproduce byte for byte.
+    Two Gram blocks per fiber from the fiber's own basis view, a loop
+    that the full-width products must reproduce up to rounding.
     """
     scale = max(float(np.linalg.norm(h2.gram)), np.finfo(float).tiny)
     violations = []
@@ -210,7 +210,8 @@ def reference_sample_biunitary(dec, seed: int) -> np.ndarray:
     """``sample_biunitary`` drawn one fiber at a time.
 
     Each fiber gets its own real and then imaginary Ginibre draw and its
-    own QR, the loop that the batched draw must reproduce byte for byte.
+    own QR, assembled block-diagonally and mapped back by three products:
+    a loop that the batched draw must reproduce up to rounding.
     """
     rng = np.random.default_rng(seed)
     u_tilde = np.zeros((dec.dim, dec.dim), dtype=complex)
@@ -221,6 +222,35 @@ def reference_sample_biunitary(dec, seed: int) -> np.ndarray:
         d = np.diagonal(r)
         u_tilde[s, s] = q * (d / np.abs(d))
     return dec.from_fiber_coordinates(u_tilde)
+
+
+def reference_proportionality_violations(dec, h1, h2) -> tuple[float, ...]:
+    """``check_proportionality(...).max_violation`` in 50-digit arithmetic.
+
+    From the float fiber bases X_j and eigenvalues lambda_j of ``dec``:
+    mpmath forms h1 V and h2 V for the basis matrix V, then each fiber's
+    X_j^H h1 X_j and X_j^H h2 X_j, and the largest |m2 - lambda_j m1| over
+    the Frobenius norm of h2, rounded to floats.  No sum runs in float, so
+    the result bounds the rounding of any summation order.  For n <= 12.
+    """
+    with mpmath.workdps(50):
+        v = mpmath.matrix(dec.eigenvectors.tolist())
+        hv1 = mpmath.matrix(h1.gram.tolist()) * v
+        hv2 = mpmath.matrix(h2.gram.tolist()) * v
+        scale = mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(z)) ** 2 for z in h2.gram.ravel()))
+        violations = []
+        for f, s in zip(dec.fibers, dec.fiber_slices()):
+            cols = range(s.start, s.stop)
+            lam = mpmath.mpf(f.eigenvalue)
+            worst = max(
+                abs(
+                    mpmath.fsum(mpmath.conj(v[r, i]) * (hv2[r, j] - lam * hv1[r, j]) for r in range(dec.dim))
+                )
+                for i in cols
+                for j in cols
+            )
+            violations.append(float(worst / scale))
+        return tuple(violations)
 
 
 def commutator_map(mat: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for spectral clustering, genericity and cyclicity."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from biherm import (
     krylov_rank,
     spectral_resolution,
 )
+from biherm.spectral import _lanczos_ritz_values
 from conftest import (
     PER_FIBER_PATTERNS,
     brute_bicommutant_dim,
@@ -86,7 +88,7 @@ class TestSpectralResolution:
         h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1, 3, 2))
         res = spectral_resolution(connecting_operator(h1, h2))
         v = res.basis_matrix()
-        arrays = [res.spectrum, v, res.eigenvalues, h1.eigenvalues]
+        arrays = [res.spectrum, v, res.eigenvalues, res.offsets, h1.eigenvalues]
         arrays += [f.basis for f in res.fibers]
         for a in arrays:
             with pytest.raises(ValueError):
@@ -223,6 +225,21 @@ class TestIsCyclic:
             h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
             op = connecting_operator(h1, h2)
             assert is_cyclic(op, seed=int(rng.integers(0, 2**31))) is not degenerate
+
+    def test_restarts_keep_ritz_values_on_the_spectrum(self):
+        # three eigenvalues of multiplicity 20, 20 and 24 at cond(h1) = 1e4:
+        # the Krylov space of a probe is invariant after three steps, and
+        # on this input the run both restarts from fresh probes and takes
+        # the second reorthogonalization pass where the first cancelled
+        rng = np.random.default_rng(64)
+        lam = np.repeat(0.5 + np.cumsum(0.05 + rng.random(3)), (20, 20, 24))
+        h1, h2 = hermitian_pair_with_spectrum(rng, lam, 1e4)
+        op = connecting_operator(h1, h2)
+        kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
+        assert not is_cyclic(op)
+        theta = _lanczos_ritz_values(op, np.random.default_rng(0))
+        bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
+        assert np.max(np.abs(theta - op.spectrum)) <= bound
 
     def test_one_lanczos_run_per_call(self, monkeypatch):
         # the Ritz values depend on the probe only through rounding, so
@@ -361,6 +378,26 @@ class TestGenericByCommutant:
             assert d1 == d2 == cyc
 
 
+@functools.cache
+def _oracle_pairs() -> list[tuple[HermitianForm, HermitianForm, float, np.ndarray]]:
+    """48 pairs at n = 2..12 and cond(h1) up to 1e7, with their condition
+    numbers and 50-digit pencil eigenvalues: simple spectra, adjacent
+    repeats, and a repeated pair interleaved with simple values."""
+    rng = np.random.default_rng(1101)
+    pairs = []
+    for i in range(48):
+        n = int(rng.integers(2, 13))
+        lam = 0.5 + np.cumsum(0.05 + rng.random(n))
+        if i % 3 == 1:  # adjacent repeats
+            lam = np.sort(np.concatenate([lam[: (n + 1) // 2], lam[: n // 2]]))
+        elif i % 3 == 2:  # a repeated pair interleaved with simple values
+            lam = np.sort(np.concatenate([lam[: n - 2], lam[:2]])) if n >= 4 else np.repeat(lam[:1], n)
+        h1, h2 = hermitian_pair_with_spectrum(rng, lam, float(10 ** rng.uniform(0, 7)))
+        kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
+        pairs.append((h1, h2, kappa, reference_pencil_eigenvalues(h1.gram, h2.gram)))
+    return pairs
+
+
 class TestOracleContract:
     """The numerical contract, checked against 50-digit pencil eigenvalues.
 
@@ -370,22 +407,20 @@ class TestOracleContract:
     """
 
     def test_eigenvalues_within_backward_error_bound(self):
-        rng = np.random.default_rng(1101)
-        for i in range(48):
-            n = int(rng.integers(2, 13))
-            lam = 0.5 + np.cumsum(0.05 + rng.random(n))
-            if i % 3 == 1:  # adjacent repeats
-                lam = np.sort(np.concatenate([lam[: (n + 1) // 2], lam[: n // 2]]))
-            elif i % 3 == 2:  # a repeated pair interleaved with simple values
-                lam = np.sort(np.concatenate([lam[: n - 2], lam[:2]])) if n >= 4 else np.repeat(lam[:1], n)
-            h1, h2 = hermitian_pair_with_spectrum(rng, lam, float(10 ** rng.uniform(0, 7)))
-            kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
-            expected = reference_pencil_eigenvalues(h1.gram, h2.gram)
+        for h1, h2, kappa, expected in _oracle_pairs():
             op = connecting_operator(h1, h2)
             w = spectral_resolution(op).spectrum
             bound = 8 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
             assert np.max(np.abs(w - expected)) <= bound
             assert op.residuals["min_eigenvalue"] == w[0]
+
+    def test_ritz_values_within_backward_error_bound(self):
+        # the Lanczos route of is_cyclic, which shares neither the Cholesky
+        # factor nor the pencil solve, on the same pairs and bound
+        for h1, h2, kappa, expected in _oracle_pairs():
+            theta = _lanczos_ritz_values(connecting_operator(h1, h2), np.random.default_rng(0))
+            bound = 8 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
+            assert np.max(np.abs(theta - expected)) <= bound
 
     def test_clusters_match_oracle_away_from_the_threshold(self):
         rng = np.random.default_rng(1102)
