@@ -289,7 +289,7 @@ def sample_u(tol, h1_path, h2_path, seed, out):
     save_matrix(out, u, "complex_general")
     results = {
         "dim": op.dim,
-        "block_dims": [f.dim for f in dec.fibers],
+        "block_dims": list(dec.multiplicities),
         "residual_h1": rep.residual_h1,
         "residual_h2": rep.residual_h2,
         "residual_commutator": rep.residual_commutator,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalInconsistencyError, NonFiniteError, SingularMetricError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _metric_eigh
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _metric_eigh, _read_only
 
 __all__ = [
     "ConnectingOperator",
@@ -31,47 +31,42 @@ __all__ = [
 class ConnectingOperator:
     """The positive operator linking a pair of Hermitian forms.
 
-    ``mat`` satisfies ``h2.gram == h1.gram @ mat`` and is self-adjoint
-    with respect to both forms.  ``ill_conditioned`` flags a defining
+    Built from the two forms alone, which must have one dimension
+    (:class:`DimensionMismatchError` otherwise); everything else is
+    derived from them once, at construction, and stored read-only.
+    ``mat`` is G, solved from ``h2.gram == h1.gram @ mat``, self-adjoint
+    with respect to both forms.  ``spectrum`` (the eigenvalues of G,
+    ascending) and ``eigenvectors`` (the matching h1-orthonormal
+    eigenvectors, as column-major columns) are the one solve of the
+    pencil h2 x = lam h1 x; a numerically singular h1 raises
+    :class:`SingularMetricError` there.  ``residuals`` holds
+    :meth:`invariant_residuals`.  ``ill_conditioned`` flags a defining
     form h1 whose condition number exceeds the reciprocal eigenvalue
     tolerance; results are still returned in that case but residuals may
-    be degraded.  ``spectrum`` (the eigenvalues of G, ascending) and
-    ``eigenvectors`` (the matching h1-orthonormal eigenvectors, as
-    column-major columns) are the one solve of the pencil
-    h2 x = lam h1 x, made at construction and read-only; a numerically
-    singular h1 raises :class:`SingularMetricError` there.  ``residuals``
-    holds :meth:`invariant_residuals` as computed once at construction.
+    be degraded.
     """
 
-    mat: np.ndarray
     h1: HermitianForm
     h2: HermitianForm
     ill_conditioned: bool = False
+    mat: np.ndarray = field(init=False, repr=False)
     spectrum: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray = field(init=False, repr=False)
     residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("connecting matrix must be square")
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteError("connecting matrix contains non-finite entries")
-        if mat.shape[0] != self.h1.dim or mat.shape[0] != self.h2.dim:
-            raise DimensionMismatchError("connecting matrix and form dimensions differ")
-        mat = np.array(mat, copy=True)
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        h1, h2 = self.h1, self.h2
+        if h1.dim != h2.dim:
+            raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")
+        object.__setattr__(self, "mat", _read_only(np.linalg.solve(h1.gram, h2.gram)))
         try:
-            w, v = _metric_eigh(self.h2.gram, self.h1.gram)
+            w, v = _metric_eigh(h2.gram, h1.gram)
         except SingularMetricError:
-            w_min = self.h1.eigenvalues[0]
+            w_min = h1.eigenvalues[0]
             msg = f"h1 is numerically singular: its Cholesky factorization failed (min eigenvalue {w_min:.3e})"
             raise SingularMetricError(msg) from None
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "spectrum", w)
-        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "spectrum", _read_only(w))
+        object.__setattr__(self, "eigenvectors", _read_only(v))
         object.__setattr__(self, "residuals", self.invariant_residuals())
 
     @property
@@ -114,9 +109,11 @@ def connecting_operator(
     h2: HermitianForm,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ConnectingOperator:
-    """Solve h1.gram @ G = h2.gram for the connecting operator G.
+    """The connecting operator G of (h1, h2), flagged and verified.
 
-    The system is solved directly (no explicit inverse).  G is verified
+    :class:`ConnectingOperator` solves h1.gram @ G = h2.gram directly (no
+    explicit inverse); this function sets its ``ill_conditioned`` flag
+    from the condition number of h1 and ``tol.tol_eig``.  G is verified
     to satisfy the defining identity, self-adjointness with respect to
     both forms, and positivity before being returned; with validated
     positive-definite inputs these hold automatically, so a violation is
@@ -133,14 +130,10 @@ def connecting_operator(
         If h1 passed its positivity check but is numerically singular: its
         Cholesky factorization fails, so G has no spectrum to report.
     """
-    if h1.dim != h2.dim:
-        raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")
     w1 = h1.eigenvalues
     cond = float(w1[-1] / max(w1[0], _TINY))
-    ill = cond > 1.0 / tol.tol_eig
-    g = np.linalg.solve(h1.gram, h2.gram)
-    op = ConnectingOperator(g, h1, h2, ill_conditioned=ill)
-    if not invariants_hold(op.residuals, tol) and not ill:
+    op = ConnectingOperator(h1, h2, ill_conditioned=cond > 1.0 / tol.tol_eig)
+    if not invariants_hold(op.residuals, tol) and not op.ill_conditioned:
         raise InternalInconsistencyError(
             f"connecting operator failed invariant verification: {op.residuals}"
         )

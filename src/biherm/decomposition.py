@@ -32,7 +32,7 @@ from .errors import (
     NotGenericError,
     NotInCommutantError,
 )
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _read_only
 from .spectral import SpectralResolution, is_generic_by_commutant, spectral_resolution
 
 __all__ = [
@@ -61,9 +61,7 @@ class DecomposableOperator:
             b = np.asarray(b, dtype=complex)
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise ValueError("blocks must be square")
-            b = np.array(b, copy=True)
-            b.flags.writeable = False
-            frozen.append(b)
+            frozen.append(_read_only(b, copy=True))
         object.__setattr__(self, "blocks", tuple(frozen))
 
     @property
@@ -261,7 +259,7 @@ def check_genericity_consistency(
     InternalInconsistencyError
         If the two characterizations disagree.
     """
-    unidimensional = all(f.dim == 1 for f in dec.fibers)
+    unidimensional = all(k == 1 for k in dec.multiplicities)
     generic = is_generic_by_commutant(g, tol, resolution=dec)
     if unidimensional != generic:
         raise InternalInconsistencyError(
@@ -324,10 +322,10 @@ def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
         If some fiber has dimension greater than one.
     """
     phases = np.asarray(phases, dtype=float)
-    if any(f.dim != 1 for f in dec.fibers):
+    if any(k != 1 for k in dec.multiplicities):
         raise NotGenericError(
             f"phase transformations need one-dimensional fibers, got dimensions "
-            f"{tuple(f.dim for f in dec.fibers)}"
+            f"{dec.multiplicities}"
         )
     if phases.shape != (dec.n_fibers,):
         raise ValueError(f"need one phase per fiber ({dec.n_fibers})")

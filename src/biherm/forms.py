@@ -83,10 +83,13 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.flags.writeable = False
-    return out
+def _read_only(a: np.ndarray, copy: bool = False) -> np.ndarray:
+    """``a`` made read-only: copied first when it came from a caller
+    (``copy``), so that no caller keeps a writable alias of a stored array."""
+    if copy:
+        a = np.array(a, copy=True)
+    a.flags.writeable = False
+    return a
 
 
 def _require_square(mat: np.ndarray, what: str) -> np.ndarray:
@@ -130,7 +133,7 @@ class RealForm:
         mat = _require_square(self.gram, "gram")
         if np.iscomplexobj(mat):
             raise ValueError("RealForm gram must be real")
-        mat = mat.astype(float, copy=True)
+        mat = mat.astype(float, copy=False)
         if self.symmetry_tag != "general":
             sign = {"symmetric": 1, "antisymmetric": -1}.get(self.symmetry_tag)
             if sign is None:
@@ -138,7 +141,7 @@ class RealForm:
             resid, scale = _asymmetry(mat, sign)
             if resid > self.tol.tol_sym * scale:
                 raise ValueError(f"gram is not {self.symmetry_tag} within tolerance")
-        object.__setattr__(self, "gram", _freeze(mat))
+        object.__setattr__(self, "gram", _read_only(mat, copy=True))
 
     @property
     def dim(self) -> int:
@@ -165,7 +168,7 @@ class ComplexStructureJ:
             raise ValueError("complex structure matrix must be real")
         if mat.shape[0] % 2 != 0:
             raise ValueError("complex structure requires even dimension")
-        mat = _freeze(mat.astype(float, copy=False))
+        mat = _read_only(mat.astype(float, copy=False), copy=True)
         resid = _maxabs(mat @ mat + np.eye(mat.shape[0]))
         if resid > self.tol.tol_j:
             raise ValueError(f"J^2 = -1 violated: residual {resid:.3e} exceeds {self.tol.tol_j:.3e}")
@@ -191,16 +194,15 @@ class HermitianForm:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = _require_square(self.gram, "gram").astype(complex, copy=True)
+        mat = _require_square(self.gram, "gram").astype(complex, copy=False)
         resid, scale = _asymmetry(mat, 1)
         if resid > self.tol.tol_sym * scale:
             raise ValueError("gram is not Hermitian within tolerance")
         w = np.linalg.eigvalsh(mat)
         if w[0] <= 0.0:
             raise ValueError(f"gram is not positive-definite (min eigenvalue {w[0]:.3e})")
-        w.flags.writeable = False
-        object.__setattr__(self, "gram", _freeze(mat))
-        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "gram", _read_only(mat, copy=True))
+        object.__setattr__(self, "eigenvalues", _read_only(w))
 
     @property
     def dim(self) -> int:

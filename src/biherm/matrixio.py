@@ -114,7 +114,11 @@ def _parse_entries(data: list, pairs: bool, where: str) -> np.ndarray:
     raise AssertionError("whole-list check failed on entries that all pass")
 
 
-def _parse_matrix_section(obj: dict, where: str, tol: Tolerances) -> tuple[str, np.ndarray]:
+def _parse_matrix_section(
+    obj: dict, where: str, tol: Tolerances, expect_kinds: tuple[str, ...] | None
+) -> tuple[str, np.ndarray]:
+    """The kind and the matrix of one matrix section, whose kind must be
+    one of ``expect_kinds`` unless that is None (checked after symmetry)."""
     kind = obj.get("kind")
     if kind not in MATRIX_KINDS:
         raise FileFormatError(
@@ -136,6 +140,8 @@ def _parse_matrix_section(obj: dict, where: str, tol: Tolerances) -> tuple[str, 
         resid, scale = _asymmetry(mat, sign)
         if resid > tol.tol_sym * scale:
             raise FileFormatError(f"{where}: matrix is not {word} within tolerance")
+    if expect_kinds is not None and kind not in expect_kinds:
+        raise FileFormatError(f"{where}: expected kind {' or '.join(expect_kinds)}, got {kind}")
     return kind, mat
 
 
@@ -155,13 +161,7 @@ def load_matrix(
         On unreadable files, malformed JSON, schema violations,
         non-finite entries, or kind/symmetry mismatches.
     """
-    obj = _load_json(path)
-    kind, mat = _parse_matrix_section(obj, str(path), tol)
-    if expect_kinds is not None and kind not in expect_kinds:
-        raise FileFormatError(
-            f"{path}: expected kind {' or '.join(expect_kinds)}, got {kind}"
-        )
-    return kind, mat
+    return _parse_matrix_section(_load_json(path), str(path), tol, expect_kinds)
 
 
 def matrix_payload(mat: np.ndarray, kind: str) -> dict:
@@ -176,12 +176,16 @@ def matrix_payload(mat: np.ndarray, kind: str) -> dict:
     return {"kind": kind, "dim": int(mat.shape[0]), "data": data}
 
 
-def save_matrix(path, mat: np.ndarray, kind: str, meta: dict | None = None) -> None:
-    """Write a matrix file (canonical JSON, optional meta section)."""
-    payload = matrix_payload(mat, kind)
+def _write(path, payload: dict, meta: dict | None) -> None:
+    """Write ``payload``, with ``meta`` as its meta section when given, as canonical JSON."""
     if meta is not None:
         payload["meta"] = meta
     Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
+
+
+def save_matrix(path, mat: np.ndarray, kind: str, meta: dict | None = None) -> None:
+    """Write a matrix file (canonical JSON, optional meta section)."""
+    _write(path, matrix_payload(mat, kind), meta)
 
 
 def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
@@ -198,12 +202,7 @@ def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
         sec = obj.get(key)
         if not isinstance(sec, dict):
             raise FileFormatError(f"{path}: missing or invalid section '{key}'")
-        kind, mat = _parse_matrix_section(sec, f"{path}:{key}", tol)
-        if kind not in kinds:
-            raise FileFormatError(
-                f"{path}:{key}: expected kind {' or '.join(kinds)}, got {kind}"
-            )
-        sections[key] = mat
+        sections[key] = _parse_matrix_section(sec, f"{path}:{key}", tol, kinds)[1]
     g = RealForm(sections["g"], "symmetric", tol)
     j = ComplexStructureJ(sections["j"], tol)
     omega = RealForm(sections["omega"], "antisymmetric", tol)
@@ -217,6 +216,4 @@ def save_triple(path, triple: AdmissibleTriple, meta: dict | None = None) -> Non
         "j": matrix_payload(triple.j.mat, "real_general"),
         "omega": matrix_payload(triple.omega.gram, "real_antisymmetric"),
     }
-    if meta is not None:
-        payload["meta"] = meta
-    Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    _write(path, payload, meta)

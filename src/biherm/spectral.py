@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .connecting import ConnectingOperator
 from .errors import DegenerateSpectrumError, ZeroCoefficientError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _read_only
 
 __all__ = [
     "Fiber",
@@ -68,21 +69,19 @@ class Fiber:
 class SpectralResolution:
     """Clustered eigendecomposition of a connecting operator.
 
-    ``spectrum`` holds the eigenvalues of G, ascending, and the columns of
-    ``eigenvectors`` the matching h1-orthonormal eigenvectors; both are
-    read-only.  ``fibers`` splits them into clusters of eigenvalues at
-    most ``cluster_gap`` apart, in ascending order, and the read-only int
-    array ``offsets`` holds their column boundaries: fiber j spans columns
-    ``offsets[j]:offsets[j + 1]``.  Everything else is derived from these
-    fields.  The resolution is also the fibered decomposition that
+    Built from the operator, the ``cluster_gap`` and the read-only int
+    array ``offsets`` of fiber boundaries: fiber j spans columns
+    ``offsets[j]:offsets[j + 1]`` of the operator's ``eigenvectors``,
+    which hold clusters of eigenvalues at most ``cluster_gap`` apart, in
+    ascending order.  Everything else is derived from these three fields:
+    ``spectrum`` and ``eigenvectors`` read through to the operator, and
+    ``eigenvalues`` and ``fibers`` are computed from ``offsets`` on first
+    use.  The resolution is also the fibered decomposition that
     :mod:`biherm.decomposition` works on.
     """
 
     connecting: ConnectingOperator
-    spectrum: np.ndarray
-    eigenvectors: np.ndarray
     cluster_gap: float
-    fibers: tuple[Fiber, ...]
     offsets: np.ndarray
 
     @property
@@ -98,15 +97,36 @@ class SpectralResolution:
         return self.connecting.h2
 
     @property
-    def n_fibers(self) -> int:
-        return len(self.fibers)
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of G, ascending, read-only."""
+        return self.connecting.spectrum
 
     @property
+    def eigenvectors(self) -> np.ndarray:
+        """The read-only h1-orthonormal n x n matrix of all fiber bases."""
+        return self.connecting.eigenvectors
+
+    @property
+    def n_fibers(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Representative (cluster mean) of each fiber, ascending."""
-        out = np.array([f.eigenvalue for f in self.fibers])
-        out.flags.writeable = False
-        return out
+        """Representative (cluster mean) of each fiber, ascending, read-only."""
+        w = self.spectrum
+        # the mean of one value is the value itself, so only clusters pay for np.mean
+        means = [
+            float(w[s.start]) if s.stop - s.start == 1 else float(np.mean(w[s]))
+            for s in self.fiber_slices()
+        ]
+        return _read_only(np.array(means))
+
+    @cached_property
+    def fibers(self) -> tuple[Fiber, ...]:
+        """One :class:`Fiber` per cluster, its basis a column view of ``eigenvectors``."""
+        v = self.eigenvectors
+        slices = self.fiber_slices()
+        return tuple(Fiber(lam, v[:, s]) for lam, s in zip(self.eigenvalues.tolist(), slices))
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -138,13 +158,9 @@ class SpectralResolution:
         return _close_pairs(self.spectrum, self.cluster_gap)
 
     def fiber_slices(self) -> list[slice]:
-        """Column ranges of each fiber inside :meth:`basis_matrix`."""
+        """Column ranges of each fiber inside ``eigenvectors``."""
         off = self.offsets.tolist()
         return [slice(a, b) for a, b in zip(off[:-1], off[1:])]
-
-    def basis_matrix(self) -> np.ndarray:
-        """The read-only h1-orthonormal n x n matrix of all fiber bases."""
-        return self.eigenvectors
 
     def to_fiber_coordinates(self, a: np.ndarray) -> np.ndarray:
         """Express an ambient operator in the fiber basis."""
@@ -165,26 +181,14 @@ def spectral_resolution(
 
     Adjacent values of ``g.spectrum`` are merged into one fiber whenever
     their gap is at most ``tol.tol_eig`` times the spectral radius (ties
-    merge, so degeneracy is never under-reported).  Each fiber basis is a
-    read-only column view of ``g.eigenvectors``.
+    merge, so degeneracy is never under-reported).  Only the gap and the
+    fiber boundaries are computed here; the resolution derives the rest.
     """
-    w, v = g.spectrum, g.eigenvectors
+    w = g.spectrum
     radius = max(float(np.max(np.abs(w))), _TINY)
     gap = tol.tol_eig * radius
     offsets = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1, [len(w)]))
-    offsets.flags.writeable = False
-    bounds = offsets.tolist()
-    # the mean of one value is the value itself, so only clusters pay for np.mean
-    fibers = tuple(
-        Fiber(
-            eigenvalue=float(w[a]) if b - a == 1 else float(np.mean(w[a:b])),
-            basis=v[:, a:b],
-        )
-        for a, b in zip(bounds[:-1], bounds[1:])
-    )
-    return SpectralResolution(
-        connecting=g, spectrum=w, eigenvectors=v, cluster_gap=gap, fibers=fibers, offsets=offsets
-    )
+    return SpectralResolution(connecting=g, cluster_gap=gap, offsets=_read_only(offsets))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .forms import (
     Tolerances,
     _asymmetry,
     _maxabs,
+    _read_only,
     sqrt_positive,
 )
 
@@ -239,15 +240,11 @@ class ComplexificationMap:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] % 2:
             raise ValueError("basis must be a square matrix of even dimension")
-        basis = np.array(basis, copy=True)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _read_only(basis, copy=True))
 
     @cached_property
     def _basis_inv(self) -> np.ndarray:
-        inv = np.linalg.inv(self.basis)
-        inv.flags.writeable = False
-        return inv
+        return _read_only(np.linalg.inv(self.basis))
 
     @property
     def real_dim(self) -> int:

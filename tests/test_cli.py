@@ -62,7 +62,7 @@ class TestTripleCommand:
         assert result.exit_code == 0
         report = json.loads(result.output)
         assert report["passed"] is True
-        bundle = json.loads(open(out).read())
+        bundle = json.loads(Path(out).read_text())
         assert np.allclose(
             np.reshape(bundle["g"]["data"], (2, 2)), np.diag([2.5, 2.5])
         )
@@ -266,10 +266,10 @@ class TestSampleAndVerify:
         u_path = str(tmp_path / "u.json")
         args = ["sample-u", "--h1", files["h1"], "--h2", files["h2"], "--seed", "9", "--out", u_path]
         r1 = invoke(runner, args)
-        first = open(u_path).read()
+        first = Path(u_path).read_text()
         r2 = invoke(runner, args)
         assert r1.output == r2.output
-        assert first == open(u_path).read()
+        assert first == Path(u_path).read_text()
 
     def test_verify_rejects_swap(self, runner, files):
         result = invoke(

@@ -1,11 +1,15 @@
 """Tests for the connecting operator and bi-unitarity verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from biherm import (
+    ConnectingOperator,
     DimensionMismatchError,
     HermitianForm,
+    InternalInconsistencyError,
     SingularMetricError,
     Tolerances,
     connecting_operator,
@@ -63,6 +67,42 @@ class TestConnectingOperator:
             assert np.linalg.norm(v.conj().T @ h1.gram @ v - np.eye(n)) <= 1e-9
             assert np.linalg.norm(h2.gram @ v - h1.gram @ v * w) <= 1e-9 * np.linalg.norm(h2.gram)
             assert op.residuals["min_eigenvalue"] == w[0]
+
+    def test_built_from_the_two_forms_and_the_flag(self):
+        init = [f.name for f in dataclasses.fields(ConnectingOperator) if f.init]
+        assert init == ["h1", "h2", "ill_conditioned"]
+
+    def test_invariant_gate_raises_on_failing_residuals(self):
+        # no residual of a dense pair reaches 1e-30, so the gate must fire
+        h1, h2 = hermitian_pair_with_spectrum(np.random.default_rng(41), [0.5, 1.0, 1.5, 2.0], 10.0)
+        with pytest.raises(InternalInconsistencyError, match="failed invariant verification"):
+            connecting_operator(h1, h2, Tolerances(tol_resid=1e-30))
+
+    def test_ill_conditioned_flag_bypasses_the_gate(self):
+        # kappa(h1) = 10, so tol_eig = 0.5 flags h1 as ill-conditioned, and
+        # the flagged operator is returned although its residuals fail
+        h1, h2 = hermitian_pair_with_spectrum(np.random.default_rng(41), [0.5, 1.0, 1.5, 2.0], 10.0)
+        op = connecting_operator(h1, h2, Tolerances(tol_eig=0.5, tol_resid=1e-30))
+        assert op.ill_conditioned
+        assert op.residuals["defining"] > 1e-30
+
+    @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
+    def test_valid_pair_below_the_ill_conditioned_flag_passes_the_gate(self):
+        # Draw 451 of 460 from default_rng(11), each n = integers(2, 65),
+        # kappa = exp(uniform(log 5e7, log 1e8)), lam = uniform(0.5, 2, n),
+        # through hermitian_pair_with_spectrum: n = 2, kappa(h1) = 7.42e7.
+        # Its selfadjoint_h2 residual is 3.0e-10 against tol_resid = 1e-10,
+        # so the gate calls a valid pair an internal inconsistency.
+        h1 = form([
+            [15427772.643257782 + 0j, -13806673.916138375 - 26746912.25518298j],
+            [-13806673.916138375 + 26746912.25518298j, 58726664.88661395 + 0j],
+        ])
+        h2 = form([
+            [13605848.36436537 + 0j, -12174142.432212282 - 23592141.186097145j],
+            [-12174142.432212282 + 23592141.186097145j, 51801176.13979595 + 0j],
+        ])
+        assert h1.eigenvalues[-1] / h1.eigenvalues[0] < 1.0 / Tolerances().tol_eig
+        assert not connecting_operator(h1, h2).ill_conditioned
 
     def test_invariants_on_random_pairs(self):
         rng = np.random.default_rng(17)

@@ -5,6 +5,8 @@ import pytest
 
 from biherm import (
     HermitianForm,
+    InternalInconsistencyError,
+    SpectralResolution,
     NotGenericError,
     NotInCommutantError,
     Tolerances,
@@ -13,6 +15,7 @@ from biherm import (
     check_genericity_consistency,
     check_proportionality,
     connecting_operator,
+    is_cyclic,
     is_generic_by_commutant,
     is_generic_by_spectrum,
     phase_biunitary,
@@ -21,6 +24,7 @@ from biherm import (
     spectral_resolution,
     verify_biunitary,
 )
+from biherm import spectral
 from conftest import (
     PER_FIBER_PATTERNS,
     hermitian_pair_with_multiplicities,
@@ -250,6 +254,15 @@ class TestGenericityConsistency:
         _, _, op = diag_pair(1.0, 1.0, 2.0)
         assert check_genericity_consistency(build_decomposition(op), op) is False
 
+    def test_offsets_splitting_a_cluster_raise(self):
+        # the offsets cut the 2-fold eigenvalue 2 into two singletons, so
+        # the fibers say generic and the commutant count says not
+        _, _, op = diag_pair(1.0, 2.0, 2.0)
+        res = spectral_resolution(op)
+        split = SpectralResolution(op, res.cluster_gap, np.array([0, 1, 2, 3]))
+        with pytest.raises(InternalInconsistencyError, match="unidimensional=True"):
+            check_genericity_consistency(split, op)
+
     def test_no_inconsistency_on_random_corpus(self):
         rng = np.random.default_rng(55)
         for _ in range(40):
@@ -308,6 +321,33 @@ class TestGenericityConsistency:
             assert check_genericity_consistency(dec, op) == generic
             assert calls == []
             assert generic == (mults == (1, 1, 1, 1))
+
+    def test_pair_chain_builds_no_fiber(self, monkeypatch):
+        # the chain of one benchmark pair op reads multiplicities and
+        # offsets only, so it never materializes the fibers
+        built = []
+
+        def counted(*args, _original=spectral.Fiber, **kwargs):
+            built.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "Fiber", counted)
+        rng = np.random.default_rng(22)
+        for mults in ((1, 1, 1, 1), (1, 2, 1, 3), (1, 3) * 8):
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            op = connecting_operator(h1, h2)
+            res = spectral_resolution(op)
+            generic = is_generic_by_spectrum(res)
+            assert is_generic_by_commutant(op, resolution=res) == generic
+            assert is_cyclic(op, seed=1) == generic
+            dec = build_decomposition(op, resolution=res)
+            assert check_proportionality(dec, h1, h2).passed
+            assert check_genericity_consistency(dec, op) == generic
+            u = sample_biunitary(dec, 1)
+            assert verify_biunitary(u, h1, h2, connecting=op).passed
+        assert built == []
+        fibers = res.fibers  # which the counter does see
+        assert len(built) == len(fibers) == res.n_fibers
 
 
 class TestSampleBiunitary:

@@ -1,5 +1,6 @@
 """Tests for spectral clustering, genericity and cyclicity."""
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from biherm import (
     DegenerateSpectrumError,
     HermitianForm,
+    SpectralResolution,
     Tolerances,
     ZeroCoefficientError,
     bicommutant_dimension,
@@ -68,6 +70,11 @@ class TestSpectralResolution:
         res = spectral_resolution(diag_operator(1.0, 1.0 + 1e-4, 2.0))
         assert res.multiplicities == (1, 1, 1)
 
+    def test_built_from_operator_gap_and_offsets(self):
+        init = [f.name for f in dataclasses.fields(SpectralResolution) if f.init]
+        assert init == ["connecting", "cluster_gap", "offsets"]
+        assert not hasattr(SpectralResolution, "basis_matrix")
+
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(3)
         tol = Tolerances()
@@ -80,14 +87,14 @@ class TestSpectralResolution:
             assert res.multiplicities == mults
             recon = sum(f.eigenvalue * (f.basis @ f.basis.conj().T @ h1.gram) for f in res.fibers)
             assert np.linalg.norm(recon - op.mat) <= 10 * tol.tol_resid * np.linalg.norm(op.mat)
-            v = res.basis_matrix()
+            v = res.eigenvectors
             assert np.linalg.norm(v.conj().T @ h1.gram @ v - np.eye(n)) <= 1e-9
 
     def test_stored_arrays_are_read_only_views(self):
         rng = np.random.default_rng(8)
         h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1, 3, 2))
         res = spectral_resolution(connecting_operator(h1, h2))
-        v = res.basis_matrix()
+        v = res.eigenvectors
         arrays = [res.spectrum, v, res.eigenvalues, res.offsets, h1.eigenvalues]
         arrays += [f.basis for f in res.fibers]
         for a in arrays:
