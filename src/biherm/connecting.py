@@ -3,10 +3,12 @@
 Two positive-definite Hermitian forms h1, h2 on the same space determine
 a unique positive operator G with h2(x, y) = h1(Gx, y); G is self-adjoint
 with respect to both forms, and its eigenpairs solve the pencil
-h2 x = lam h1 x, which :class:`ConnectingOperator` solves once, at
+h2 x = lam h1 x.  With h1 = L Lᴴ, both come from one inverted Cholesky
+factor: G = L⁻ᴴ (L⁻¹ h2), and the pencil is congruent to the Hermitian
+L⁻¹ h2 L⁻ᴴ.  :class:`ConnectingOperator` computes them once, at
 construction, for every later stage.  A transformation preserving both
-forms necessarily commutes with G, which is what
-:func:`verify_biunitary` checks numerically.
+forms necessarily commutes with G, which is what :func:`verify_biunitary`
+checks numerically.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalInconsistencyError, NonFiniteError, SingularMetricError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _metric_eigh, _read_only
+from .forms import (
+    _TINY,
+    DEFAULT_TOLERANCES,
+    HermitianForm,
+    Tolerances,
+    _congruence_eigh,
+    _fro,
+    _lower_inverse,
+    _read_only,
+)
 
 __all__ = [
     "ConnectingOperator",
@@ -33,13 +44,15 @@ class ConnectingOperator:
 
     Built from the two forms alone, which must have one dimension
     (:class:`DimensionMismatchError` otherwise); everything else is
-    derived from them once, at construction, and stored read-only.
-    ``mat`` is G, solved from ``h2.gram == h1.gram @ mat``, self-adjoint
-    with respect to both forms.  ``spectrum`` (the eigenvalues of G,
-    ascending) and ``eigenvectors`` (the matching h1-orthonormal
-    eigenvectors, as column-major columns) are the one solve of the
-    pencil h2 x = lam h1 x; a numerically singular h1 raises
-    :class:`SingularMetricError` there.  ``residuals`` holds
+    derived from them once, at construction, and stored read-only, from
+    the inverse of h1's Cholesky factor L (``h1.factor``) and the product
+    L⁻¹ h2.  ``mat`` is G = L⁻ᴴ (L⁻¹ h2), so ``h2.gram == h1.gram @ mat``,
+    self-adjoint with respect to both forms.  ``spectrum`` (the
+    eigenvalues of G, ascending) and ``eigenvectors`` (the matching
+    h1-orthonormal eigenvectors, as column-major columns) are the one
+    solve of the pencil h2 x = lam h1 x, by the congruence L⁻¹ h2 L⁻ᴴ.
+    An h1 accepted without a factor (numerically singular) raises
+    :class:`SingularMetricError`.  ``residuals`` holds
     :meth:`invariant_residuals`.  ``ill_conditioned`` flags a defining
     form h1 whose condition number exceeds the reciprocal eigenvalue
     tolerance; results are still returned in that case but residuals may
@@ -58,13 +71,14 @@ class ConnectingOperator:
         h1, h2 = self.h1, self.h2
         if h1.dim != h2.dim:
             raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")
-        object.__setattr__(self, "mat", _read_only(np.linalg.solve(h1.gram, h2.gram)))
-        try:
-            w, v = _metric_eigh(h2.gram, h1.gram)
-        except SingularMetricError:
+        if h1.factor is None:
             w_min = h1.eigenvalues[0]
             msg = f"h1 is numerically singular: its Cholesky factorization failed (min eigenvalue {w_min:.3e})"
-            raise SingularMetricError(msg) from None
+            raise SingularMetricError(msg)
+        linv = _lower_inverse(h1.factor)
+        linv_h, lk = linv.conj().T, linv @ h2.gram
+        w, v = _congruence_eigh(lk, linv_h)
+        object.__setattr__(self, "mat", _read_only(linv_h @ lk))
         object.__setattr__(self, "spectrum", _read_only(w))
         object.__setattr__(self, "eigenvectors", _read_only(v))
         object.__setattr__(self, "residuals", self.invariant_residuals())
@@ -111,16 +125,16 @@ def connecting_operator(
 ) -> ConnectingOperator:
     """The connecting operator G of (h1, h2), flagged and verified.
 
-    :class:`ConnectingOperator` solves h1.gram @ G = h2.gram directly (no
-    explicit inverse); this function sets its ``ill_conditioned`` flag
-    from the condition number of h1 and ``tol.tol_eig``.  G is verified
-    to satisfy the defining identity, self-adjointness with respect to
-    both forms, and positivity before being returned; with validated
-    positive-definite inputs these hold automatically, so a violation is
-    reported as an internal inconsistency rather than an input error —
-    except when h1 is flagged ill-conditioned, where degraded residuals
-    are tolerated and the flagged result is returned for the caller to
-    judge.
+    :class:`ConnectingOperator` derives G from h1's Cholesky factor; this
+    function sets its ``ill_conditioned`` flag from the condition number
+    of h1 (its eigenvalues, computed here on first use) and
+    ``tol.tol_eig``.  G is verified to satisfy the defining identity,
+    self-adjointness with respect to both forms, and positivity before
+    being returned; with validated positive-definite inputs these hold
+    automatically, so a violation is reported as an internal
+    inconsistency rather than an input error — except when h1 is flagged
+    ill-conditioned, where degraded residuals are tolerated and the
+    flagged result is returned for the caller to judge.
 
     Raises
     ------
@@ -128,10 +142,13 @@ def connecting_operator(
         If the two forms have different dimensions.
     SingularMetricError
         If h1 passed its positivity check but is numerically singular: its
-        Cholesky factorization fails, so G has no spectrum to report.
+        Cholesky factorization failed, so G has no spectrum to report.
     """
+    # Python floats, so that a form accepted by its Cholesky factor while
+    # its eigvalsh puts the smallest eigenvalue at or below zero reads
+    # cond = inf, without numpy's overflow warning
     w1 = h1.eigenvalues
-    cond = float(w1[-1] / max(w1[0], _TINY))
+    cond = float(w1[-1]) / max(float(w1[0]), float(_TINY))
     op = ConnectingOperator(h1, h2, ill_conditioned=cond > 1.0 / tol.tol_eig)
     if not invariants_hold(op.residuals, tol) and not op.ill_conditioned:
         raise InternalInconsistencyError(

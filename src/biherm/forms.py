@@ -3,18 +3,23 @@
 Everything downstream (triple construction, connecting operators, spectral
 analysis, fibered decompositions) is built on the form types and two
 operations in this module: the metric generalized eigensolver and the
-positive operator square root.  Both rest on one numpy-only kernel, the
-Cholesky congruence of a Hermitian pencil (Golub & Van Loan, *Matrix
-Computations*, section 8.7), which :mod:`biherm.connecting` also uses to
-solve the pencil (h2, h1) once per pair.  The module also keeps the
-Krylov rank of a start vector, which no other module calls.  All types
-are immutable after construction and all operations are pure functions,
-so values can be shared freely across threads.
+positive operator square root.  A :class:`HermitianForm` decides
+positivity by its Cholesky factor and keeps it.  Everything that solves
+against a metric rests on one numpy-only kernel: that factor inverted as
+a triangle in 2×2 blocks (:func:`_lower_inverse`), and the Cholesky
+congruence of a Hermitian pencil built from the inverse (Golub & Van
+Loan, *Matrix Computations*, section 8.7).  :mod:`biherm.connecting`
+uses the inverse of h1's factor for both the pencil (h2, h1) and G
+itself, once per pair.  The module also keeps the Krylov rank of a start
+vector, which no other module calls.  All types are immutable after
+construction and all operations are pure functions, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,24 +190,39 @@ class HermitianForm:
     """A positive-definite Hermitian form on C^n given by its Gram matrix.
 
     Evaluation convention: ``form(x, y) = x.conj() @ gram @ y``, linear in
-    the second argument.  ``eigenvalues`` holds the ascending eigenvalues
-    of ``gram`` from the positivity check, frozen.
+    the second argument.  Positivity is decided by a Cholesky
+    factorization ``gram = factor @ factor.conj().T``, and ``factor``
+    keeps the lower-triangular factor, frozen: the connecting operator
+    and the pencil of a pair whose first form this is both start from
+    it.  When the factorization fails the form falls back to the
+    eigenvalue verdict: a gram whose smallest eigenvalue is still
+    positive is accepted, numerically singular, with ``factor`` None.
+    ``eigenvalues`` holds the ascending eigenvalues of ``gram``,
+    computed on first use and frozen.
     """
 
     gram: np.ndarray
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False)
+    factor: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _require_square(self.gram, "gram").astype(complex, copy=False)
         resid, scale = _asymmetry(mat, 1)
         if resid > self.tol.tol_sym * scale:
             raise ValueError("gram is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh(mat)
-        if w[0] <= 0.0:
-            raise ValueError(f"gram is not positive-definite (min eigenvalue {w[0]:.3e})")
         object.__setattr__(self, "gram", _read_only(mat, copy=True))
-        object.__setattr__(self, "eigenvalues", _read_only(w))
+        try:
+            factor = _read_only(np.linalg.cholesky(self.gram))
+        except np.linalg.LinAlgError:
+            w = self.eigenvalues
+            if w[0] <= 0.0:
+                raise ValueError(f"gram is not positive-definite (min eigenvalue {w[0]:.3e})") from None
+            factor = None
+        object.__setattr__(self, "factor", factor)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return _read_only(np.linalg.eigvalsh(self.gram))
 
     @property
     def dim(self) -> int:
@@ -212,21 +232,42 @@ class HermitianForm:
         return complex(np.asarray(x).conj() @ self.gram @ np.asarray(y))
 
 
-def _metric_eigh(k: np.ndarray, metric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian pencil k x = lam metric x, by Cholesky congruence.
+_LEAF = 32
 
-    With metric = L L^H the pencil is congruent to (L^{-1} k L^{-H}) y = lam y,
-    and x = L^{-H} y.  Returns the ascending eigenvalues and the
-    metric-orthonormal eigenvectors as the columns of a column-major
-    matrix.  Raises :class:`SingularMetricError` when the Cholesky
-    factorization fails.
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix by recursive 2×2 blocking.
+
+    With ``low = [[A, 0], [B, C]]`` the inverse is
+    ``[[A⁻¹, 0], [-(C⁻¹ B) A⁻¹, C⁻¹]]`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 14).  Blocks of at most ``_LEAF`` rows
+    go to ``np.linalg.inv``, so up to that size the result is its array;
+    above it the work is two half-size inverses and two gemms per level.
     """
-    try:
-        linv = np.linalg.inv(np.linalg.cholesky(metric))
-        w, y = np.linalg.eigh(linv @ k @ linv.conj().T)
-    except np.linalg.LinAlgError:
-        raise SingularMetricError("metric is not positive-definite") from None
-    return w, np.asfortranarray(linv.conj().T @ y)
+    n = low.shape[0]
+    if n <= _LEAF:
+        return np.linalg.inv(low)
+    h = n // 2
+    a_inv = _lower_inverse(low[:h, :h])
+    c_inv = _lower_inverse(low[h:, h:])
+    out = np.zeros_like(a_inv, shape=(n, n))
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -(c_inv @ low[h:, :h]) @ a_inv
+    return out
+
+
+def _congruence_eigh(lk: np.ndarray, linv_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian pencil k x = lam L Lᴴ x, by Cholesky congruence.
+
+    Takes ``lk`` = L⁻¹ k and ``linv_h`` = L⁻ᴴ.  The pencil is congruent
+    to (L⁻¹ k L⁻ᴴ) y = lam y, and x = L⁻ᴴ y (Golub & Van Loan, *Matrix
+    Computations*, section 8.7).  Returns the ascending eigenvalues and
+    the metric-orthonormal eigenvectors as the columns of a column-major
+    matrix.
+    """
+    w, y = np.linalg.eigh(lk @ linv_h)
+    return w, np.asfortranarray(linv_h @ y)
 
 
 def generalized_eig(
@@ -239,8 +280,8 @@ def generalized_eig(
     Solves ``a @ v = lam * v`` for an operator that is self-adjoint with
     respect to the positive-definite ``metric`` M (that is, M·a = a†·M).
     The problem is reduced by Cholesky congruence of M to a standard
-    Hermitian one (:func:`_metric_eigh`), which keeps the eigenvectors
-    M-orthonormal.
+    Hermitian one (:func:`_congruence_eigh`, with the factor inverted by
+    :func:`_lower_inverse`), which keeps the eigenvectors M-orthonormal.
 
     Returns
     -------
@@ -270,7 +311,11 @@ def generalized_eig(
             f"operator is not metric-self-adjoint (relative residual {resid / scale:.3e})"
         )
     k = 0.5 * (k + k.conj().T)
-    return _metric_eigh(k, 0.5 * (metric + metric.conj().T))
+    try:
+        linv = _lower_inverse(np.linalg.cholesky(0.5 * (metric + metric.conj().T)))
+        return _congruence_eigh(linv @ k, linv.conj().T)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("metric is not positive-definite") from None
 
 
 def sqrt_positive(

@@ -18,6 +18,7 @@ from conftest import (
     NEAR_SINGULAR_H1,
     hermitian_pair_with_multiplicities,
     random_admissible_pair,
+    random_hpd,
     random_spd,
 )
 
@@ -186,6 +187,42 @@ class TestPipeline:
         (line,) = result.output.splitlines()
         assert line.startswith("analysis failed: h1 is numerically singular")
         assert not out.exists()
+
+    @pytest.mark.parametrize("deficient", ["h1", "both", "h2"])
+    def test_rank_deficient_forms_never_leak_lapack_text(self, runner, tmp_path, deficient):
+        # rank-deficient PSD Gram matrices B Bᴴ: rounding leaves some of
+        # them numerically positive-definite, so each is rejected by its
+        # form, reported singular, flagged ill-conditioned or, when only h2
+        # is deficient and its rounding keeps it positive, analysed
+        rng = np.random.default_rng(5)
+        paths = [str(tmp_path / "h1.json"), str(tmp_path / "h2.json")]
+        out = str(tmp_path / "G.json")
+        exits = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 17))
+            for path, name in zip(paths, ("h1", "h2")):
+                if deficient in (name, "both"):
+                    r = int(rng.integers(1, n))
+                    b = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+                    mat = b @ b.conj().T
+                else:
+                    mat = random_hpd(rng, n)
+                save_matrix(path, 0.5 * (mat + mat.conj().T), "complex_hermitian")
+            result = invoke(runner, ["connect", "--h1", paths[0], "--h2", paths[1], "--out", out])
+            exits.add(result.exit_code)
+            for text in ("leading minor", "Singular matrix", "not positive definite", "LinAlgError", "Traceback"):
+                assert text not in result.output
+            if result.exit_code == 1 and not result.output.startswith("{"):
+                (line,) = result.output.splitlines()
+                assert line.startswith((
+                    "analysis failed: gram is not positive-definite (min eigenvalue",
+                    "analysis failed: h1 is numerically singular",
+                    "analysis failed: connecting operator failed invariant verification",
+                ))
+            elif deficient != "h2":
+                assert result.exit_code == 1
+                assert json.loads(result.output)["results"]["ill_conditioned"] is True
+        assert exits <= {0, 1} if deficient == "h2" else exits == {1}
 
 
 class TestSpectrumAndGeneric:

@@ -47,6 +47,7 @@ class TestConnectingOperator:
 
     def test_numerically_singular_h1_is_a_singular_metric_error(self):
         h1 = form(NEAR_SINGULAR_H1)
+        assert h1.factor is None
         assert h1.eigenvalues[0] > 0.0
         with pytest.raises(SingularMetricError, match="^h1 is numerically singular"):
             connecting_operator(h1, form(np.eye(2)))
@@ -86,13 +87,13 @@ class TestConnectingOperator:
         assert op.ill_conditioned
         assert op.residuals["defining"] > 1e-30
 
-    @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
     def test_valid_pair_below_the_ill_conditioned_flag_passes_the_gate(self):
         # Draw 451 of 460 from default_rng(11), each n = integers(2, 65),
         # kappa = exp(uniform(log 5e7, log 1e8)), lam = uniform(0.5, 2, n),
         # through hermitian_pair_with_spectrum: n = 2, kappa(h1) = 7.42e7.
-        # Its selfadjoint_h2 residual is 3.0e-10 against tol_resid = 1e-10,
-        # so the gate calls a valid pair an internal inconsistency.
+        # G solved by LU from h1 @ G = h2 had a selfadjoint_h2 residual of
+        # 3.0e-10 against tol_resid = 1e-10, and the gate called this valid
+        # pair an internal inconsistency; G from h1's Cholesky factor passes.
         h1 = form([
             [15427772.643257782 + 0j, -13806673.916138375 - 26746912.25518298j],
             [-13806673.916138375 + 26746912.25518298j, 58726664.88661395 + 0j],
@@ -103,6 +104,20 @@ class TestConnectingOperator:
         ])
         assert h1.eigenvalues[-1] / h1.eigenvalues[0] < 1.0 / Tolerances().tol_eig
         assert not connecting_operator(h1, h2).ill_conditioned
+
+    @pytest.mark.parametrize("count, kappa_min", [(460, 5e7), (1500, 1.0)])
+    def test_no_valid_pair_below_the_flag_trips_the_gate(self, count, kappa_min):
+        # the replay that found the pair above: every draw, kappa(h1)
+        # log-uniform up to the ill-conditioned flag at 1e8
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(count):
+            n = int(rng.integers(2, 65))
+            kappa = float(np.exp(rng.uniform(np.log(kappa_min), np.log(1e8))))
+            h1, h2 = hermitian_pair_with_spectrum(rng, rng.uniform(0.5, 2.0, n), kappa)
+            r = connecting_operator(h1, h2).residuals
+            worst = max(worst, r["defining"], r["selfadjoint_h1"], r["selfadjoint_h2"])
+        assert worst <= 1e-11
 
     def test_invariants_on_random_pairs(self):
         rng = np.random.default_rng(17)

@@ -298,22 +298,33 @@ class TestGenericityConsistency:
 
 
     def test_one_pencil_eigensolve_per_pair(self, monkeypatch):
-        # every numpy eigensolver, and the Cholesky factor behind the
-        # pencil solve, counted by name
-        calls = []
-        for name in ("cholesky", "eig", "eigh", "eigvals", "eigvalsh"):
+        # every numpy eigensolver, the Cholesky factor and the two dense
+        # solvers, counted by name; inv also records its argument's shape
+        calls, inv_shapes = [], []
+        for name in ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "solve", "inv"):
 
             def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 calls.append(_name)
+                if _name == "inv":
+                    inv_shapes.append(np.shape(args[0]))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         rng = np.random.default_rng(21)
-        for mults in ((1, 1, 1, 1), (1, 2, 1, 3), (1, 3) * 8):
-            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
-            calls.clear()  # the forms validate positivity with their own eigvalsh
+        for mults in ((1, 1, 1, 1), (1, 2, 1, 3), (1, 3) * 8, (1, 3) * 20):
+            f1, f2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            calls.clear()
+            h1, h2 = HermitianForm(f1.gram), HermitianForm(f2.gram)
+            # positivity is one Cholesky per form; no eigensolver runs
+            assert calls == ["cholesky", "cholesky"]
+            calls.clear()
+            inv_shapes.clear()
             op = connecting_operator(h1, h2)
-            assert calls == ["cholesky", "eigh"]
+            # the lazy eigvalsh is kappa(h1), the eigh the pencil; G and
+            # the pencil share h1's factor, inverted in blocks of <= 32,
+            # and no LU solve runs
+            assert [c for c in calls if c != "inv"] == ["eigvalsh", "eigh"]
+            assert inv_shapes and all(max(s) <= 32 for s in inv_shapes)
             calls.clear()
             res = spectral_resolution(op)
             generic = is_generic_by_commutant(op, resolution=res)

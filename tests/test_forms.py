@@ -17,7 +17,10 @@ from biherm import (
     krylov_rank,
     sqrt_positive,
 )
-from conftest import random_spd
+from biherm.forms import _lower_inverse
+from conftest import NEAR_SINGULAR_H1, random_hpd, random_orthogonal, random_spd, random_unitary
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # smallest eigenvalue of the 4x4 Hilbert matrix, frozen from the exact
 # characteristic polynomial solved in rational arithmetic
@@ -107,6 +110,61 @@ class TestFormTypes:
         form = RealForm(np.eye(2), "symmetric")
         with pytest.raises(ValueError):
             form.gram[0, 0] = 5.0
+
+
+class TestHermitianFormFactor:
+    def test_factor_is_read_only_and_reproduces_gram(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 12, 64):
+            form = HermitianForm(random_hpd(rng, n))
+            low = form.factor
+            with pytest.raises(ValueError):
+                low[0, 0] = 1.0
+            assert np.array_equal(low, np.tril(low))
+            assert np.linalg.norm(low @ low.conj().T - form.gram) <= 1e-13 * np.linalg.norm(form.gram)
+
+    def test_lazy_eigenvalues_equal_eigvalsh_of_gram(self):
+        rng = np.random.default_rng(32)
+        for n in (1, 3, 40):
+            form = HermitianForm(random_hpd(rng, n))
+            assert "eigenvalues" not in vars(form)
+            w = form.eigenvalues
+            assert w is form.eigenvalues
+            assert np.array_equal(w, np.linalg.eigvalsh(form.gram))
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_indefinite_gram_names_its_min_eigenvalue(self):
+        with pytest.raises(ValueError, match=r"^gram is not positive-definite \(min eigenvalue -1\.000e\+00\)$"):
+            HermitianForm(np.diag([2.0, -1.0, 3.0]))
+
+    def test_numerically_singular_gram_is_accepted_without_factor(self):
+        form = HermitianForm(NEAR_SINGULAR_H1)
+        assert form.factor is None
+        assert form.eigenvalues[0] > 0.0
+
+
+def _cholesky_factor(rng, n, kappa, complex_factor):
+    """Lower Cholesky factor of a Gram matrix with cond = kappa."""
+    q = random_unitary(rng, n) if complex_factor else random_orthogonal(rng, n)
+    w = np.geomspace(1.0, kappa, n)
+    h = (q * w) @ q.conj().T
+    return np.linalg.cholesky(0.5 * (h + h.conj().T))
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("complex_factor", [False, True])
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 127, 128, 257])
+    def test_left_residual_within_the_triangular_bound(self, n, kappa, complex_factor):
+        low = _cholesky_factor(np.random.default_rng(n), n, kappa, complex_factor)
+        x = _lower_inverse(low)
+        assert x.dtype == low.dtype
+        if n <= 32:
+            # up to the leaf size the kernel is LAPACK's inverse itself
+            assert np.array_equal(x, np.linalg.inv(low))
+        bound = n * UNIT_ROUNDOFF * np.linalg.cond(low)
+        assert np.linalg.norm(x @ low - np.eye(n)) <= bound
 
 
 class TestGeneralizedEig:
