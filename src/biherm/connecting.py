@@ -6,26 +6,29 @@ with respect to both forms, and its eigenpairs solve the pencil
 h2 x = lam h1 x.  With h1 = L Lᴴ, both come from one inverted Cholesky
 factor: G = L⁻ᴴ (L⁻¹ h2), and the pencil is congruent to the Hermitian
 L⁻¹ h2 L⁻ᴴ.  :class:`ConnectingOperator` computes them once, at
-construction, for every later stage.  A transformation preserving both
+construction, for every later stage, and :func:`connecting_operator`
+bounds κ(h1) from the same inverted factor for its ill-conditioned
+flag.  A transformation preserving both
 forms necessarily commutes with G, which is what :func:`verify_biunitary`
 checks numerically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalInconsistencyError, NonFiniteError, SingularMetricError
 from .forms import (
+    _EPS,
     _TINY,
     DEFAULT_TOLERANCES,
     HermitianForm,
     Tolerances,
     _congruence_eigh,
     _fro,
-    _lower_inverse,
     _read_only,
 )
 
@@ -45,18 +48,19 @@ class ConnectingOperator:
     Built from the two forms alone, which must have one dimension
     (:class:`DimensionMismatchError` otherwise); everything else is
     derived from them once, at construction, and stored read-only, from
-    the inverse of h1's Cholesky factor L (``h1.factor``) and the product
-    L⁻¹ h2.  ``mat`` is G = L⁻ᴴ (L⁻¹ h2), so ``h2.gram == h1.gram @ mat``,
-    self-adjoint with respect to both forms.  ``spectrum`` (the
-    eigenvalues of G, ascending) and ``eigenvectors`` (the matching
-    h1-orthonormal eigenvectors, as column-major columns) are the one
-    solve of the pencil h2 x = lam h1 x, by the congruence L⁻¹ h2 L⁻ᴴ.
-    An h1 accepted without a factor (numerically singular) raises
-    :class:`SingularMetricError`.  ``residuals`` holds
-    :meth:`invariant_residuals`.  ``ill_conditioned`` flags a defining
-    form h1 whose condition number exceeds the reciprocal eigenvalue
-    tolerance; results are still returned in that case but residuals may
-    be degraded.
+    the inverse of h1's Cholesky factor L (``h1.inverse_factor``) and the
+    product L⁻¹ h2.  ``mat`` is G = L⁻ᴴ (L⁻¹ h2), so ``h2.gram ==
+    h1.gram @ mat``, self-adjoint with respect to both forms.
+    ``spectrum`` (the eigenvalues of G, ascending) and ``eigenvectors``
+    (the matching h1-orthonormal eigenvectors, as column-major columns)
+    are the one solve of the pencil h2 x = lam h1 x, by the congruence
+    L⁻¹ h2 L⁻ᴴ.  An h1 accepted without a factor (numerically singular)
+    raises :class:`SingularMetricError`; forms scaled so far apart that G
+    or a residual leaves the double range raise :class:`NonFiniteError`.
+    ``residuals`` holds :meth:`invariant_residuals`.  ``ill_conditioned``
+    flags a defining form h1 whose condition number exceeds the
+    reciprocal eigenvalue tolerance; results are still returned in that
+    case but residuals may be degraded.
     """
 
     h1: HermitianForm
@@ -71,17 +75,24 @@ class ConnectingOperator:
         h1, h2 = self.h1, self.h2
         if h1.dim != h2.dim:
             raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")
-        if h1.factor is None:
+        linv = h1.inverse_factor
+        if linv is None:
             w_min = h1.eigenvalues[0]
             msg = f"h1 is numerically singular: its Cholesky factorization failed (min eigenvalue {w_min:.3e})"
             raise SingularMetricError(msg)
-        linv = _lower_inverse(h1.factor)
-        linv_h, lk = linv.conj().T, linv @ h2.gram
-        w, v = _congruence_eigh(lk, linv_h)
-        object.__setattr__(self, "mat", _read_only(linv_h @ lk))
+        with np.errstate(over="ignore", invalid="ignore"):
+            linv_h, lk = linv.conj().T, linv @ h2.gram
+            w, v = _congruence_eigh(lk, linv_h)
+            mat = linv_h @ lk
+        object.__setattr__(self, "mat", _read_only(mat))
         object.__setattr__(self, "spectrum", _read_only(w))
         object.__setattr__(self, "eigenvectors", _read_only(v))
         object.__setattr__(self, "residuals", self.invariant_residuals())
+        if not all(map(math.isfinite, self.residuals.values())):
+            raise NonFiniteError(
+                "G or its invariant residuals leave the double range: h1 and h2 are scaled "
+                f"too far apart (residuals {self.residuals})"
+            )
 
     @property
     def dim(self) -> int:
@@ -96,10 +107,11 @@ class ConnectingOperator:
         G (positive for a valid pair), ``spectrum[0]``.
         """
         h1, h2, g = self.h1.gram, self.h2.gram, self.mat
-        h1g = h1 @ g
-        out = {"defining": _fro(h2 - h1g) / max(_fro(h2), _TINY)}
-        for key, k in (("selfadjoint_h1", h1g), ("selfadjoint_h2", h2 @ g)):
-            out[key] = _fro(k - k.conj().T) / max(_fro(k), _TINY)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h1g = h1 @ g
+            out = {"defining": _fro(h2 - h1g) / max(_fro(h2), _TINY)}
+            for key, k in (("selfadjoint_h1", h1g), ("selfadjoint_h2", h2 @ g)):
+                out[key] = _fro(k - k.conj().T) / max(_fro(k), _TINY)
         out["min_eigenvalue"] = float(self.spectrum[0])
         return out
 
@@ -118,6 +130,30 @@ def invariants_hold(residuals: dict[str, float], tol: Tolerances) -> bool:
     )
 
 
+def _ill_conditioned(h1: HermitianForm, tol: Tolerances) -> bool:
+    """Whether κ₂(h1) = λmax/λmin exceeds the limit 1/``tol.tol_eig``.
+
+    With h1 = L Lᴴ, κ₂(h1) = λmax·‖L⁻¹‖₂² ≤ ‖h1‖_F·‖L⁻¹‖_F² (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 15), a bound
+    read in O(n²) from h1's inverse factor.  When it is at most half the
+    limit and n·u times it is below 1e-3, the eigenvalue ratio would be
+    accurate and under the limit too, so h1 is not ill-conditioned and no
+    eigensolve runs.  Otherwise the flag is the ratio of h1's eigenvalues,
+    in Python floats, so that a form whose eigvalsh puts the smallest
+    eigenvalue at or below zero reads inf without numpy's overflow warning.
+    """
+    limit = 1.0 / tol.tol_eig
+    linv = h1.inverse_factor
+    if linv is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            linv_norm = _fro(linv)
+            bound = _fro(h1.gram) * linv_norm * linv_norm
+        if bound <= 0.5 * limit and 0.5 * _EPS * h1.dim * bound < 1e-3:
+            return False
+    w1 = h1.eigenvalues
+    return float(w1[-1]) / max(float(w1[0]), float(_TINY)) > limit
+
+
 def connecting_operator(
     h1: HermitianForm,
     h2: HermitianForm,
@@ -125,16 +161,21 @@ def connecting_operator(
 ) -> ConnectingOperator:
     """The connecting operator G of (h1, h2), flagged and verified.
 
-    :class:`ConnectingOperator` derives G from h1's Cholesky factor; this
-    function sets its ``ill_conditioned`` flag from the condition number
-    of h1 (its eigenvalues, computed here on first use) and
-    ``tol.tol_eig``.  G is verified to satisfy the defining identity,
+    :class:`ConnectingOperator` derives G from h1's inverse Cholesky
+    factor; this function sets its ``ill_conditioned`` flag when the
+    condition number κ₂(h1) exceeds 1/``tol.tol_eig``.  A bound on κ₂(h1)
+    from the same inverse factor decides the flag for every h1 well inside
+    the limit; only near or past it are h1's eigenvalues computed, and the
+    flag is then their ratio, so it falls exactly where the eigenvalue
+    ratio puts it.  G is verified to satisfy the defining identity,
     self-adjointness with respect to both forms, and positivity before
     being returned; with validated positive-definite inputs these hold
     automatically, so a violation is reported as an internal
     inconsistency rather than an input error — except when h1 is flagged
     ill-conditioned, where degraded residuals are tolerated and the
-    flagged result is returned for the caller to judge.
+    flagged result is returned for the caller to judge, and when
+    positivity is the only failure, which an h2 that passed its own
+    positivity check only by rounding causes.
 
     Raises
     ------
@@ -143,17 +184,20 @@ def connecting_operator(
     SingularMetricError
         If h1 passed its positivity check but is numerically singular: its
         Cholesky factorization failed, so G has no spectrum to report.
+        Or if h2 is numerically singular: G's smallest eigenvalue is at or
+        below zero while the other invariants hold.
+    NonFiniteError
+        If the forms are scaled so far apart that G or a residual leaves
+        the double range.
     """
-    # Python floats, so that a form accepted by its Cholesky factor while
-    # its eigvalsh puts the smallest eigenvalue at or below zero reads
-    # cond = inf, without numpy's overflow warning
-    w1 = h1.eigenvalues
-    cond = float(w1[-1]) / max(float(w1[0]), float(_TINY))
-    op = ConnectingOperator(h1, h2, ill_conditioned=cond > 1.0 / tol.tol_eig)
+    op = ConnectingOperator(h1, h2, ill_conditioned=_ill_conditioned(h1, tol))
     if not invariants_hold(op.residuals, tol) and not op.ill_conditioned:
-        raise InternalInconsistencyError(
-            f"connecting operator failed invariant verification: {op.residuals}"
-        )
+        r = op.residuals
+        if all(r[key] <= tol.tol_resid for key in ("defining", "selfadjoint_h1", "selfadjoint_h2")):
+            raise SingularMetricError(
+                f"h2 is numerically singular: G's smallest eigenvalue is {r['min_eigenvalue']:.3e}"
+            )
+        raise InternalInconsistencyError(f"connecting operator failed invariant verification: {r}")
     return op
 
 
@@ -220,9 +264,10 @@ def verify_biunitary(
     g = connecting.mat
 
     uh = u.conj().T
-    r1 = _fro(uh @ h1.gram @ u - h1.gram) / max(_fro(h1.gram), _TINY)
-    r2 = _fro(uh @ h2.gram @ u - h2.gram) / max(_fro(h2.gram), _TINY)
-    rc = _commutator_residual(u, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = _fro(uh @ h1.gram @ u - h1.gram) / max(_fro(h1.gram), _TINY)
+        r2 = _fro(uh @ h2.gram @ u - h2.gram) / max(_fro(h2.gram), _TINY)
+        rc = _commutator_residual(u, g)
     h1_ok = r1 <= tol.tol_resid
     h2_ok = r2 <= tol.tol_resid
     comm_ok = rc <= tol.tol_resid

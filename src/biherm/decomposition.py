@@ -121,7 +121,8 @@ def check_proportionality(
     """
     if h1.dim != dec.dim or h2.dim != dec.dim:
         raise DimensionMismatchError("form and decomposition dimensions differ")
-    scale = max(_fro(h2.gram), _TINY)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(_fro(h2.gram), _TINY)
     lam = dec.eigenvalues
     v = dec.eigenvectors
     hv1, hv2 = h1.gram @ v, h2.gram @ v

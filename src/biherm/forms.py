@@ -8,9 +8,11 @@ positivity by its Cholesky factor and keeps it.  Everything that solves
 against a metric rests on one numpy-only kernel: that factor inverted as
 a triangle in 2×2 blocks (:func:`_lower_inverse`), and the Cholesky
 congruence of a Hermitian pencil built from the inverse (Golub & Van
-Loan, *Matrix Computations*, section 8.7).  :mod:`biherm.connecting`
-uses the inverse of h1's factor for both the pencil (h2, h1) and G
-itself, once per pair.  The module also keeps the Krylov rank of a start
+Loan, *Matrix Computations*, section 8.7).  A form keeps its inverted
+factor too, and :mod:`biherm.connecting` reads h1's for the pencil
+(h2, h1), for G itself and for an O(n²) bound on κ(h1), once per pair;
+h1's eigenvalues are computed only when that bound cannot decide the
+ill-conditioned flag.  The module also keeps the Krylov rank of a start
 vector, which no other module calls.  All types are immutable after
 construction and all operations are pure functions, so values can be
 shared freely across threads.
@@ -18,6 +20,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,6 +46,8 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+_FRO_LOW = math.sqrt(_TINY / _EPS)
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,24 @@ def _maxabs(mat: np.ndarray) -> float:
 
 
 def _fro(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
+    """‖mat‖_F, safe from overflow and underflow.
+
+    The plain norm is returned whenever it is finite and at least
+    ``_FRO_LOW`` = √(tiny/ε): there, the squares that gradual underflow
+    rounds (each by at most tiny·u) move the sum of an n×n matrix by at
+    most 2·n²·u² relative.  Otherwise ``mat`` is rescaled by max|mat|
+    first, so a zero or non-finite matrix gives 0, inf or nan.  The plain
+    norm of a matrix far from scale 1 warns on overflow, so a caller that
+    may see one enters ``np.errstate(over="ignore", invalid="ignore")``
+    once around its block of norms.
+    """
+    nrm = float(np.linalg.norm(mat))
+    if _FRO_LOW <= nrm < math.inf:
+        return nrm
+    scale = _maxabs(mat)
+    if not 0.0 < scale < math.inf:
+        return scale
+    return scale * float(np.linalg.norm(mat / scale))
 
 
 def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:
@@ -197,8 +219,13 @@ class HermitianForm:
     it.  When the factorization fails the form falls back to the
     eigenvalue verdict: a gram whose smallest eigenvalue is still
     positive is accepted, numerically singular, with ``factor`` None.
-    ``eigenvalues`` holds the ascending eigenvalues of ``gram``,
-    computed on first use and frozen.
+    ``inverse_factor`` holds L⁻¹ for ``factor`` = L (None without a
+    factor), computed on first use by :func:`_lower_inverse` and frozen:
+    G, the pencil and the condition certificate of a pair all read it.
+    ``eigenvalues`` holds the ascending eigenvalues of ``gram``, computed
+    on first use and frozen; no stage of a pair reads them unless the
+    bound on κ(h1) cannot decide the ill-conditioned flag (see
+    :func:`biherm.connecting.connecting_operator`).
     """
 
     gram: np.ndarray
@@ -219,6 +246,10 @@ class HermitianForm:
                 raise ValueError(f"gram is not positive-definite (min eigenvalue {w[0]:.3e})") from None
             factor = None
         object.__setattr__(self, "factor", factor)
+
+    @cached_property
+    def inverse_factor(self) -> np.ndarray | None:
+        return None if self.factor is None else _read_only(_lower_inverse(self.factor))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

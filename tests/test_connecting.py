@@ -10,9 +10,11 @@ from biherm import (
     DimensionMismatchError,
     HermitianForm,
     InternalInconsistencyError,
+    NonFiniteError,
     SingularMetricError,
     Tolerances,
     connecting_operator,
+    invariants_hold,
     verify_biunitary,
 )
 from conftest import NEAR_SINGULAR_H1, hermitian_pair_with_spectrum, random_hpd, random_unitary
@@ -154,6 +156,93 @@ class TestConnectingOperator:
             g = connecting_operator(h1, h2).mat
             g_swap = connecting_operator(h2, h1).mat
             assert np.allclose(g_swap, np.linalg.inv(g), atol=1e-10 * np.linalg.norm(g))
+
+
+class TestConditionCertificate:
+    # log-spaced across every limit 1/tol_eig below, plus a dense run
+    # around the default limit 1e8
+    KAPPAS = np.concatenate([np.logspace(0.0, 12.0, 13), 1e8 * (1.0 + np.linspace(-1e-3, 1e-3, 9))])
+
+    @pytest.mark.parametrize("n", [2, 12, 64, 128])
+    def test_flag_is_the_eigenvalue_ratio(self, n):
+        # both forms scaled by 10^±6, so h1's smallest eigenvalue is not 1
+        rng = np.random.default_rng(50 + n)
+        for kappa in self.KAPPAS:
+            f1, f2 = hermitian_pair_with_spectrum(rng, 0.5 + np.cumsum(0.05 + rng.random(n)), kappa)
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            h1, h2 = form(scale * f1.gram), form(scale * f2.gram)
+            w = np.linalg.eigvalsh(h1.gram)
+            for tol_eig in (1e-8, 1e-4, 0.5):
+                op = connecting_operator(h1, h2, Tolerances(tol_eig=tol_eig))
+                assert op.ill_conditioned == (w[-1] / w[0] > 1.0 / tol_eig), (n, kappa, tol_eig)
+
+    def test_bench_like_pairs_never_read_h1_eigenvalues(self, monkeypatch):
+        # the benchmark's pairs: kappa(h1) <= 1e4, spectra simple or with
+        # repeated clusters; the bound decides each one without eigvalsh
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rng = np.random.default_rng(53)
+        for n in (8, 24, 128):
+            for kappa in (1.0, 4.0, 1e2, 1e4, float(np.exp(rng.uniform(0.0, np.log(1e4))))):
+                for repeats in (1, 2):
+                    values = 0.5 + np.cumsum(0.05 + rng.random(n // repeats))
+                    h1, h2 = hermitian_pair_with_spectrum(rng, np.repeat(values, repeats), kappa)
+                    op = connecting_operator(h1, h2)
+                    assert not op.ill_conditioned
+                    assert "eigenvalues" not in vars(h1)
+
+    def test_bound_too_large_for_an_accurate_ratio_reads_the_eigenvalues(self):
+        # kappa(h1) = 1e12 at n = 64: the bound is far under half of
+        # 1/tol_eig = 1e15, but n·u times it is above 1e-3
+        h1, h2 = hermitian_pair_with_spectrum(np.random.default_rng(54), 0.5 + 0.1 * np.arange(64), 1e12)
+        op = connecting_operator(h1, h2, Tolerances(tol_eig=1e-15, tol_resid=0.5))
+        assert "eigenvalues" in vars(h1)
+        assert not op.ill_conditioned
+
+    def test_rank_deficient_h2_is_an_input_error(self):
+        # B Bᴴ with rank r < n: rounding leaves some of them positive-definite
+        # to Cholesky, and G's smallest eigenvalue then falls on either side
+        # of zero; at or below it, h2 is named singular, never an internal
+        # inconsistency
+        rng = np.random.default_rng(5)
+        outcomes = {"rejected": 0, "singular": 0, "analysed": 0}
+        for _ in range(300):
+            n = int(rng.integers(2, 17))
+            r = int(rng.integers(1, n))
+            b = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            h1 = form(random_hpd(rng, n))
+            try:
+                h2 = form(0.5 * (b @ b.conj().T + (b @ b.conj().T).conj().T))
+            except ValueError:
+                outcomes["rejected"] += 1
+                continue
+            try:
+                op = connecting_operator(h1, h2)
+            except SingularMetricError as exc:
+                assert str(exc).startswith("h2 is numerically singular: G's smallest eigenvalue is ")
+                outcomes["singular"] += 1
+            else:
+                assert invariants_hold(op.residuals, Tolerances())
+                outcomes["analysed"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+
+class TestScaleExtremes:
+    def test_forms_far_from_scale_one(self):
+        # the plain norm of h2 G overflows; the rescaled one does not
+        op = connecting_operator(form(1e-200 * np.diag([1.0, 2.0])), form(np.diag([1.0, 3.0])))
+        assert np.allclose(op.mat, np.diag([1e200, 1.5e200]), rtol=1e-15, atol=0.0)
+        assert invariants_hold(op.residuals, Tolerances())
+        assert not op.ill_conditioned
+
+    @pytest.mark.parametrize("scale_h1, scale_h2", [(1e-300, 1e300), (1e-150, 1e150)])
+    def test_out_of_range_g_or_residual_is_a_non_finite_error(self, scale_h1, scale_h2):
+        # G = 1e600 is not a double; G = 1e300 is, but h2 G is not
+        h1, h2 = form(scale_h1 * np.diag([1.0, 2.0])), form(scale_h2 * np.diag([1.0, 3.0]))
+        with pytest.raises(NonFiniteError, match="leave the double range"):
+            connecting_operator(h1, h2)
 
 
 class TestVerifyBiunitary:

@@ -320,10 +320,10 @@ class TestGenericityConsistency:
             calls.clear()
             inv_shapes.clear()
             op = connecting_operator(h1, h2)
-            # the lazy eigvalsh is kappa(h1), the eigh the pencil; G and
-            # the pencil share h1's factor, inverted in blocks of <= 32,
-            # and no LU solve runs
-            assert [c for c in calls if c != "inv"] == ["eigvalsh", "eigh"]
+            # the eigh is the pencil; G, the pencil and the kappa(h1)
+            # certificate share h1's factor, inverted in blocks of <= 32,
+            # so h1's eigenvalues are never computed and no LU solve runs
+            assert [c for c in calls if c != "inv"] == ["eigh"]
             assert inv_shapes and all(max(s) <= 32 for s in inv_shapes)
             calls.clear()
             res = spectral_resolution(op)

@@ -1,5 +1,7 @@
 """Tests for the foundational form types and dense-algebra kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from biherm import (
     SingularMetricError,
     Tolerances,
     ZeroVectorError,
+    connecting_operator,
     generalized_eig,
     krylov_rank,
     sqrt_positive,
 )
-from biherm.forms import _lower_inverse
+from biherm import forms
+from biherm.forms import _fro, _lower_inverse
 from conftest import NEAR_SINGULAR_H1, random_hpd, random_orthogonal, random_spd, random_unitary
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -142,6 +146,38 @@ class TestHermitianFormFactor:
         form = HermitianForm(NEAR_SINGULAR_H1)
         assert form.factor is None
         assert form.eigenvalues[0] > 0.0
+        assert form.inverse_factor is None
+
+    def test_inverse_factor_is_the_blocked_inverse_of_the_factor(self):
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 32, 33, 128):
+            form = HermitianForm(random_hpd(rng, n))
+            assert "inverse_factor" not in vars(form)
+            linv = form.inverse_factor
+            assert linv is form.inverse_factor
+            assert np.array_equal(linv, _lower_inverse(form.factor))
+            with pytest.raises(ValueError):
+                linv[0, 0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                form.inverse_factor = np.eye(n)
+
+    def test_inverse_factor_is_computed_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counted(low, _original=forms._lower_inverse):
+            calls.append(low.shape)
+            return _original(low)
+
+        monkeypatch.setattr(forms, "_lower_inverse", counted)
+        rng = np.random.default_rng(34)
+        h1, h2 = HermitianForm(random_hpd(rng, 40)), HermitianForm(random_hpd(rng, 40))
+        assert calls == []
+        op = connecting_operator(h1, h2)
+        op = connecting_operator(h1, h2)
+        assert op.h1.inverse_factor is h1.inverse_factor
+        # one call on h1's whole factor; the others are its recursion
+        assert calls.count((40, 40)) == 1
+        assert "inverse_factor" not in vars(h2)
 
 
 def _cholesky_factor(rng, n, kappa, complex_factor):
@@ -150,6 +186,33 @@ def _cholesky_factor(rng, n, kappa, complex_factor):
     w = np.geomspace(1.0, kappa, n)
     h = (q * w) @ q.conj().T
     return np.linalg.cholesky(0.5 * (h + h.conj().T))
+
+
+class TestFro:
+    def test_plain_norm_where_it_is_accurate(self):
+        rng = np.random.default_rng(35)
+        for scale in (1e-140, 1e-3, 1.0, 1e150):
+            for mat in (rng.standard_normal((7, 7)), random_unitary(rng, 7)):
+                mat = scale * mat
+                assert _fro(mat) == float(np.linalg.norm(mat))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.55e-162, 1.6e-162, 1e-160, 1e160, 1e300])
+    def test_rescaled_far_from_scale_one(self, scale):
+        # the squares are subnormal at 1e-160 and keep a few digits; at
+        # 1.55e-162 each rounds to 0, and at 1.6e-162 each rounds up to one
+        # subnormal step, so the plain norm is nonzero and 39% too large
+        rng = np.random.default_rng(36)
+        mat = rng.uniform(0.999, 1.0, (6, 6)) + 1j * rng.uniform(0.999, 1.0, (6, 6))
+        exact = float(np.linalg.norm(mat))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _fro(scale * mat) == pytest.approx(scale * exact, rel=1e-14, abs=0.0)
+
+    def test_zero_and_non_finite(self):
+        assert _fro(np.zeros((3, 3))) == 0.0
+        assert _fro(np.zeros((0, 0))) == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _fro(np.array([[np.inf, 1.0]])) == np.inf
+            assert np.isnan(_fro(np.array([[np.nan, 1.0]])))
 
 
 class TestLowerInverse:
