@@ -27,7 +27,6 @@ from .forms import (
     DEFAULT_TOLERANCES,
     HermitianForm,
     Tolerances,
-    _congruence_eigh,
     _fro,
     _read_only,
 )
@@ -39,6 +38,19 @@ __all__ = [
     "invariants_hold",
     "verify_biunitary",
 ]
+
+
+def _congruence_eigh(lk: np.ndarray, linv_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian pencil k x = lam L Lᴴ x, by Cholesky congruence.
+
+    Takes ``lk`` = L⁻¹ k and ``linv_h`` = L⁻ᴴ.  The pencil is congruent
+    to (L⁻¹ k L⁻ᴴ) y = lam y, and x = L⁻ᴴ y (Golub & Van Loan, *Matrix
+    Computations*, section 8.7).  Returns the ascending eigenvalues and
+    the metric-orthonormal eigenvectors as the columns of a column-major
+    matrix.
+    """
+    w, y = np.linalg.eigh(lk @ linv_h)
+    return w, np.asfortranarray(linv_h @ y)
 
 
 @dataclass(frozen=True, eq=False)

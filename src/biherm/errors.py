@@ -13,16 +13,8 @@ class DimensionMismatchError(BihermError):
     """Operands have incompatible shapes."""
 
 
-class NotSelfAdjointError(BihermError):
-    """Operator is not self-adjoint with respect to the given metric."""
-
-
 class SingularMetricError(BihermError):
     """Metric matrix is not Hermitian positive-definite."""
-
-
-class NegativeSpectrumError(BihermError):
-    """Operator has an eigenvalue below the negativity tolerance."""
 
 
 class ZeroVectorError(BihermError):

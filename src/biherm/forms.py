@@ -1,21 +1,22 @@
 """Validated matrix-backed forms and the shared dense-algebra kernel.
 
-Everything downstream (triple construction, connecting operators, spectral
-analysis, fibered decompositions) is built on the form types and two
-operations in this module: the metric generalized eigensolver and the
-positive operator square root.  A :class:`HermitianForm` decides
-positivity by its Cholesky factor and keeps it.  Everything that solves
-against a metric rests on one numpy-only kernel: that factor inverted as
-a triangle in 2×2 blocks (:func:`_lower_inverse`), and the Cholesky
-congruence of a Hermitian pencil built from the inverse (Golub & Van
-Loan, *Matrix Computations*, section 8.7).  A form keeps its inverted
-factor too, and :mod:`biherm.connecting` reads h1's for the pencil
-(h2, h1), for G itself and for an O(n²) bound on κ(h1), once per pair;
-h1's eigenvalues are computed only when that bound cannot decide the
-ill-conditioned flag.  The module also keeps the Krylov rank of a start
-vector, which no other module calls.  All types are immutable after
-construction and all operations are pure functions, so values can be
-shared freely across threads.
+Everything downstream (triple construction, connecting operators,
+spectral analysis, fibered decompositions) is built on the form types
+and the tolerance bundle in this module.  A :class:`HermitianForm`
+decides positivity by its Cholesky factor and keeps it.  Everything
+that solves against a metric rests on one numpy-only kernel: a Cholesky
+factor inverted as a triangle in 2×2 blocks (:func:`_lower_inverse`).
+A form keeps its inverted factor too, and :mod:`biherm.connecting`
+reads h1's for the Cholesky congruence of the pencil (h2, h1) (Golub &
+Van Loan, *Matrix Computations*, section 8.7), for G itself and for an
+O(n²) bound on κ(h1), once per pair; h1's eigenvalues are computed only
+when that bound cannot decide the ill-conditioned flag.
+:mod:`biherm.triples` inverts the factor of a real metric g the same
+way, to read the polar factor of its (g, omega) route in g's frame.
+The module also keeps the Krylov rank of a start vector, which no other
+module calls.  All types are immutable after construction and all
+operations are pure functions, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NegativeSpectrumError,
-    NonFiniteError,
-    NotSelfAdjointError,
-    SingularMetricError,
-    ZeroVectorError,
-)
+from .errors import NonFiniteError, ZeroVectorError
 
 __all__ = [
     "Tolerances",
@@ -40,8 +35,6 @@ __all__ = [
     "RealForm",
     "ComplexStructureJ",
     "HermitianForm",
-    "generalized_eig",
-    "sqrt_positive",
     "krylov_rank",
 ]
 
@@ -286,98 +279,6 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     out[h:, h:] = c_inv
     out[h:, :h] = -(c_inv @ low[h:, :h]) @ a_inv
     return out
-
-
-def _congruence_eigh(lk: np.ndarray, linv_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian pencil k x = lam L Lᴴ x, by Cholesky congruence.
-
-    Takes ``lk`` = L⁻¹ k and ``linv_h`` = L⁻ᴴ.  The pencil is congruent
-    to (L⁻¹ k L⁻ᴴ) y = lam y, and x = L⁻ᴴ y (Golub & Van Loan, *Matrix
-    Computations*, section 8.7).  Returns the ascending eigenvalues and
-    the metric-orthonormal eigenvectors as the columns of a column-major
-    matrix.
-    """
-    w, y = np.linalg.eigh(lk @ linv_h)
-    return w, np.asfortranarray(linv_h @ y)
-
-
-def generalized_eig(
-    a: np.ndarray,
-    metric: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a metric-self-adjoint operator.
-
-    Solves ``a @ v = lam * v`` for an operator that is self-adjoint with
-    respect to the positive-definite ``metric`` M (that is, M·a = a†·M).
-    The problem is reduced by Cholesky congruence of M to a standard
-    Hermitian one (:func:`_congruence_eigh`, with the factor inverted by
-    :func:`_lower_inverse`), which keeps the eigenvectors M-orthonormal.
-
-    Returns
-    -------
-    eigenvalues : ndarray, shape (n,)
-        Real, sorted ascending.
-    eigenvectors : ndarray, shape (n, n)
-        Columns satisfy ``V.conj().T @ metric @ V = I``.
-
-    Raises
-    ------
-    NotSelfAdjointError
-        If ``metric @ a`` is not Hermitian within ``tol.tol_resid``.
-    SingularMetricError
-        If ``metric`` is not Hermitian or not positive-definite.
-    """
-    a = _require_square(a, "operator")
-    metric = _require_square(metric, "metric")
-    resid, scale = _asymmetry(metric, 1)
-    if resid > tol.tol_sym * scale:
-        raise SingularMetricError("metric is not Hermitian within tolerance")
-    if a.shape != metric.shape:
-        raise ValueError("operator and metric dimensions differ")
-    k = metric @ a
-    resid, scale = _asymmetry(k, 1)
-    if resid > tol.tol_resid * scale:
-        raise NotSelfAdjointError(
-            f"operator is not metric-self-adjoint (relative residual {resid / scale:.3e})"
-        )
-    k = 0.5 * (k + k.conj().T)
-    try:
-        linv = _lower_inverse(np.linalg.cholesky(0.5 * (metric + metric.conj().T)))
-        return _congruence_eigh(linv @ k, linv.conj().T)
-    except np.linalg.LinAlgError:
-        raise SingularMetricError("metric is not positive-definite") from None
-
-
-def sqrt_positive(
-    mat: np.ndarray,
-    metric: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Positive square root of a metric-self-adjoint non-negative operator.
-
-    Computed through the spectral decomposition (deterministic, and the
-    result is metric-self-adjoint by construction): R = V sqrt(w) V^{-1}
-    with V^{-1} = V† M.
-
-    Raises
-    ------
-    NegativeSpectrumError
-        If an eigenvalue is below ``-tol.tol_eig`` relative to the
-        spectral radius.
-    """
-    mat = _require_square(mat, "operator")
-    if metric is None:
-        metric = np.eye(mat.shape[0])
-    w, v = generalized_eig(mat, metric, tol)
-    radius = max(float(np.max(np.abs(w))), _TINY)
-    if w[0] < -tol.tol_eig * radius:
-        raise NegativeSpectrumError(
-            f"operator has negative eigenvalue {w[0]:.6e} (spectral radius {radius:.6e})"
-        )
-    root = np.sqrt(np.clip(w, 0.0, None))
-    vinv = v.conj().T @ metric
-    return (v * root) @ vinv
 
 
 def krylov_rank(

@@ -32,9 +32,9 @@ from .forms import (
     RealForm,
     Tolerances,
     _asymmetry,
+    _lower_inverse,
     _maxabs,
     _read_only,
-    sqrt_positive,
 )
 
 __all__ = [
@@ -181,14 +181,15 @@ def triple_from_g_omega(
     """Admissible triple from a metric and a nondegenerate symplectic form.
 
     The operator B with omega(x, y) = g(x, By) (matrix form
-    ``B = gram_g^{-1} @ gram_omega``) is g-skew, so -B^2 is g-self-adjoint
-    and positive.  Its positive square root R (the polar factorization
-    B = J R — the only reading that makes R symmetric non-negative with
-    J^2 = -1) yields
+    ``B = gram_g^{-1} @ gram_omega``) is g-skew; its polar factorization
+    B = J R, with R g-self-adjoint positive, yields J^2 = -1 and
+    ``gram_{g_omega} = gram_g @ R``.  It is read in g's Cholesky frame
+    (Higham, *Functions of Matrices*, ch. 8): with gram_g = L Lᵀ, the
+    matrix B̃ = L⁻¹ gram_omega L⁻ᵀ is skew, and one SVD B̃ = U Σ Vᵀ gives
 
-        J = B R^{-1},   gram_{g_omega} = gram_g @ R,
+        J = L⁻ᵀ (U Vᵀ) Lᵀ,   gram_{g_omega} = L (V Σ Vᵀ) Lᵀ,
 
-    and the returned triple (g_omega, J, omega) satisfies every
+    so the returned triple (g_omega, J, omega) satisfies every
     admissibility invariant.  When g and omega already come from an
     admissible couple, R = 1 and the original metric and complex
     structure are recovered.
@@ -196,28 +197,34 @@ def triple_from_g_omega(
     Raises
     ------
     DegenerateSymplecticError
-        If B is singular (smallest singular value at most ``tol.tol_eig``
+        If B̃ is singular (smallest singular value at most ``tol.tol_eig``
         relative to the largest); in particular for odd dimension.
     NotSkewError
-        If B fails g-skewness, i.e. the inputs were not a symmetric
-        positive metric and an antisymmetric form.
+        If B̃ is not skew within ``tol.tol_resid``, i.e. omega is not
+        antisymmetric.
+    NotAdmissibleError
+        If g is not a symmetric positive-definite metric.
     """
     if g.dim != omega.dim:
         raise NotAdmissibleError("metric and symplectic form dimensions differ")
     _metric_min_eigenvalue(g, tol, "metric is not symmetric positive-definite")
-    b = np.linalg.solve(g.gram, omega.gram)
-    svals = np.linalg.svd(b, compute_uv=False)
+    try:
+        low = np.linalg.cholesky(g.gram)
+    except np.linalg.LinAlgError:
+        raise NotAdmissibleError("metric is not symmetric positive-definite") from None
+    linv = _lower_inverse(low)
+    b = linv @ omega.gram @ linv.T
+    u, svals, vt = np.linalg.svd(b)
     if svals[-1] <= tol.tol_eig * max(svals[0], _TINY):
         raise DegenerateSymplecticError(
             f"symplectic form is degenerate (relative smallest singular value "
             f"{svals[-1] / max(svals[0], _TINY):.3e})"
         )
-    skew_resid, scale = _asymmetry(g.gram @ b, -1)
+    skew_resid, scale = _asymmetry(b, -1)
     if skew_resid > tol.tol_resid * scale:
         raise NotSkewError(f"B is not g-skew (relative residual {skew_resid / scale:.3e})")
-    r = sqrt_positive(-(b @ b), g.gram, tol)
-    j_mat = b @ np.linalg.inv(r)
-    gram_w = g.gram @ r
+    j_mat = linv.T @ ((u @ vt) @ low.T)
+    gram_w = low @ ((vt.T * svals) @ vt) @ low.T
     gram_w = 0.5 * (gram_w + gram_w.T)
     g_omega = RealForm(gram_w, "symmetric", tol)
     j = ComplexStructureJ(j_mat, tol)

@@ -160,6 +160,24 @@ def reference_pencil_eigenvalues(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         return np.sort(np.array([float(x) for x in w]))
 
 
+def reference_polar_triple(g: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J and g_omega of the (g, omega) route, in 50-digit arithmetic.
+
+    mpmath's Cholesky factor L of g, the skew matrix L^{-1} omega L^{-T}
+    and its ``mpmath.svd_r`` U S V give the polar factors U V and
+    V^T S V in g's frame, mapped back as J = L^{-T} (U V) L^T and
+    g_omega = L (V^T S V) L^T, rounded to floats.  No step shares code
+    or precision with the library's route.
+    """
+    with mpmath.workdps(50):
+        low = mpmath.cholesky(mpmath.matrix(np.asarray(g).tolist()))
+        linv = low**-1
+        u, s, v = mpmath.svd_r(linv * mpmath.matrix(np.asarray(omega).tolist()) * linv.T)
+        j = linv.T * (u * v) * low.T
+        g_omega = low * (v.T * mpmath.diag(s) * v) * low.T
+        return np.array(j.tolist(), dtype=float), np.array(g_omega.tolist(), dtype=float)
+
+
 def reference_cluster_structure(values: np.ndarray, gap: float) -> tuple[tuple[int, ...], float]:
     """Multiplicities of the clusters of ascending ``values`` under ``gap``, and their margin.
 

@@ -8,21 +8,16 @@ import pytest
 from biherm import (
     ComplexStructureJ,
     HermitianForm,
-    NegativeSpectrumError,
     NonFiniteError,
-    NotSelfAdjointError,
     RealForm,
-    SingularMetricError,
     Tolerances,
     ZeroVectorError,
     connecting_operator,
-    generalized_eig,
     krylov_rank,
-    sqrt_positive,
 )
 from biherm import forms
 from biherm.forms import _fro, _lower_inverse
-from conftest import NEAR_SINGULAR_H1, random_hpd, random_orthogonal, random_spd, random_unitary
+from conftest import NEAR_SINGULAR_H1, random_hpd, random_orthogonal, random_unitary
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -228,82 +223,6 @@ class TestLowerInverse:
             assert np.array_equal(x, np.linalg.inv(low))
         bound = n * UNIT_ROUNDOFF * np.linalg.cond(low)
         assert np.linalg.norm(x @ low - np.eye(n)) <= bound
-
-
-class TestGeneralizedEig:
-    def test_identity(self):
-        w, v = generalized_eig(np.eye(3), np.eye(3))
-        assert np.allclose(w, 1.0)
-        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = generalized_eig(np.diag([2.0, 1.0]), np.eye(2))
-        assert np.allclose(w, [1.0, 2.0])
-
-    def test_two_by_two_pencil(self):
-        # det(K - lam*M) = 0 for M=[[2,1],[1,2]], K=[[4,1],[1,4]] has the
-        # exact roots 5/3 and 3 (solved by hand / rational arithmetic)
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        k = np.array([[4.0, 1.0], [1.0, 4.0]])
-        a = np.linalg.solve(m, k)
-        w, v = generalized_eig(a, m)
-        assert np.allclose(w, [5.0 / 3.0, 3.0], rtol=1e-12)
-        assert np.allclose(v.conj().T @ m @ v, np.eye(2), atol=1e-12)
-
-    def test_rejects_non_self_adjoint(self):
-        with pytest.raises(NotSelfAdjointError):
-            generalized_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-
-    def test_rejects_indefinite_metric(self):
-        with pytest.raises(SingularMetricError):
-            generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
-        with pytest.raises(SingularMetricError):
-            generalized_eig(np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_random_instances_satisfy_contract(self):
-        rng = np.random.default_rng(11)
-        tol = Tolerances()
-        for _ in range(50):
-            n = int(rng.integers(2, 17))
-            m = random_spd(rng, n)
-            k = random_spd(rng, n)
-            a = np.linalg.solve(m, k)
-            w, v = generalized_eig(a, m)
-            scale = np.linalg.norm(a)
-            assert np.linalg.norm(a @ v - v * w) <= 10 * tol.tol_resid * scale
-            assert np.linalg.norm(v.conj().T @ m @ v - np.eye(n)) <= 10 * tol.tol_resid
-
-
-class TestSqrtPositive:
-    def test_identity(self):
-        assert np.allclose(sqrt_positive(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(sqrt_positive(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_dense_example(self):
-        # [[2,1],[1,2]] squares to [[5,4],[4,5]]
-        r = sqrt_positive(np.array([[5.0, 4.0], [4.0, 5.0]]))
-        assert np.allclose(r, np.array([[2.0, 1.0], [1.0, 2.0]]), atol=1e-12)
-
-    def test_negative_spectrum_rejected(self):
-        with pytest.raises(NegativeSpectrumError):
-            sqrt_positive(np.diag([1.0, -1.0]))
-
-    def test_square_round_trip_random(self):
-        rng = np.random.default_rng(5)
-        tol = Tolerances()
-        for _ in range(200):
-            n = int(rng.integers(2, 33))
-            metric = random_spd(rng, n)
-            # metric-self-adjoint positive input
-            k = random_spd(rng, n)
-            m = np.linalg.solve(metric, k)
-            r = sqrt_positive(m, metric)
-            assert np.linalg.norm(r @ r - m) <= 10 * tol.tol_resid * np.linalg.norm(m)
-            # result is again metric-self-adjoint with non-negative spectrum
-            km = metric @ r
-            assert np.linalg.norm(km - km.conj().T) <= 1e-9 * np.linalg.norm(km)
 
 
 class TestKrylovRank:

@@ -13,18 +13,18 @@ PUBLIC_NAMES = [
     'ComplexificationMap', 'ConnectingOperator', 'DEFAULT_TOLERANCES', 'DecomposableOperator',
     'DegenerateSpectrumError', 'DegenerateSymplecticError', 'DimensionMismatchError', 'Fiber',
     'FileFormatError', 'GroupSignature', 'HermitianForm', 'InternalInconsistencyError',
-    'NegativeSpectrumError', 'NonFiniteError', 'NotAdmissibleError', 'NotGenericError',
-    'NotInCommutantError', 'NotSelfAdjointError', 'NotSkewError', 'ProportionalityReport',
+    'NonFiniteError', 'NotAdmissibleError', 'NotGenericError',
+    'NotInCommutantError', 'NotSkewError', 'ProportionalityReport',
     'RealForm', 'ScalarBlockReport', 'SingularMetricError', 'SpectralResolution', 'Tolerances',
     'ZeroCoefficientError', 'ZeroVectorError', 'bicommutant_dimension',
     'build_complexification', 'build_decomposition', 'check_bicommutant_scalar',
     'check_genericity_consistency', 'check_proportionality', 'commutant_dimension',
     'complexification_from_j', 'connecting', 'connecting_operator', 'cyclic_vector',
-    'decomposition', 'errors', 'forms', 'generalized_eig', 'group_signature',
+    'decomposition', 'errors', 'forms', 'group_signature',
     'hermitian_from_triple', 'invariants_hold', 'is_cyclic', 'is_generic_by_commutant',
     'is_generic_by_spectrum', 'krylov_rank', 'omega_from_g_j',
     'phase_biunitary', 'project_to_commutant_blocks', 'sample_biunitary', 'spectral',
-    'spectral_resolution', 'sqrt_positive', 'symmetrize_metric', 'triple_from_g_j',
+    'spectral_resolution', 'symmetrize_metric', 'triple_from_g_j',
     'triple_from_g_omega', 'triples', 'verify_biunitary',
 ]
 
@@ -36,4 +36,4 @@ def test_public_names():
     code = "import biherm; print(*sorted(n for n in dir(biherm) if not n.startswith('_')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 61

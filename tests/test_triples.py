@@ -1,13 +1,18 @@
 """Tests for admissible triple construction and complexification."""
 
+import json
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from biherm import (
     AdmissibleTriple,
     ComplexStructureJ,
     DegenerateSymplecticError,
     NotAdmissibleError,
+    NotSkewError,
     RealForm,
     build_complexification,
     complexification_from_j,
@@ -17,12 +22,57 @@ from biherm import (
     triple_from_g_j,
     triple_from_g_omega,
 )
-from conftest import random_admissible_pair, random_complex_structure, random_spd
+from biherm.cli import main
+from biherm.matrixio import load_triple, save_matrix
+from conftest import (
+    NEAR_SINGULAR_H1,
+    random_admissible_pair,
+    random_complex_structure,
+    random_orthogonal,
+    random_spd,
+    reference_polar_triple,
+)
 
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 # positive-definite but not symmetric: tagged general, so only the metric check can reject it
 ASYMMETRIC_G = np.array([[1.0, 0.5], [0.0, 1.0]])
 NOT_SPD = "^metric is not symmetric positive-definite$"
+
+
+def metric_with_condition(rng, m, kappa):
+    """Symmetric positive-definite metric with κ = kappa: eigenvalues 1, kappa
+    and log-uniform ones between, in a random orthogonal frame."""
+    w = np.exp(np.log(kappa) * np.concatenate([[0.0, 1.0], rng.random(m - 2)]))
+    q = random_orthogonal(rng, m)
+    g = (q * w) @ q.T
+    return RealForm(0.5 * (g + g.T), "symmetric")
+
+
+def kappa_sweep(seed=7, count=60, dims=(2, 4, 6, 8, 10, 12), max_kappa=1e6):
+    """Seeded (g, omega, kappa) pairs: omega from a well-conditioned admissible
+    couple, and an unrelated metric g with κ(g) log-uniform on [1, max_kappa]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.choice(dims))
+        kappa = float(np.exp(np.log(max_kappa) * rng.random()))
+        g0, j = random_admissible_pair(rng, m)
+        yield metric_with_condition(rng, m, kappa), omega_from_g_j(g0, j), kappa
+
+
+def polar_bound(m, kappa):
+    return 8 * m * UNIT_ROUNDOFF * kappa
+
+
+def random_congruence(rng, m):
+    """Invertible S with singular values in [0.5, 2]."""
+    return (random_orthogonal(rng, m) * (0.5 + 1.5 * rng.random(m))) @ random_orthogonal(rng, m).T
+
+
+def congruent(form, s):
+    gram = s.T @ form.gram @ s
+    sign = 1.0 if form.symmetry_tag == "symmetric" else -1.0
+    return RealForm(0.5 * (gram + sign * gram.T), form.symmetry_tag)
 
 
 def canonical_triple(scale=1.0):
@@ -134,6 +184,130 @@ class TestTripleFromGOmega:
             assert np.max(np.abs(trip.j.mat - j.mat)) <= 1e-10
             scale = np.max(np.abs(g.gram))
             assert np.max(np.abs(trip.g.gram - g.gram)) <= 1e-10 * scale
+
+    def test_kappa_sweep_builds_every_pair(self):
+        # 60 valid pairs with κ(g) up to 1e6: each builds, with its stored
+        # residuals within the polar factor's rounding bound
+        for g, w, kappa in kappa_sweep():
+            trip = triple_from_g_omega(g, w)
+            assert max(trip.residuals.values()) <= polar_bound(g.dim, kappa)
+
+    def test_ill_conditioned_diagonal_pair_builds(self):
+        # an exactly admissible couple at κ(g) = 1e9: B has relative smallest
+        # singular value 1e-9 in the Euclidean frame, but 1 in g's frame
+        g, j = ill_conditioned_couple()
+        trip = triple_from_g_omega(RealForm(g, "symmetric"), RealForm(g @ j, "antisymmetric"))
+        assert np.allclose(trip.j.mat, j, rtol=4 * UNIT_ROUNDOFF, atol=0.0)
+        assert np.allclose(trip.g.gram, g, rtol=4 * UNIT_ROUNDOFF, atol=0.0)
+
+    def test_ill_conditioned_diagonal_pair_builds_from_the_cli(self, tmp_path):
+        g, j = ill_conditioned_couple()
+        save_matrix(tmp_path / "g.json", g, "real_symmetric")
+        save_matrix(tmp_path / "omega.json", g @ j, "real_antisymmetric")
+        out = tmp_path / "trip.json"
+        args = ["triple", "--g", str(tmp_path / "g.json"), "--omega", str(tmp_path / "omega.json"), "--out", str(out)]
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["passed"] is True
+        assert np.allclose(load_triple(out).j.mat, j, rtol=4 * UNIT_ROUNDOFF, atol=0.0)
+
+    def test_rejects_non_skew_omega(self):
+        w = RealForm(J2 + 0.1 * np.eye(2))  # tagged general, so only the skew check can reject it
+        with pytest.raises(NotSkewError, match="not g-skew"):
+            triple_from_g_omega(RealForm(np.diag([1.0, 4.0]), "symmetric"), w)
+
+    def test_metric_without_cholesky_factor_is_not_admissible(self):
+        # smallest eigenvalue 5.6e-17 passes the eigenvalue gate, Cholesky fails
+        g = RealForm(NEAR_SINGULAR_H1, "symmetric")
+        with pytest.raises(NotAdmissibleError, match=NOT_SPD):
+            triple_from_g_omega(g, RealForm(J2, "antisymmetric"))
+
+    def test_congruence_maps_the_triple(self):
+        # (Sᵀ g S, Sᵀ omega S) has B' = S⁻¹ B S, so J' = S⁻¹ J S and g_omega' = Sᵀ g_omega S
+        # κ(g) up to 1e5, so that κ(Sᵀ g S) stays within the sweep's 1e6
+        rng = np.random.default_rng(17)
+        for g, w, _ in kappa_sweep(seed=18, count=20, max_kappa=1e5):
+            m = g.dim
+            s = random_congruence(rng, m)
+            g_moved = congruent(g, s)
+            trip = triple_from_g_omega(g, w)
+            moved = triple_from_g_omega(g_moved, congruent(w, s))
+            bound = polar_bound(m, max(np.linalg.cond(g.gram), np.linalg.cond(g_moved.gram)))
+            j_ref = np.linalg.solve(s, trip.j.mat @ s)
+            g_ref = s.T @ trip.g.gram @ s
+            assert np.max(np.abs(moved.j.mat - j_ref)) <= bound * np.max(np.abs(j_ref))
+            assert np.max(np.abs(moved.g.gram - g_ref)) <= bound * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e-3, 1e-5, 1e-10, 1e-12, 0.0])
+    def test_congruence_keeps_the_degeneracy_verdict(self, sigma):
+        # omega = L B̃ Lᵀ with B̃ skew of relative smallest singular value sigma in
+        # g's frame; a congruence leaves those singular values unchanged
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            m = int(rng.integers(2, 7)) * 2
+            g = metric_with_condition(rng, m, 10 ** rng.uniform(0, 3))
+            svals = np.concatenate([[sigma], 1 + rng.random(m // 2 - 1)])
+            q = random_orthogonal(rng, m)
+            low = np.linalg.cholesky(g.gram)
+            w = low @ q @ np.kron(np.diag(svals), J2) @ q.T @ low.T
+            w = RealForm(0.5 * (w - w.T), "antisymmetric")
+            s = random_congruence(rng, m)
+            verdicts = []
+            for pair in ((g, w), (congruent(g, s), congruent(w, s))):
+                try:
+                    triple_from_g_omega(*pair)
+                    verdicts.append("built")
+                except DegenerateSymplecticError:
+                    verdicts.append("degenerate")
+            assert verdicts == ["degenerate" if sigma <= 1e-9 else "built"] * 2
+
+
+def ill_conditioned_couple(eps=1e-9):
+    """g = diag(1, eps) and a g-anti-Hermitian J with J^2 = -1."""
+    return np.diag([1.0, eps]), np.array([[0.0, -np.sqrt(eps)], [1.0 / np.sqrt(eps), 0.0]])
+
+
+@lru_cache(maxsize=None)
+def polar_cases(m):
+    """Triples from (g, omega) at κ(g) = 1, 10, ..., 1e6, each with its mpmath oracle."""
+    rng = np.random.default_rng(100 + m)
+    cases = []
+    for kappa in np.logspace(0, 6, 7):
+        g = metric_with_condition(rng, m, kappa)
+        w = rng.standard_normal((m, m))
+        w = RealForm(w - w.T, "antisymmetric")
+        cases.append((g, w, kappa, triple_from_g_omega(g, w), *reference_polar_triple(g.gram, w.gram)))
+    return cases
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+class TestPolarFactor:
+    """The polar factorization B = J R of the (g, omega) route, against the
+    50-digit oracle, for κ(g) up to 1e6."""
+
+    def test_j_squares_to_minus_one(self, m):
+        for _, _, kappa, trip, _, _ in polar_cases(m):
+            assert np.max(np.abs(trip.j.mat @ trip.j.mat + np.eye(m))) <= polar_bound(m, kappa)
+
+    def test_metric_is_symmetric_positive(self, m):
+        for _, _, _, trip, _, _ in polar_cases(m):
+            g_omega = trip.g.gram
+            assert np.array_equal(g_omega, g_omega.T)
+            assert np.linalg.eigvalsh(g_omega)[0] > 0.0
+
+    def test_omega_is_g_omega_of_j(self, m):
+        rng = np.random.default_rng(m)
+        for _, w, kappa, trip, _, _ in polar_cases(m):
+            scale = np.max(np.abs(trip.g.gram))
+            assert np.max(np.abs(w.gram - trip.g.gram @ trip.j.mat)) <= polar_bound(m, kappa) * scale
+            x, y = rng.standard_normal((2, m))
+            norms = np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(w(x, y) - trip.g(x, trip.j.mat @ y)) <= polar_bound(m, kappa) * scale * norms
+
+    def test_factors_match_the_oracle(self, m):
+        for _, _, kappa, trip, j_ref, g_ref in polar_cases(m):
+            assert np.max(np.abs(trip.j.mat - j_ref)) <= polar_bound(m, kappa) * np.max(np.abs(j_ref))
+            assert np.max(np.abs(trip.g.gram - g_ref)) <= polar_bound(m, kappa) * np.max(np.abs(g_ref))
 
 
 class TestAdmissibleTriple:
