@@ -303,7 +303,7 @@ def krylov_rank(
     arbitrary G: at n ~ 100 the degree-k Krylov polynomials lose small
     eigencomponents to rounding, so the rank of a degenerate G often
     reaches n.  No default path calls it; :func:`biherm.spectral.is_cyclic`
-    counts Lanczos Ritz values instead.
+    counts the Ritz values of block Lanczos instead.
 
     Raises
     ------

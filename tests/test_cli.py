@@ -277,6 +277,23 @@ class TestSpectrumAndGeneric:
         assert r["commutant_dimension"] == 4
         assert r["bicommutant_dimension"] == 1
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_generic_on_h1_far_below_scale_one(self, runner, tmp_path, dense):
+        # h1 at 1e-200 puts G near 1e200: the cyclicity route runs on
+        # power-of-two rescaled forms, so it neither overflows nor fails
+        # to converge, and agrees with the other two verdicts
+        rng = np.random.default_rng(41)
+        h1 = random_hpd(rng, 4) if dense else np.diag([1.0, 2.0])
+        h2 = random_hpd(rng, 4) if dense else np.diag([1.0, 3.0])
+        paths = [str(tmp_path / "h1.json"), str(tmp_path / "h2.json")]
+        save_matrix(paths[0], 1e-200 * h1, "complex_hermitian")
+        save_matrix(paths[1], h2, "complex_hermitian")
+        result = invoke(runner, ["generic", "--h1", paths[0], "--h2", paths[1]])
+        assert result.exit_code == 0, result.output
+        r = json.loads(result.output)["results"]
+        assert r["cyclic"] is True
+        assert r["agreement"] is True
+
     def test_generic_on_degenerate_pair_at_n128(self, runner, tmp_path):
         # a Krylov rank overstates the cyclicity of such a pair; the
         # Lanczos Ritz-value count agrees with the other two verdicts

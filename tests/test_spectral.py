@@ -26,7 +26,7 @@ from biherm import (
     krylov_rank,
     spectral_resolution,
 )
-from biherm.spectral import _lanczos_ritz_values
+from biherm.spectral import _BLOCK, _lanczos_ritz_values
 from conftest import (
     PER_FIBER_PATTERNS,
     brute_bicommutant_dim,
@@ -235,9 +235,9 @@ class TestIsCyclic:
 
     def test_restarts_keep_ritz_values_on_the_spectrum(self):
         # three eigenvalues of multiplicity 20, 20 and 24 at cond(h1) = 1e4:
-        # the Krylov space of a probe is invariant after three steps, and
-        # on this input the run both restarts from fresh probes and takes
-        # the second reorthogonalization pass where the first cancelled
+        # each cluster fits in one block of 32, so the probe block and G
+        # times it span all 64 dimensions and nothing breaks down; the
+        # refills are covered by test_refills_keep_ritz_values_on_the_oracle
         rng = np.random.default_rng(64)
         lam = np.repeat(0.5 + np.cumsum(0.05 + rng.random(3)), (20, 20, 24))
         h1, h2 = hermitian_pair_with_spectrum(rng, lam, 1e4)
@@ -247,6 +247,23 @@ class TestIsCyclic:
         theta = _lanczos_ritz_values(op, np.random.default_rng(0))
         bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
         assert np.max(np.abs(theta - op.spectrum)) <= bound
+
+    def test_refills_keep_ritz_values_on_the_oracle(self):
+        # a 40-fold cluster among 4 simple values at cond(h1) = 1e4: a block
+        # of 32 reaches only 32 of its dimensions, so the missing ones break
+        # down and are refilled from fresh probes, and the Ritz values stay
+        # within the bound of the unbroken route from the 50-digit oracle
+        rng = np.random.default_rng(65)
+        h1, h2 = _cluster_pair(rng, 44, 40, 1e4)
+        op = connecting_operator(h1, h2)
+        kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
+        expected = reference_pencil_eigenvalues(h1.gram, h2.gram)
+        assert not is_cyclic(op)
+        spy = _DrawCounter(0)
+        theta = _lanczos_ritz_values(op, spy)
+        assert len(spy.sizes) > 1  # a refill draws one probe column at a time
+        bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
+        assert np.max(np.abs(theta - expected)) <= bound
 
     def test_one_lanczos_run_per_call(self, monkeypatch):
         # the Ritz values depend on the probe only through rounding, so
@@ -291,6 +308,87 @@ class TestIsCyclic:
         op = connecting_operator(h1, h2)
         res = spectral_resolution(op)
         assert is_cyclic(op, seed=seed) == (res.commutant_dimension == res.n_fibers)
+
+
+class _DrawCounter:
+    """A seeded generator that records the size of each probe draw."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+def _cluster_pair(rng, n, mult, kappa):
+    """A pair of dimension n whose G has one mult-fold eigenvalue, the rest simple."""
+    values = 0.5 + np.cumsum(0.05 + rng.random(n - mult + 1))
+    lam = np.sort(np.concatenate([values, np.full(mult - 1, values[len(values) // 2])]))
+    return hermitian_pair_with_spectrum(rng, lam, kappa)
+
+
+class TestBlockLanczos:
+    """The block route: block size, partial blocks, breakdown and refill."""
+
+    def test_one_probe_block_up_to_the_block_size(self):
+        # b = min(32, n): every pair up to n = 32 takes one block, drawn in
+        # one call, and a simple spectrum draws nothing more
+        assert _BLOCK == 32
+        rng = np.random.default_rng(70)
+        for n in (1, 2, 12, 24, 32, 33, 100):
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1,) * n)
+            spy = _DrawCounter(n)
+            _lanczos_ritz_values(connecting_operator(h1, h2), spy)
+            assert spy.sizes == [(n, 2 * min(n, 32))]
+
+    @pytest.mark.parametrize("n, mult", [(33, 33), (40, 40), (64, 64), (64, 33), (64, 40), (128, 33), (128, 40)])
+    def test_breakdown_refills_and_finds_the_repeat(self, n, mult):
+        # a multiplicity above the block size: a scalar G, exactly (2 I with
+        # h1 = I) and up to rounding (a dense h1), or a 33- or 40-fold
+        # cluster among simple values; the Krylov space of the probe block is
+        # invariant before Q is complete, and the refills find the repeat
+        rng = np.random.default_rng(n + mult)
+        ops = [connecting_operator(*_cluster_pair(rng, n, mult, 1e3))]
+        if mult == n:
+            ops.append(diag_operator(*[2.0] * n))
+        for op in ops:
+            for seed in range(5):
+                assert not is_cyclic(op, seed=seed)
+            spy = _DrawCounter(0)
+            _lanczos_ritz_values(op, spy)
+            assert len(spy.sizes) > 1
+
+    def test_partial_and_tiny_blocks(self):
+        # n = 1 and 2, one column short of, at and one past the block size,
+        # and n = 100 (three full blocks and one of 4), simple and degenerate
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 31, 32, 33, 100):
+            patterns = [(1,) * n] + ([(2,) + (1,) * (n - 2), random_multiplicity_pattern(rng, n)] if n > 1 else [])
+            for mults in patterns:
+                h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+                op = connecting_operator(h1, h2)
+                assert is_cyclic(op, seed=n) is (max(mults) == 1)
+                kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
+                theta = _lanczos_ritz_values(op, np.random.default_rng(n))
+                bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
+                assert np.max(np.abs(theta - op.spectrum)) <= bound
+
+    @pytest.mark.parametrize("kappa", [1e8, 1e10])
+    def test_ill_conditioned_h1_returns_a_verdict(self, kappa):
+        # no LinAlgError leaves the route, whatever the probe block's
+        # h1-Gram matrix does to its Cholesky factorization
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        for n in (2, 12, 33, 64):
+            for degenerate in (False, True):
+                lam = 0.5 + np.cumsum(0.05 + rng.random(n))
+                if degenerate:
+                    lam[1] = lam[0]
+                h1, h2 = hermitian_pair_with_spectrum(rng, np.sort(lam), kappa)
+                op = connecting_operator(h1, h2)
+                assert op.ill_conditioned or kappa < 1e10
+                for seed in range(3):
+                    assert isinstance(is_cyclic(op, seed=seed), bool)
 
 
 class TestCommutantDimensions:
