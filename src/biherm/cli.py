@@ -239,7 +239,7 @@ def spectrum(tol, h1_path, h2_path):
 @_command(
     "generic",
     *_PAIR,
-    click.option("--seed", type=int, default=0, show_default=True, help="Seed for the cyclicity probe vectors."),
+    click.option("--seed", type=int, default=0, show_default=True, help="Seed for the cyclicity probe reflector."),
     _REPORT_OUT,
 )
 def generic(tol, h1_path, h2_path, seed):

@@ -13,9 +13,9 @@ U(n_1) x ... x U(n_k); the pair is *generic* when every fiber is
 one-dimensional, equivalently when the commutant of G coincides with
 its bicommutant, equivalently when G is cyclic.  The three
 characterizations are computed independently (cluster count, eigenvalue
-pair count, Ritz-value count of block Lanczos in blocks of 32 columns,
-CholQR2, gemm reorthogonalization and breakdown refill: Golub & Van Loan,
-*Matrix Computations*, section 10.3) so they can be checked against each other.
+pair count, and the pair count of the eigenvalues of G taken again in the
+h1-orthonormal frame of one seeded Householder reflector) so they can be
+checked against each other.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .connecting import ConnectingOperator
 from .errors import DegenerateSpectrumError, ZeroCoefficientError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _read_only
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _lower_inverse, _read_only
 
 __all__ = [
     "Fiber",
@@ -260,30 +260,28 @@ def is_cyclic(
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
-    """Cyclicity test by a block Lanczos Ritz-value count from one seeded probe.
+    """Cyclicity test by an eigenvalue-pair count in one seeded h1-orthonormal frame.
 
-    Runs block Lanczos on G in the h1 inner product, in which G is
-    self-adjoint, from a probe block drawn from ``seed`` (see
-    :func:`_lanczos_ritz_values`: blocks of min(32, n) columns, CholQR2,
-    full block reorthogonalization, breakdown refill), so the n x n
-    matrix T stays h1-unitarily similar to G and its Ritz values are the
-    eigenvalues of G.  G is cyclic exactly when its eigenvalues are
-    distinct, so G is found cyclic when the count of Ritz-value pairs
-    (i, j) with |theta_i - theta_j| <= ``tol.tol_eig`` times max |theta|
-    is n: the gap rule of :func:`spectral_resolution`, applied to values
-    computed from G and h1's Gram matrix alone, without a Cholesky factor
-    of h1 or the pencil solve behind ``g.spectrum``, so the verdict stays
-    independent of the other two genericity tests.
+    G is self-adjoint in the h1 inner product.  A Householder reflector
+    drawn from ``seed`` gives an h1-orthonormal basis Q, in which the
+    n x n Hermitian T = (h1 Q)^H G Q is similar to G (see
+    :func:`_reflected_spectrum`), so its eigenvalues theta are those of G.
+    G is cyclic exactly when its eigenvalues are distinct, so G is found
+    cyclic when the count of pairs (i, j) with |theta_i - theta_j| <=
+    ``tol.tol_eig`` times max |theta| is n: the gap rule of
+    :func:`spectral_resolution`, applied to values computed from G and
+    h1's Gram matrix alone, without h1's stored Cholesky factor or the
+    pencil solve behind ``g.spectrum``, so the verdict stays independent
+    of the other two genericity tests.
 
-    One run decides.  Because T is similar to G whatever the probe, the
-    Ritz values depend on the probe only through rounding, and a run from
-    another probe can only flip a verdict whose closest pair sits at the
-    gap itself.  A Krylov rank (:func:`~biherm.forms.krylov_rank`) would
-    judge the same property in exact arithmetic, but at n ~ 100 its
-    degree-k polynomials lose the small eigencomponents to rounding and
-    overstate the rank.
+    One frame decides.  Because T is similar to G whatever the reflector,
+    theta depends on the seed only through rounding, and another seed can
+    only flip a verdict whose closest pair sits at the gap itself.  A
+    Krylov rank (:func:`~biherm.forms.krylov_rank`) would judge the same
+    property in exact arithmetic, but at n ~ 100 its degree-k polynomials
+    lose the small eigencomponents to rounding and overstate the rank.
     """
-    theta = _lanczos_ritz_values(g, np.random.default_rng(seed))
+    theta = _reflected_spectrum(g, np.random.default_rng(seed))
     gap = tol.tol_eig * max(float(np.max(np.abs(theta))), _TINY)
     return _close_pairs(theta, gap) == g.dim
 
@@ -293,39 +291,23 @@ def _close_pairs(values: np.ndarray, gap: float) -> int:
     return int(np.count_nonzero(np.abs(values[:, None] - values[None, :]) <= gap))
 
 
-# Block size of the Lanczos route: a pair of dimension up to this takes one block.
-_BLOCK = 32
+def _reflected_spectrum(g: ConnectingOperator, rng: np.random.Generator) -> np.ndarray:
+    """Eigenvalues of G from one seeded Householder frame: the eigenvalues
+    of the n x n Hermitian T = (h1 Q)^H G Q for an h1-orthonormal basis Q.
 
-# A block direction whose h1 norm after projection is at most this share of the
-# block's h1 norm before projection has found an invariant subspace, up to rounding.
-_BREAKDOWN = 64 * np.finfo(float).eps
-
-# A Cholesky pivot below this share of the block's h1 norm sends the block column by column:
-# CholQR2 needs a condition number below about u^(-1/2) (Yamamoto et al., ETNA 44, 2015).
-_PIVOT_FLOOR = 1e-6
-
-
-def _lanczos_ritz_values(g: ConnectingOperator, rng: np.random.Generator) -> np.ndarray:
-    """Ritz values of block Lanczos on G in the h1 inner product: the
-    eigenvalues of the n x n Hermitian T = (h1 Q)^H G Q.
-
-    It runs on h1 / 4^k1 and G / 2^k2, powers of two from the exponents of
+    With a unit u drawn from ``rng`` and Z = I - 2 u u^H, the reflected
+    metric is factored as Z h1 Z = L L^H, so Q = Z L^{-H} is
+    h1-orthonormal and T = L^H (Z G Z) L^{-H}, which is similar to G.  T
+    is formed from G itself, never from the product h1 G, whose rounding
+    moves the spectrum by about kappa(h1)^2.  Z is applied to each side as
+    rank-one updates, O(n^2).  Only G and h1's Gram matrix are read: not
+    h1's stored factor, nor the pencil solve behind ``g.spectrum``.  It
+    runs on h1 / 4^k1 and G / 2^k2, powers of two from the exponents of
     their Frobenius norms, so forms far from scale 1 do not overflow and
-    the Ritz values scale back exactly.  Q grows in blocks of
-    b = min(``_BLOCK``, n) columns, the first a probe from ``rng``.  Block
-    k + 1 is G Q_k projected out of Q by two block Gram-Schmidt passes,
-    gemms against the stored Q and (h1 Q)^H, whose coefficients fill the
-    upper triangle of T's block column k; the last block's column is the
-    one product (h1 Q)^H G Q_k.  Each block is made h1-orthonormal by
-    Cholesky QR run twice (CholQR2) on its own b x b h1-Gram matrix, so T
-    stays h1-unitarily similar to G (Golub & Van Loan, *Matrix
-    Computations*, section 10.3).  A block whose Cholesky fails or has a
-    pivot under ``_PIVOT_FLOOR`` of its h1 norm goes column by column: a
-    direction that keeps at most ``_BREAKDOWN`` of the block's h1 norm
-    has broken down (an invariant subspace, as for a scalar G or a cluster
-    of more than b eigenvalues) and is refilled with a fresh probe column
-    projected out of Q, its coupling in T 0.  When fewer than b columns
-    remain, the last block keeps that many.  O(n^3) time, O(n^2) memory.
+    the eigenvalues scale back exactly.  Once kappa(h1) nears 1/u the
+    reflected metric can lose definiteness; Z = I is then taken, and h1,
+    which had a Cholesky factor for G to exist, is factored as it is.
+    O(n^3) time, O(n^2) memory.
     """
     n = g.dim
     with np.errstate(over="ignore", invalid="ignore"):
@@ -333,61 +315,20 @@ def _lanczos_ritz_values(g: ConnectingOperator, rng: np.random.Generator) -> np.
     h1, mat = (  # scaled exactly, as real views: np.ldexp takes no complex
         np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex) for a, e in ((g.h1.gram, -2 * k1), (g.mat, -k2))
     )
-    q = np.empty((n, n), dtype=complex)  # column j is q_j
-    hqh = np.empty((n, n), dtype=complex)  # row j is (h1 q_j)^H
-    t = np.zeros((n, n), dtype=complex)  # upper triangle of (h1 Q)^H G Q
+    u = rng.standard_normal(2 * n).view(complex)
+    u /= math.sqrt(np.vdot(u, u).real)
 
-    def project_out(v, k):
-        """v without its h1 components along q_0..q_{k-1}, h1 v, and its h1 norm."""
-        for _ in range(2):
-            v = v - q[:, :k] @ (hqh[:k] @ v)
-        hv = h1 @ v
-        return v, hv, math.sqrt(max(np.vdot(v, hv).real, 0.0))
+    def reflect(a):
+        """Z a Z = a - 2 u (u^H a) - 2 (a u - 2 (u^H a u) u) u^H."""
+        uha, au = u.conj() @ a, a @ u
+        return a - 2 * np.outer(u, uha) - 2 * np.outer(au - 2 * (uha @ u) * u, u.conj())
 
-    def orthonormalize(w, k, coef2):
-        """Store an h1-orthonormal basis of w as q_k, ...; w was projected out of q_0..q_{k-1}
-        by coefficients of squared norm ``coef2``."""
-        w0, m = w, w.shape[1]
-        for i in range(2):  # CholQR2
-            hw = h1 @ w
-            s = w.conj().T @ hw
-            if not i:
-                norm2 = s.trace().real
-                scale = math.sqrt(coef2 + norm2)
-                floor = max(_PIVOT_FLOOR * math.sqrt(norm2), _BREAKDOWN * scale)
-            try:
-                low = np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                break
-            if not low.diagonal().real.min() > floor:
-                break
-            r = np.linalg.inv(low).conj().T
-            w = w @ r
-        else:
-            q[:, k : k + m], hqh[k : k + m] = w, (hw @ r).conj().T
-            return
-        for j in range(m):  # a pivot was lost: Gram-Schmidt with breakdown refill
-            v, hv, nrm = project_out(w0[:, j], k + j)
-            if nrm <= _BREAKDOWN * scale:
-                v, hv, nrm = project_out(rng.standard_normal(2 * n).view(complex), k + j)
-            q[:, k + j], hqh[k + j] = v / nrm, hv.conj() / nrm
-
-    w, coef2, k = rng.standard_normal((n, 2 * min(_BLOCK, n))).view(complex), 0.0, 0
-    while True:
-        m = w.shape[1]
-        orthonormalize(w, k, coef2)
-        w = mat @ q[:, k : k + m]
-        k += m
-        if k == n:
-            t[:, k - m :] = hqh @ w
-            return np.ldexp(np.linalg.eigvalsh(t, UPLO="U"), k2)
-        c = hqh[:k] @ w
-        w -= q[:, :k] @ c
-        c2 = hqh[:k] @ w
-        w -= q[:, :k] @ c2
-        t[:k, k - m : k] = c = c + c2
-        coef2 = np.vdot(c, c).real
-        w = w[:, : n - k]
+    try:
+        low, mat = np.linalg.cholesky(reflect(h1)), reflect(mat)
+    except np.linalg.LinAlgError:  # Z = I
+        low = np.linalg.cholesky(h1)
+    t = low.conj().T @ mat @ _lower_inverse(low).conj().T
+    return np.ldexp(np.linalg.eigvalsh(t, UPLO="U"), k2)
 
 
 def commutant_dimension(

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biherm import (
+    BihermError,
     DegenerateSpectrumError,
     HermitianForm,
     SpectralResolution,
@@ -26,7 +28,7 @@ from biherm import (
     krylov_rank,
     spectral_resolution,
 )
-from biherm.spectral import _BLOCK, _lanczos_ritz_values
+from biherm.spectral import _reflected_spectrum
 from conftest import (
     PER_FIBER_PATTERNS,
     brute_bicommutant_dim,
@@ -215,8 +217,8 @@ class TestIsCyclic:
             )
 
     def test_exact_breakdown_is_not_cyclic(self):
-        # the Krylov space of every probe is invariant after 1 (2·I) or
-        # 2 (diag(1, 1, 2)) steps; the restarted probes find the repeats
+        # exact repeats in a diagonal G: whatever the reflector, the
+        # eigenvalues of T repeat up to rounding
         for values in ([2.0] * 5, [1.0, 1.0, 2.0]):
             op = diag_operator(*values)
             for seed in range(5):
@@ -234,44 +236,37 @@ class TestIsCyclic:
             assert is_cyclic(op, seed=int(rng.integers(0, 2**31))) is not degenerate
 
     def test_restarts_keep_ritz_values_on_the_spectrum(self):
-        # three eigenvalues of multiplicity 20, 20 and 24 at cond(h1) = 1e4:
-        # each cluster fits in one block of 32, so the probe block and G
-        # times it span all 64 dimensions and nothing breaks down; the
-        # refills are covered by test_refills_keep_ritz_values_on_the_oracle
+        # three eigenvalues of multiplicity 20, 20 and 24 at cond(h1) = 1e4
         rng = np.random.default_rng(64)
         lam = np.repeat(0.5 + np.cumsum(0.05 + rng.random(3)), (20, 20, 24))
         h1, h2 = hermitian_pair_with_spectrum(rng, lam, 1e4)
         op = connecting_operator(h1, h2)
         kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
         assert not is_cyclic(op)
-        theta = _lanczos_ritz_values(op, np.random.default_rng(0))
+        theta = _reflected_spectrum(op, np.random.default_rng(0))
         bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
         assert np.max(np.abs(theta - op.spectrum)) <= bound
 
     def test_refills_keep_ritz_values_on_the_oracle(self):
-        # a 40-fold cluster among 4 simple values at cond(h1) = 1e4: a block
-        # of 32 reaches only 32 of its dimensions, so the missing ones break
-        # down and are refilled from fresh probes, and the Ritz values stay
-        # within the bound of the unbroken route from the 50-digit oracle
+        # a 40-fold cluster among 4 simple values at cond(h1) = 1e4: the
+        # eigenvalues of T stay within the bound from the 50-digit oracle
         rng = np.random.default_rng(65)
         h1, h2 = _cluster_pair(rng, 44, 40, 1e4)
         op = connecting_operator(h1, h2)
         kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
         expected = reference_pencil_eigenvalues(h1.gram, h2.gram)
         assert not is_cyclic(op)
-        spy = _DrawCounter(0)
-        theta = _lanczos_ritz_values(op, spy)
-        assert len(spy.sizes) > 1  # a refill draws one probe column at a time
+        theta = _reflected_spectrum(op, np.random.default_rng(0))
         bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
         assert np.max(np.abs(theta - expected)) <= bound
 
     def test_one_lanczos_run_per_call(self, monkeypatch):
-        # the Ritz values depend on the probe only through rounding, so
-        # one run decides even when G is not cyclic
+        # T is similar to G whatever the reflector, so one frame decides
+        # even when G is not cyclic
         import biherm.spectral
 
         calls = []
-        ritz = biherm.spectral._lanczos_ritz_values
+        ritz = biherm.spectral._reflected_spectrum
 
         def counted(*args, **kwargs):
             calls.append(1)
@@ -280,7 +275,7 @@ class TestIsCyclic:
         rng = np.random.default_rng(24)
         h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1,) * 100 + (4,) * 7)
         op = connecting_operator(h1, h2)
-        monkeypatch.setattr(biherm.spectral, "_lanczos_ritz_values", counted)
+        monkeypatch.setattr(biherm.spectral, "_reflected_spectrum", counted)
         assert not is_cyclic(op, seed=5)
         assert len(calls) == 1
 
@@ -310,17 +305,6 @@ class TestIsCyclic:
         assert is_cyclic(op, seed=seed) == (res.commutant_dimension == res.n_fibers)
 
 
-class _DrawCounter:
-    """A seeded generator that records the size of each probe draw."""
-
-    def __init__(self, seed):
-        self.rng, self.sizes = np.random.default_rng(seed), []
-
-    def standard_normal(self, size):
-        self.sizes.append(size)
-        return self.rng.standard_normal(size)
-
-
 def _cluster_pair(rng, n, mult, kappa):
     """A pair of dimension n whose G has one mult-fold eigenvalue, the rest simple."""
     values = 0.5 + np.cumsum(0.05 + rng.random(n - mult + 1))
@@ -329,55 +313,49 @@ def _cluster_pair(rng, n, mult, kappa):
 
 
 class TestBlockLanczos:
-    """The block route: block size, partial blocks, breakdown and refill."""
+    """Shapes that the block Lanczos route of earlier versions special-cased.
 
-    def test_one_probe_block_up_to_the_block_size(self):
-        # b = min(32, n): every pair up to n = 32 takes one block, drawn in
-        # one call, and a simple spectrum draws nothing more
-        assert _BLOCK == 32
-        rng = np.random.default_rng(70)
-        for n in (1, 2, 12, 24, 32, 33, 100):
-            h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1,) * n)
-            spy = _DrawCounter(n)
-            _lanczos_ritz_values(connecting_operator(h1, h2), spy)
-            assert spy.sizes == [(n, 2 * min(n, 32))]
+    Multiplicities above its block size of 32, sizes around it and
+    ill-conditioned h1: each case keeps its verdict and the bound of the
+    eigenvalues of T from the spectrum of G holds.
+    """
 
     @pytest.mark.parametrize("n, mult", [(33, 33), (40, 40), (64, 64), (64, 33), (64, 40), (128, 33), (128, 40)])
     def test_breakdown_refills_and_finds_the_repeat(self, n, mult):
-        # a multiplicity above the block size: a scalar G, exactly (2 I with
-        # h1 = I) and up to rounding (a dense h1), or a 33- or 40-fold
-        # cluster among simple values; the Krylov space of the probe block is
-        # invariant before Q is complete, and the refills find the repeat
+        # a scalar G, exactly (2 I with h1 = I) and up to rounding (a dense
+        # h1), or a 33- or 40-fold cluster among simple values; the dense
+        # pairs also keep the bound from the spectrum of G
         rng = np.random.default_rng(n + mult)
-        ops = [connecting_operator(*_cluster_pair(rng, n, mult, 1e3))]
-        if mult == n:
-            ops.append(diag_operator(*[2.0] * n))
-        for op in ops:
-            for seed in range(5):
-                assert not is_cyclic(op, seed=seed)
-            spy = _DrawCounter(0)
-            _lanczos_ritz_values(op, spy)
-            assert len(spy.sizes) > 1
+        h1, h2 = _cluster_pair(rng, n, mult, 1e3)
+        op = connecting_operator(h1, h2)
+        kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
+        bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
+        for seed in range(5):
+            assert not is_cyclic(op, seed=seed)
+            theta = _reflected_spectrum(op, np.random.default_rng(seed))
+            assert np.max(np.abs(theta - op.spectrum)) <= bound
+            if mult == n:
+                assert not is_cyclic(diag_operator(*[2.0] * n), seed=seed)
 
     def test_partial_and_tiny_blocks(self):
-        # n = 1 and 2, one column short of, at and one past the block size,
-        # and n = 100 (three full blocks and one of 4), simple and degenerate
+        # n = 1 and 2, sizes inside one block of 32, one column short of, at
+        # and one past it, and n = 100, simple and degenerate
         rng = np.random.default_rng(71)
-        for n in (1, 2, 31, 32, 33, 100):
+        for n in (1, 2, 12, 24, 31, 32, 33, 100):
             patterns = [(1,) * n] + ([(2,) + (1,) * (n - 2), random_multiplicity_pattern(rng, n)] if n > 1 else [])
             for mults in patterns:
                 h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
                 op = connecting_operator(h1, h2)
                 assert is_cyclic(op, seed=n) is (max(mults) == 1)
                 kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
-                theta = _lanczos_ritz_values(op, np.random.default_rng(n))
+                theta = _reflected_spectrum(op, np.random.default_rng(n))
                 bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
                 assert np.max(np.abs(theta - op.spectrum)) <= bound
 
     @pytest.mark.parametrize("kappa", [1e8, 1e10])
     def test_ill_conditioned_h1_returns_a_verdict(self, kappa):
-        # no LinAlgError leaves the route, whatever the probe block's
-        # h1-Gram matrix does to its Cholesky factorization
+        # no LinAlgError leaves the route, and the eigenvalues of T keep
+        # their bound from the spectrum of G
         rng = np.random.default_rng(int(np.log10(kappa)))
         for n in (2, 12, 33, 64):
             for degenerate in (False, True):
@@ -387,8 +365,68 @@ class TestBlockLanczos:
                 h1, h2 = hermitian_pair_with_spectrum(rng, np.sort(lam), kappa)
                 op = connecting_operator(h1, h2)
                 assert op.ill_conditioned or kappa < 1e10
+                bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
                 for seed in range(3):
                     assert isinstance(is_cyclic(op, seed=seed), bool)
+                    theta = _reflected_spectrum(op, np.random.default_rng(seed))
+                    assert np.max(np.abs(theta - op.spectrum)) <= bound
+
+
+class TestReflectedFrame:
+    """The frame Q = Z L^{-H} of one seeded Householder reflector Z."""
+
+    def test_reads_only_g_and_h1_gram(self):
+        # the route must not share h1's stored factor or the pencil solve
+        # with the other two genericity tests: a stand-in holding only
+        # dim, mat and h1.gram gives the same bits
+        rng = np.random.default_rng(72)
+        for mults in [(1,) * 12, (2, 1, 3, 1, 1), (1,) * 40 + (3,) * 8]:
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            op = connecting_operator(h1, h2)
+            bare = types.SimpleNamespace(dim=op.dim, mat=op.mat, h1=types.SimpleNamespace(gram=op.h1.gram))
+            for seed in range(3):
+                theta = _reflected_spectrum(op, np.random.default_rng(seed))
+                assert np.array_equal(_reflected_spectrum(bare, np.random.default_rng(seed)), theta)
+
+    def test_near_singular_h1_returns_a_verdict(self):
+        # cond(h1) = 3e16: a column-by-column refill of the block route
+        # divided by a zero norm here and then leaked LinAlgError
+        rng = np.random.default_rng(137)
+        lam = np.sort(0.5 + np.cumsum(0.05 + rng.random(3)))
+        h1, h2 = hermitian_pair_with_spectrum(rng, lam, 3e16)
+        assert isinstance(is_cyclic(connecting_operator(h1, h2), seed=2), bool)
+
+    def test_indefinite_reflected_metric_falls_back_to_h1(self):
+        # cond(h1) = 1e17: for seeds 1 and 5 the reflected metric Z h1 Z
+        # has no Cholesky factor in floating point, and the frame Z = I,
+        # exact for this diagonal pair, is taken instead
+        op = connecting_operator(
+            HermitianForm(np.diag([1.0, 1e-17]).astype(complex)),
+            HermitianForm(np.diag([1.0, 2.0]).astype(complex)),
+        )
+        for seed in range(6):
+            assert is_cyclic(op, seed=seed)
+        for seed in (1, 5):
+            theta = _reflected_spectrum(op, np.random.default_rng(seed))
+            assert np.max(np.abs(theta - op.spectrum)) <= 4 * UNIT_ROUNDOFF * np.max(op.spectrum)
+
+    def test_verdict_without_warning_up_to_cond_1e18(self):
+        # h1 as ill-conditioned as a Cholesky factor allows: a verdict,
+        # never an exception or a warning (warnings are errors here); the
+        # block Lanczos route of earlier versions failed 4 of these calls
+        rng = np.random.default_rng(73)
+        decided = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            lam = np.sort(0.5 + np.cumsum(0.05 + rng.random(n)))
+            try:
+                op = connecting_operator(*hermitian_pair_with_spectrum(rng, lam, float(10 ** rng.uniform(16, 18))))
+            except (BihermError, ValueError, np.linalg.LinAlgError):
+                continue
+            for seed in range(3):
+                assert isinstance(is_cyclic(op, seed=seed), bool)
+            decided += 1
+        assert decided >= 100
 
 
 class TestCommutantDimensions:
@@ -520,10 +558,10 @@ class TestOracleContract:
             assert op.residuals["min_eigenvalue"] == w[0]
 
     def test_ritz_values_within_backward_error_bound(self):
-        # the Lanczos route of is_cyclic, which shares neither the Cholesky
-        # factor nor the pencil solve, on the same pairs and bound
+        # the reflected route of is_cyclic, which shares neither the
+        # Cholesky factor nor the pencil solve, on the same pairs and bound
         for h1, h2, kappa, expected in _oracle_pairs():
-            theta = _lanczos_ritz_values(connecting_operator(h1, h2), np.random.default_rng(0))
+            theta = _reflected_spectrum(connecting_operator(h1, h2), np.random.default_rng(0))
             bound = 8 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
             assert np.max(np.abs(theta - expected)) <= bound
 
