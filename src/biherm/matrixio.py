@@ -9,7 +9,8 @@ can be validated at the boundary, before any numerics run:
 complex kinds dim^2 ``[re, im]`` pairs.  A triple file bundles three
 matrix sections under ``g``, ``j`` and ``omega``.  Writers may add a
 ``meta`` section (residuals and the like); readers ignore unknown keys,
-so every emitted artifact reloads as a valid input.
+so every emitted artifact reloads as a valid input.  Writers stream a
+file one matrix row at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances, _asymmetry
-from .report import canonical_json
+from .report import MatrixData, write_canonical_json
 from .triples import AdmissibleTriple
 
 __all__ = [
@@ -164,28 +165,33 @@ def load_matrix(
     return _parse_matrix_section(_load_json(path), str(path), tol, expect_kinds)
 
 
+def _section(mat: np.ndarray, kind: str) -> dict:
+    """A matrix section, its ``data`` the matrix as a MatrixData."""
+    mat = np.asarray(mat)
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    arr = np.asarray(np.real(mat), dtype=float) if kind in REAL_KINDS else np.ascontiguousarray(mat, dtype=complex)
+    return {"kind": kind, "dim": int(mat.shape[0]), "data": MatrixData(arr.reshape(len(arr), -1))}
+
+
 def matrix_payload(mat: np.ndarray, kind: str) -> dict:
     """MatrixFile JSON object for a matrix."""
-    mat = np.asarray(mat)
-    if kind in REAL_KINDS:
-        data = np.real(mat).astype(float).ravel().tolist()
-    elif kind in COMPLEX_KINDS:
-        data = np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1, 2).tolist()
-    else:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    return {"kind": kind, "dim": int(mat.shape[0]), "data": data}
+    payload = _section(mat, kind)
+    a = payload["data"].array
+    payload["data"] = a.view(float).reshape(-1, 2).tolist() if kind in COMPLEX_KINDS else a.ravel().tolist()
+    return payload
 
 
 def _write(path, payload: dict, meta: dict | None) -> None:
     """Write ``payload``, with ``meta`` as its meta section when given, as canonical JSON."""
     if meta is not None:
         payload["meta"] = meta
-    Path(path).write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    write_canonical_json(path, payload)
 
 
 def save_matrix(path, mat: np.ndarray, kind: str, meta: dict | None = None) -> None:
     """Write a matrix file (canonical JSON, optional meta section)."""
-    _write(path, matrix_payload(mat, kind), meta)
+    _write(path, _section(mat, kind), meta)
 
 
 def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
@@ -212,8 +218,8 @@ def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
 def save_triple(path, triple: AdmissibleTriple, meta: dict | None = None) -> None:
     """Write an admissible triple as a bundle of three matrix sections."""
     payload = {
-        "g": matrix_payload(triple.g.gram, "real_symmetric"),
-        "j": matrix_payload(triple.j.mat, "real_general"),
-        "omega": matrix_payload(triple.omega.gram, "real_antisymmetric"),
+        "g": _section(triple.g.gram, "real_symmetric"),
+        "j": _section(triple.j.mat, "real_general"),
+        "omega": _section(triple.omega.gram, "real_antisymmetric"),
     }
     _write(path, payload, meta)

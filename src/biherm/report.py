@@ -3,17 +3,25 @@
 Reports are plain dicts rendered either as canonical JSON (sorted keys,
 floats at 17 significant digits) or as a flat sorted ``path = value``
 text listing.  Identical inputs produce byte-identical output, which the
-golden-file tests rely on.
+golden-file tests rely on.  JSON is built as string pieces, a matrix file's
+``data`` one row per piece, which :func:`write_canonical_json` streams to a file.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["canonical_json", "render_text", "render_report"]
+__all__ = ["MatrixData", "canonical_json", "write_canonical_json", "render_text", "render_report"]
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixData:
+    """A matrix file's ``data``: its row-major floats, or ``[re, im]`` pairs, kept as the 2-D array."""
+
+    array: np.ndarray
 
 
 def _fmt_float(x: float) -> str:
@@ -36,26 +44,44 @@ def _render(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        # Lists of floats and of [re, im] float pairs (matrix files, spectra)
-        # are formatted whole by one %-template; "%.17g" % x is format(x, ".17g").
-        types = set(map(type, obj))
-        if types == {float}:
+        # A list of floats is formatted whole by one %-template;
+        # "%.17g" % x is format(x, ".17g").
+        if set(map(type, obj)) == {float}:
             return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
-        if types == {list} and set(map(len, obj)) == {2}:
-            parts = tuple(chain.from_iterable(obj))
-            if set(map(type, parts)) == {float}:
-                return "[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % parts + "]"
         return "[" + ", ".join(_render(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        body = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in items)
-        return "{" + body + "}"
+    if isinstance(obj, (dict, MatrixData)):
+        return "".join(_pieces(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+def _pieces(obj):
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(sorted(obj.items(), key=lambda kv: str(kv[0]))):
+            yield f"{', ' if i else ''}{json.dumps(str(k))}: "
+            yield from _pieces(v)
+        yield "}"
+    elif isinstance(obj, MatrixData):  # one matrix row per piece
+        pairs = np.iscomplexobj(obj.array)
+        row = ", ".join(["[%.17g, %.17g]" if pairs else "%.17g"] * obj.array.shape[1])
+        yield "["
+        for i, floats in enumerate(obj.array.view(float) if pairs else obj.array):
+            yield (", " if i else "") + row % tuple(floats.tolist())
+        yield "]"
+    else:
+        yield _render(obj)
 
 
 def canonical_json(obj) -> str:
     """Serialize to JSON with sorted keys and fixed float formatting."""
-    return _render(obj)
+    return "".join(_pieces(obj))
+
+
+def write_canonical_json(path, obj) -> None:
+    """Write ``canonical_json(obj)`` and a newline to ``path`` piece by piece."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_pieces(obj))
+        f.write("\n")
 
 
 def _leaf(obj) -> str:

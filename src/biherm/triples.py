@@ -198,7 +198,8 @@ def triple_from_g_omega(
     ------
     DegenerateSymplecticError
         If B̃ is singular (smallest singular value at most ``tol.tol_eig``
-        relative to the largest); in particular for odd dimension.
+        relative to the largest); in particular for odd dimension.  Also
+        when B̃ is so near singular that J misses J² = -1 by ``tol.tol_j``.
     NotSkewError
         If B̃ is not skew within ``tol.tol_resid``, i.e. omega is not
         antisymmetric.
@@ -227,7 +228,13 @@ def triple_from_g_omega(
     gram_w = low @ ((vt.T * svals) @ vt) @ low.T
     gram_w = 0.5 * (gram_w + gram_w.T)
     g_omega = RealForm(gram_w, "symmetric", tol)
-    j = ComplexStructureJ(j_mat, tol)
+    try:
+        j = ComplexStructureJ(j_mat, tol)
+    except ValueError as exc:  # J's rounding grows as u over the relative smallest singular value
+        raise DegenerateSymplecticError(
+            f"J from the polar factor is inaccurate (relative smallest singular value "
+            f"{svals[-1] / max(svals[0], _TINY):.3e}): {exc}"
+        ) from None
     return AdmissibleTriple(g_omega, j, omega, tol)
 
 

@@ -328,10 +328,15 @@ def reference_canonical_json(obj) -> str:
     return json.dumps(obj)
 
 
-def reference_matrix_file(mat: np.ndarray, kind: str) -> str:
-    """The bytes of a matrix file whose entries are converted one at a time."""
+def reference_matrix_section(mat: np.ndarray, kind: str) -> dict:
+    """A matrix section whose entries are converted one at a time."""
     if kind.startswith("real"):
         data = [float(v) for v in np.real(mat).ravel()]
     else:
         data = [[float(v.real), float(v.imag)] for v in np.asarray(mat, dtype=complex).ravel()]
-    return reference_canonical_json({"kind": kind, "dim": mat.shape[0], "data": data}) + "\n"
+    return {"kind": kind, "dim": mat.shape[0], "data": data}
+
+
+def reference_matrix_file(mat: np.ndarray, kind: str) -> str:
+    """The bytes of a matrix file whose entries are converted one at a time."""
+    return reference_canonical_json(reference_matrix_section(mat, kind)) + "\n"

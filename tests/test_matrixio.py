@@ -1,6 +1,8 @@
 """Tests for the matrix/triple file formats."""
 
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from biherm.matrixio import (
     save_matrix,
     save_triple,
 )
-from conftest import reference_matrix_file
+from conftest import reference_canonical_json, reference_matrix_file, reference_matrix_section
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
@@ -247,3 +249,44 @@ class TestRoundTripOracle:
         got_kind, got = load_matrix(path)
         assert got_kind == kind
         assert got.dtype == mat.dtype and got.tobytes() == mat.tobytes()
+
+
+TRIPLE_KINDS = {"g": "real_symmetric", "j": "real_general", "omega": "real_antisymmetric"}
+
+
+def _stand_in_triple(m: int, seed: int, injected=()) -> SimpleNamespace:
+    """What save_triple reads of a triple (g.gram, j.mat, omega.gram), with
+    entries no admissible triple would have: signed zeros, subnormals and
+    magnitudes across the double range."""
+    mats = {key: _exact_matrix(kind, m, seed + i, injected) for i, (key, kind) in enumerate(TRIPLE_KINDS.items())}
+    return SimpleNamespace(
+        g=SimpleNamespace(gram=mats["g"]), j=SimpleNamespace(mat=mats["j"]), omega=SimpleNamespace(gram=mats["omega"])
+    )
+
+
+class TestStreamedWriters:
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_triple_bytes_equal_per_entry_reference(self, tmp_path, m, seed):
+        trip = _stand_in_triple(m, seed, [(i * 37, v) for i, v in enumerate(SPECIAL_ENTRIES * 2)])
+        meta = {"residuals": {"a": 5e-324, "b": -0.0, "c": 1.7976931348623157e308}, "note": "x"}
+        path = tmp_path / "t.json"
+        save_triple(path, trip, meta=meta)
+        mats = {"g": trip.g.gram, "j": trip.j.mat, "omega": trip.omega.gram}
+        ref = {key: reference_matrix_section(mat, TRIPLE_KINDS[key]) for key, mat in mats.items()}
+        assert path.read_bytes() == (reference_canonical_json({**ref, "meta": meta}) + "\n").encode()
+
+    def test_writers_hold_one_row_not_the_file(self, tmp_path):
+        # the files hold 4.9 and 0.85 MB of text; a streamed write holds one
+        # row of it and that row's Python floats
+        trip = _stand_in_triple(256, 0)
+        u = _exact_matrix("complex_general", 128, 3, ())
+        for write in (lambda: save_triple(tmp_path / "t.json", trip, meta={"residuals": {"x": 0.5}}),
+                      lambda: save_matrix(tmp_path / "u.json", u, "complex_general")):
+            tracemalloc.start()
+            try:
+                write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6

@@ -1,6 +1,7 @@
 """Tests for admissible triple construction and complexification."""
 
 import json
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -260,6 +261,32 @@ class TestTripleFromGOmega:
                 except DegenerateSymplecticError:
                     verdicts.append("degenerate")
             assert verdicts == ["degenerate" if sigma <= 1e-9 else "built"] * 2
+
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-7, 2e-8])
+    def test_nearly_degenerate_omega_is_a_degenerate_symplectic_error(self, sigma):
+        # above tol_eig, but the polar factor's rounding (about u / sigma) can
+        # break J^2 = -1: that must be a BihermError naming both numbers
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            m = int(rng.integers(2, 7)) * 2
+            g = metric_with_condition(rng, m, 10 ** rng.uniform(0, 3))
+            svals = np.concatenate([[sigma], 1 + rng.random(m // 2 - 1)])
+            q = random_orthogonal(rng, m)
+            low = np.linalg.cholesky(g.gram)
+            w = low @ q @ np.kron(np.diag(svals), J2) @ q.T @ low.T
+            try:
+                trip = triple_from_g_omega(g, RealForm(0.5 * (w - w.T), "antisymmetric"))
+            except DegenerateSymplecticError as exc:
+                found = re.fullmatch(
+                    r"J from the polar factor is inaccurate \(relative smallest singular value (\S+)\): "
+                    r"J\^2 = -1 violated: residual (\S+) exceeds 1\.000e-09",
+                    str(exc),
+                )
+                assert found, str(exc)
+                assert sigma / 2.01 <= float(found[1]) <= 1.01 * sigma
+                assert float(found[2]) > 1e-9
+            else:
+                assert trip.j.residual <= 1e-9
 
 
 def ill_conditioned_couple(eps=1e-9):
