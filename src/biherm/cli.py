@@ -239,7 +239,9 @@ def spectrum(tol, h1_path, h2_path):
 @_command(
     "generic",
     *_PAIR,
-    click.option("--seed", type=int, default=0, show_default=True, help="Seed for the cyclicity probe reflector."),
+    click.option(
+        "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Reported; the verdicts do not use it."
+    ),
     _REPORT_OUT,
 )
 def generic(tol, h1_path, h2_path, seed):
@@ -279,7 +281,7 @@ def decompose(tol, h1_path, h2_path):
     return results, prop.passed
 
 
-@_command("sample-u", *_PAIR, click.option("--seed", type=int, default=0, show_default=True), _ARTIFACT)
+@_command("sample-u", *_PAIR, click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True), _ARTIFACT)
 def sample_u(tol, h1_path, h2_path, seed, out):
     """Sample a random bi-unitary transformation of a pair."""
     h1, h2, op = _load_pair(h1_path, h2_path, tol)

@@ -303,8 +303,7 @@ def krylov_rank(
     arbitrary G: at n ~ 100 the degree-k Krylov polynomials lose small
     eigencomponents to rounding, so the rank of a degenerate G often
     reaches n.  No default path calls it; :func:`biherm.spectral.is_cyclic`
-    counts close pairs of G's eigenvalues in a seeded h1-orthonormal
-    frame instead.
+    counts close pairs of the eigenvalues G already holds instead.
 
     Raises
     ------

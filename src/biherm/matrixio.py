@@ -166,12 +166,20 @@ def load_matrix(
 
 
 def _section(mat: np.ndarray, kind: str) -> dict:
-    """A matrix section, its ``data`` the matrix as a MatrixData."""
+    """A matrix section, its ``data`` the matrix as a MatrixData.
+
+    Raises ValueError on what the loader would reject: an unknown kind, a
+    non-square or empty array, or a non-finite entry.
+    """
     mat = np.asarray(mat)
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
+        raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
     arr = np.asarray(np.real(mat), dtype=float) if kind in REAL_KINDS else np.ascontiguousarray(mat, dtype=complex)
-    return {"kind": kind, "dim": int(mat.shape[0]), "data": MatrixData(arr.reshape(len(arr), -1))}
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has non-finite entries")
+    return {"kind": kind, "dim": len(arr), "data": MatrixData(arr)}
 
 
 def matrix_payload(mat: np.ndarray, kind: str) -> dict:

@@ -11,16 +11,16 @@ fibered decomposition that :mod:`biherm.decomposition` works on.
 The multiplicities give the bi-unitary group signature
 U(n_1) x ... x U(n_k); the pair is *generic* when every fiber is
 one-dimensional, equivalently when the commutant of G coincides with
-its bicommutant, equivalently when G is cyclic.  The three
-characterizations are computed independently (cluster count, eigenvalue
-pair count, and the pair count of the eigenvalues of G taken again in the
-h1-orthonormal frame of one seeded Householder reflector) so they can be
-checked against each other.
+its bicommutant, equivalently when G is cyclic.  G is self-adjoint for
+h1, so all three say one thing: its eigenvalues are distinct.  They are
+three readings of the one clustered spectrum G holds (cluster count,
+eigenvalue pair count, pair count against n), so they agree by
+construction; the spectrum itself is checked against 50-digit pencil
+eigenvalues in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .connecting import ConnectingOperator
 from .errors import DegenerateSpectrumError, ZeroCoefficientError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _lower_inverse, _read_only
+from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _read_only
 
 __all__ = [
     "Fiber",
@@ -156,7 +156,8 @@ class SpectralResolution:
         :attr:`fibers`; for a diagonalizable G it equals the sum of the
         squared multiplicities.  O(n^2) time and memory.
         """
-        return _close_pairs(self.spectrum, self.cluster_gap)
+        w = self.spectrum
+        return int(np.count_nonzero(np.abs(w[:, None] - w[None, :]) <= self.cluster_gap))
 
     def fiber_slices(self) -> list[slice]:
         """Column ranges of each fiber inside ``eigenvectors``."""
@@ -260,75 +261,20 @@ def is_cyclic(
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
-    """Cyclicity test by an eigenvalue-pair count in one seeded h1-orthonormal frame.
+    """True when G is cyclic, read from the spectrum G already holds.
 
-    G is self-adjoint in the h1 inner product.  A Householder reflector
-    drawn from ``seed`` gives an h1-orthonormal basis Q, in which the
-    n x n Hermitian T = (h1 Q)^H G Q is similar to G (see
-    :func:`_reflected_spectrum`), so its eigenvalues theta are those of G.
-    G is cyclic exactly when its eigenvalues are distinct, so G is found
-    cyclic when the count of pairs (i, j) with |theta_i - theta_j| <=
-    ``tol.tol_eig`` times max |theta| is n: the gap rule of
-    :func:`spectral_resolution`, applied to values computed from G and
-    h1's Gram matrix alone, without h1's stored Cholesky factor or the
-    pencil solve behind ``g.spectrum``, so the verdict stays independent
-    of the other two genericity tests.
-
-    One frame decides.  Because T is similar to G whatever the reflector,
-    theta depends on the seed only through rounding, and another seed can
-    only flip a verdict whose closest pair sits at the gap itself.  A
-    Krylov rank (:func:`~biherm.forms.krylov_rank`) would judge the same
-    property in exact arithmetic, but at n ~ 100 its degree-k polynomials
-    lose the small eigencomponents to rounding and overstate the rank.
+    G is self-adjoint in the h1 inner product, so it is cyclic exactly
+    when its eigenvalues are distinct: when no two of them lie within the
+    cluster gap of ``spectral_resolution(g, tol)``, so that its commutant
+    dimension is n.  This is the third reading of the one clustered
+    spectrum, beside the cluster count and the commutant dimension.
+    ``seed`` is accepted for compatibility and has no effect on the
+    verdict.  A Krylov rank (:func:`~biherm.forms.krylov_rank`) would
+    judge the same property in exact arithmetic, but at n ~ 100 its
+    degree-k polynomials lose the small eigencomponents to rounding and
+    overstate the rank.  O(n^2) time and memory.
     """
-    theta = _reflected_spectrum(g, np.random.default_rng(seed))
-    gap = tol.tol_eig * max(float(np.max(np.abs(theta))), _TINY)
-    return _close_pairs(theta, gap) == g.dim
-
-
-def _close_pairs(values: np.ndarray, gap: float) -> int:
-    """Number of ordered pairs (i, j) with |values_i - values_j| <= gap."""
-    return int(np.count_nonzero(np.abs(values[:, None] - values[None, :]) <= gap))
-
-
-def _reflected_spectrum(g: ConnectingOperator, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvalues of G from one seeded Householder frame: the eigenvalues
-    of the n x n Hermitian T = (h1 Q)^H G Q for an h1-orthonormal basis Q.
-
-    With a unit u drawn from ``rng`` and Z = I - 2 u u^H, the reflected
-    metric is factored as Z h1 Z = L L^H, so Q = Z L^{-H} is
-    h1-orthonormal and T = L^H (Z G Z) L^{-H}, which is similar to G.  T
-    is formed from G itself, never from the product h1 G, whose rounding
-    moves the spectrum by about kappa(h1)^2.  Z is applied to each side as
-    rank-one updates, O(n^2).  Only G and h1's Gram matrix are read: not
-    h1's stored factor, nor the pencil solve behind ``g.spectrum``.  It
-    runs on h1 / 4^k1 and G / 2^k2, powers of two from the exponents of
-    their Frobenius norms, so forms far from scale 1 do not overflow and
-    the eigenvalues scale back exactly.  Once kappa(h1) nears 1/u the
-    reflected metric can lose definiteness; Z = I is then taken, and h1,
-    which had a Cholesky factor for G to exist, is factored as it is.
-    O(n^3) time, O(n^2) memory.
-    """
-    n = g.dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1, k2 = math.frexp(_fro(g.h1.gram))[1] // 2, math.frexp(_fro(g.mat))[1]
-    h1, mat = (  # scaled exactly, as real views: np.ldexp takes no complex
-        np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex) for a, e in ((g.h1.gram, -2 * k1), (g.mat, -k2))
-    )
-    u = rng.standard_normal(2 * n).view(complex)
-    u /= math.sqrt(np.vdot(u, u).real)
-
-    def reflect(a):
-        """Z a Z = a - 2 u (u^H a) - 2 (a u - 2 (u^H a u) u) u^H."""
-        uha, au = u.conj() @ a, a @ u
-        return a - 2 * np.outer(u, uha) - 2 * np.outer(au - 2 * (uha @ u) * u, u.conj())
-
-    try:
-        low, mat = np.linalg.cholesky(reflect(h1)), reflect(mat)
-    except np.linalg.LinAlgError:  # Z = I
-        low = np.linalg.cholesky(h1)
-    t = low.conj().T @ mat @ _lower_inverse(low).conj().T
-    return np.ldexp(np.linalg.eigvalsh(t, UPLO="U"), k2)
+    return spectral_resolution(g, tol).commutant_dimension == g.dim
 
 
 def commutant_dimension(

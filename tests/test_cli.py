@@ -279,9 +279,8 @@ class TestSpectrumAndGeneric:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_generic_on_h1_far_below_scale_one(self, runner, tmp_path, dense):
-        # h1 at 1e-200 puts G near 1e200: the cyclicity route runs on
-        # power-of-two rescaled forms, so it neither overflows nor fails
-        # to converge, and agrees with the other two verdicts
+        # h1 at 1e-200 puts G near 1e200: no verdict overflows, and the
+        # three agree
         rng = np.random.default_rng(41)
         h1 = random_hpd(rng, 4) if dense else np.diag([1.0, 2.0])
         h2 = random_hpd(rng, 4) if dense else np.diag([1.0, 3.0])
@@ -296,7 +295,7 @@ class TestSpectrumAndGeneric:
 
     def test_generic_on_degenerate_pair_at_n128(self, runner, tmp_path):
         # a Krylov rank overstates the cyclicity of such a pair; the
-        # Lanczos Ritz-value count agrees with the other two verdicts
+        # eigenvalue pair count agrees with the other two verdicts
         mults = (1, 2, 1, 3, 1, 1, 4) * 9 + (2, 1, 1, 1, 2, 1, 1, 1, 1)
         h1, h2, _ = hermitian_pair_with_multiplicities(np.random.default_rng(31), mults)
         save_matrix(tmp_path / "h1.json", h1.gram, "complex_hermitian")
@@ -437,6 +436,16 @@ class TestCommonFlags:
         errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
         assert errors == ["Error: tol_eig must be less than 1"]
         assert result.stderr.endswith("Error: tol_eig must be less than 1\n")
+
+    @pytest.mark.parametrize("command", ["generic", "sample-u"])
+    def test_negative_seed_is_usage_error(self, runner, files, tmp_path, command):
+        args = [command, "--h1", files["h1"], "--h2", files["h2"], "--seed", "-1"]
+        if command == "sample-u":
+            args += ["--out", str(tmp_path / "U.json")]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Invalid value for '--seed'" in result.stderr
 
     def test_version_is_package_version(self, runner):
         result = invoke(runner, ["--version"])

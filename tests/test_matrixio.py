@@ -54,6 +54,24 @@ class TestMatrixRoundTrip:
         with pytest.raises(FileFormatError, match="expected kind"):
             load_matrix(path, ("complex_hermitian",))
 
+    @pytest.mark.parametrize(
+        "mat, message",
+        [(np.ones((2, 3)), "square"), (np.ones(3), "square"), (np.ones((0, 0)), "nonempty"),
+         (np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite")],
+        ids=["non-square", "1-d", "empty", "nan"],
+    )
+    def test_writers_reject_what_load_rejects(self, tmp_path, mat, message):
+        # unchecked, a 2x3 array is written as dim 2 with 6 entries, a 1-D
+        # one as dim 3 with 3 entries, an empty one as dim 0, and a NaN as a
+        # bare nan, not JSON; the check comes before the file is opened
+        trip = SimpleNamespace(g=SimpleNamespace(gram=np.eye(2)), j=SimpleNamespace(mat=mat),
+                               omega=SimpleNamespace(gram=np.zeros((2, 2))))
+        for path, write in ((tmp_path / "m.json", lambda p: save_matrix(p, mat, "real_general")),
+                            (tmp_path / "t.json", lambda p: save_triple(p, trip))):
+            with pytest.raises(ValueError, match=message):
+                write(path)
+            assert not path.exists()
+
 
 class TestDiagnostics:
     def test_invalid_json_reports_line(self, tmp_path):

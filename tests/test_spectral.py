@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from biherm import (
     krylov_rank,
     spectral_resolution,
 )
-from biherm.spectral import _reflected_spectrum
 from conftest import (
     PER_FIBER_PATTERNS,
     brute_bicommutant_dim,
@@ -217,8 +215,7 @@ class TestIsCyclic:
             )
 
     def test_exact_breakdown_is_not_cyclic(self):
-        # exact repeats in a diagonal G: whatever the reflector, the
-        # eigenvalues of T repeat up to rounding
+        # exact repeats in a diagonal G, for every seed
         for values in ([2.0] * 5, [1.0, 1.0, 2.0]):
             op = diag_operator(*values)
             for seed in range(5):
@@ -240,44 +237,19 @@ class TestIsCyclic:
         rng = np.random.default_rng(64)
         lam = np.repeat(0.5 + np.cumsum(0.05 + rng.random(3)), (20, 20, 24))
         h1, h2 = hermitian_pair_with_spectrum(rng, lam, 1e4)
-        op = connecting_operator(h1, h2)
-        kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
-        assert not is_cyclic(op)
-        theta = _reflected_spectrum(op, np.random.default_rng(0))
-        bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
-        assert np.max(np.abs(theta - op.spectrum)) <= bound
+        assert not is_cyclic(connecting_operator(h1, h2))
 
     def test_refills_keep_ritz_values_on_the_oracle(self):
         # a 40-fold cluster among 4 simple values at cond(h1) = 1e4: the
-        # eigenvalues of T stay within the bound from the 50-digit oracle
+        # spectrum that is_cyclic reads keeps the oracle contract's bound
         rng = np.random.default_rng(65)
         h1, h2 = _cluster_pair(rng, 44, 40, 1e4)
         op = connecting_operator(h1, h2)
         kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
         expected = reference_pencil_eigenvalues(h1.gram, h2.gram)
         assert not is_cyclic(op)
-        theta = _reflected_spectrum(op, np.random.default_rng(0))
-        bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
-        assert np.max(np.abs(theta - expected)) <= bound
-
-    def test_one_lanczos_run_per_call(self, monkeypatch):
-        # T is similar to G whatever the reflector, so one frame decides
-        # even when G is not cyclic
-        import biherm.spectral
-
-        calls = []
-        ritz = biherm.spectral._reflected_spectrum
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return ritz(*args, **kwargs)
-
-        rng = np.random.default_rng(24)
-        h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1,) * 100 + (4,) * 7)
-        op = connecting_operator(h1, h2)
-        monkeypatch.setattr(biherm.spectral, "_reflected_spectrum", counted)
-        assert not is_cyclic(op, seed=5)
-        assert len(calls) == 1
+        bound = 8 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
+        assert np.max(np.abs(op.spectrum - expected)) <= bound
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -316,24 +288,19 @@ class TestBlockLanczos:
     """Shapes that the block Lanczos route of earlier versions special-cased.
 
     Multiplicities above its block size of 32, sizes around it and
-    ill-conditioned h1: each case keeps its verdict and the bound of the
-    eigenvalues of T from the spectrum of G holds.
+    ill-conditioned h1: each case keeps its is_cyclic verdict.  The class
+    and test ids are kept for stability.
     """
 
     @pytest.mark.parametrize("n, mult", [(33, 33), (40, 40), (64, 64), (64, 33), (64, 40), (128, 33), (128, 40)])
     def test_breakdown_refills_and_finds_the_repeat(self, n, mult):
         # a scalar G, exactly (2 I with h1 = I) and up to rounding (a dense
-        # h1), or a 33- or 40-fold cluster among simple values; the dense
-        # pairs also keep the bound from the spectrum of G
+        # h1), or a 33- or 40-fold cluster among simple values
         rng = np.random.default_rng(n + mult)
         h1, h2 = _cluster_pair(rng, n, mult, 1e3)
         op = connecting_operator(h1, h2)
-        kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
-        bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
         for seed in range(5):
             assert not is_cyclic(op, seed=seed)
-            theta = _reflected_spectrum(op, np.random.default_rng(seed))
-            assert np.max(np.abs(theta - op.spectrum)) <= bound
             if mult == n:
                 assert not is_cyclic(diag_operator(*[2.0] * n), seed=seed)
 
@@ -347,15 +314,10 @@ class TestBlockLanczos:
                 h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
                 op = connecting_operator(h1, h2)
                 assert is_cyclic(op, seed=n) is (max(mults) == 1)
-                kappa = h1.eigenvalues[-1] / h1.eigenvalues[0]
-                theta = _reflected_spectrum(op, np.random.default_rng(n))
-                bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
-                assert np.max(np.abs(theta - op.spectrum)) <= bound
 
     @pytest.mark.parametrize("kappa", [1e8, 1e10])
     def test_ill_conditioned_h1_returns_a_verdict(self, kappa):
-        # no LinAlgError leaves the route, and the eigenvalues of T keep
-        # their bound from the spectrum of G
+        # a verdict, never a LinAlgError
         rng = np.random.default_rng(int(np.log10(kappa)))
         for n in (2, 12, 33, 64):
             for degenerate in (False, True):
@@ -365,28 +327,14 @@ class TestBlockLanczos:
                 h1, h2 = hermitian_pair_with_spectrum(rng, np.sort(lam), kappa)
                 op = connecting_operator(h1, h2)
                 assert op.ill_conditioned or kappa < 1e10
-                bound = 16 * UNIT_ROUNDOFF * kappa * np.max(np.abs(op.spectrum))
                 for seed in range(3):
                     assert isinstance(is_cyclic(op, seed=seed), bool)
-                    theta = _reflected_spectrum(op, np.random.default_rng(seed))
-                    assert np.max(np.abs(theta - op.spectrum)) <= bound
 
 
 class TestReflectedFrame:
-    """The frame Q = Z L^{-H} of one seeded Householder reflector Z."""
-
-    def test_reads_only_g_and_h1_gram(self):
-        # the route must not share h1's stored factor or the pencil solve
-        # with the other two genericity tests: a stand-in holding only
-        # dim, mat and h1.gram gives the same bits
-        rng = np.random.default_rng(72)
-        for mults in [(1,) * 12, (2, 1, 3, 1, 1), (1,) * 40 + (3,) * 8]:
-            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
-            op = connecting_operator(h1, h2)
-            bare = types.SimpleNamespace(dim=op.dim, mat=op.mat, h1=types.SimpleNamespace(gram=op.h1.gram))
-            for seed in range(3):
-                theta = _reflected_spectrum(op, np.random.default_rng(seed))
-                assert np.array_equal(_reflected_spectrum(bare, np.random.default_rng(seed)), theta)
+    """is_cyclic on nearly singular h1, where the reflected frame of an
+    earlier version needed a fallback.  The class and test ids are kept
+    for stability."""
 
     def test_near_singular_h1_returns_a_verdict(self):
         # cond(h1) = 3e16: a column-by-column refill of the block route
@@ -397,18 +345,13 @@ class TestReflectedFrame:
         assert isinstance(is_cyclic(connecting_operator(h1, h2), seed=2), bool)
 
     def test_indefinite_reflected_metric_falls_back_to_h1(self):
-        # cond(h1) = 1e17: for seeds 1 and 5 the reflected metric Z h1 Z
-        # has no Cholesky factor in floating point, and the frame Z = I,
-        # exact for this diagonal pair, is taken instead
+        # cond(h1) = 1e17, a diagonal pair with a simple spectrum
         op = connecting_operator(
             HermitianForm(np.diag([1.0, 1e-17]).astype(complex)),
             HermitianForm(np.diag([1.0, 2.0]).astype(complex)),
         )
         for seed in range(6):
             assert is_cyclic(op, seed=seed)
-        for seed in (1, 5):
-            theta = _reflected_spectrum(op, np.random.default_rng(seed))
-            assert np.max(np.abs(theta - op.spectrum)) <= 4 * UNIT_ROUNDOFF * np.max(op.spectrum)
 
     def test_verdict_without_warning_up_to_cond_1e18(self):
         # h1 as ill-conditioned as a Cholesky factor allows: a verdict,
@@ -557,14 +500,6 @@ class TestOracleContract:
             assert np.max(np.abs(w - expected)) <= bound
             assert op.residuals["min_eigenvalue"] == w[0]
 
-    def test_ritz_values_within_backward_error_bound(self):
-        # the reflected route of is_cyclic, which shares neither the
-        # Cholesky factor nor the pencil solve, on the same pairs and bound
-        for h1, h2, kappa, expected in _oracle_pairs():
-            theta = _reflected_spectrum(connecting_operator(h1, h2), np.random.default_rng(0))
-            bound = 8 * UNIT_ROUNDOFF * kappa * np.max(np.abs(expected))
-            assert np.max(np.abs(theta - expected)) <= bound
-
     def test_clusters_match_oracle_away_from_the_threshold(self):
         rng = np.random.default_rng(1102)
         tol = Tolerances()
@@ -587,6 +522,7 @@ class TestOracleContract:
             generic = max(mults) == 1
             assert is_generic_by_spectrum(res) is generic
             assert is_generic_by_commutant(op, tol, resolution=res) is generic
-            assert is_cyclic(op, tol=tol) is generic
+            for seed in range(3):
+                assert is_cyclic(op, seed=seed, tol=tol) is generic
             checked.append(generic)
         assert len(checked) >= 30 and set(checked) == {True, False}
