@@ -105,7 +105,9 @@ def _require_square(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _maxabs(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat))) if mat.size else 0.0
+    """max|mat| (0 when empty); a real matrix is read by its max and min, with no |mat| copy."""
+    a = np.abs(mat) if np.iscomplexobj(mat) else mat
+    return abs(float(max(a.max(initial=0.0), -a.min(initial=0.0))))
 
 
 def _fro(mat: np.ndarray) -> float:
@@ -130,12 +132,15 @@ def _fro(mat: np.ndarray) -> float:
 
 
 def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:
-    """max|A - Aᴴ| (sign +1) or max|A + Aᴴ| (sign -1), and the scale max(max|A|, tiny).
-
-    Every symmetric, antisymmetric and Hermitian check compares these two.
-    """
+    """max|A - Aᴴ| (sign +1) or max|A + Aᴴ| (sign -1), and the scale max(max|A|, tiny)."""
     adj = mat.conj().T
     return _maxabs(mat - adj if sign > 0 else mat + adj), max(_maxabs(mat), _TINY)
+
+
+def _within_tol_sym(mat: np.ndarray, sign: int, tol: Tolerances) -> bool:
+    """Whether max|A ∓ Aᴴ| ≤ tol_sym·max|A| (sign +1: A = Aᴴ; -1: A = -Aᴴ): the one symmetry rule."""
+    resid, scale = _asymmetry(mat, sign)
+    return not resid > tol.tol_sym * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +163,7 @@ class RealForm:
             sign = {"symmetric": 1, "antisymmetric": -1}.get(self.symmetry_tag)
             if sign is None:
                 raise ValueError(f"unknown symmetry_tag {self.symmetry_tag!r}")
-            resid, scale = _asymmetry(mat, sign)
-            if resid > self.tol.tol_sym * scale:
+            if not _within_tol_sym(mat, sign, self.tol):
                 raise ValueError(f"gram is not {self.symmetry_tag} within tolerance")
         object.__setattr__(self, "gram", _read_only(mat, copy=True))
 
@@ -227,8 +231,7 @@ class HermitianForm:
 
     def __post_init__(self):
         mat = _require_square(self.gram, "gram").astype(complex, copy=False)
-        resid, scale = _asymmetry(mat, 1)
-        if resid > self.tol.tol_sym * scale:
+        if not _within_tol_sym(mat, 1, self.tol):
             raise ValueError("gram is not Hermitian within tolerance")
         object.__setattr__(self, "gram", _read_only(mat, copy=True))
         try:

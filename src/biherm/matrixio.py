@@ -7,10 +7,10 @@ can be validated at the boundary, before any numerics run:
 
 ``data`` is the row-major matrix; real kinds carry dim^2 numbers,
 complex kinds dim^2 ``[re, im]`` pairs.  A triple file bundles three
-matrix sections under ``g``, ``j`` and ``omega``.  Writers may add a
-``meta`` section (residuals and the like); readers ignore unknown keys,
-so every emitted artifact reloads as a valid input.  Writers stream a
-file one matrix row at a time.
+matrix sections under ``g``, ``j`` and ``omega``.  Readers ignore the ``meta``
+section writers may add.  Writers raise ValueError, before opening the file, on
+what the loader refuses at default tolerances, so every emitted artifact reloads
+as a valid input.  Writers stream a file one matrix row at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances, _asymmetry
+from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances, _within_tol_sym
 from .report import MatrixData, write_canonical_json
 from .triples import AdmissibleTriple
 
@@ -41,8 +41,7 @@ __all__ = [
 REAL_KINDS = ("real_symmetric", "real_antisymmetric", "real_general")
 COMPLEX_KINDS = ("complex_hermitian", "complex_general")
 MATRIX_KINDS = REAL_KINDS + COMPLEX_KINDS
-# kind -> sign passed to forms._asymmetry, and the word its diagnostic uses
-_SYMMETRY = {"real_symmetric": (1, "symmetric"), "real_antisymmetric": (-1, "antisymmetric"),
+_SYMMETRY = {"real_symmetric": (1, "symmetric"), "real_antisymmetric": (-1, "antisymmetric"),  # (sign, word)
              "complex_hermitian": (1, "Hermitian")}
 _NUMBER_TYPES = {int, float}  # exact types: a JSON boolean is not a number
 
@@ -115,6 +114,14 @@ def _parse_entries(data: list, pairs: bool, where: str) -> np.ndarray:
     raise AssertionError("whole-list check failed on entries that all pass")
 
 
+def _kind_defect(mat: np.ndarray, kind: str, tol: Tolerances) -> str | None:
+    """Why ``mat`` is not of ``kind`` (an imaginary part, a missed symmetry) or None; loader and writers both ask."""
+    if kind in REAL_KINDS and np.iscomplexobj(mat) and np.any(mat.imag):
+        return f"matrix of kind {kind} has a nonzero imaginary part"
+    sign, word = _SYMMETRY.get(kind, (0, ""))
+    return f"matrix is not {word} within tolerance" if sign and not _within_tol_sym(mat, sign, tol) else None
+
+
 def _parse_matrix_section(
     obj: dict, where: str, tol: Tolerances, expect_kinds: tuple[str, ...] | None
 ) -> tuple[str, np.ndarray]:
@@ -136,11 +143,8 @@ def _parse_matrix_section(
         )
 
     mat = _parse_entries(data, kind in COMPLEX_KINDS, where).reshape(dim, dim)
-    if kind in _SYMMETRY:
-        sign, word = _SYMMETRY[kind]
-        resid, scale = _asymmetry(mat, sign)
-        if resid > tol.tol_sym * scale:
-            raise FileFormatError(f"{where}: matrix is not {word} within tolerance")
+    if defect := _kind_defect(mat, kind, tol):
+        raise FileFormatError(f"{where}: {defect}")
     if expect_kinds is not None and kind not in expect_kinds:
         raise FileFormatError(f"{where}: expected kind {' or '.join(expect_kinds)}, got {kind}")
     return kind, mat
@@ -168,18 +172,20 @@ def load_matrix(
 def _section(mat: np.ndarray, kind: str) -> dict:
     """A matrix section, its ``data`` the matrix as a MatrixData.
 
-    Raises ValueError on what the loader would reject: an unknown kind, a
-    non-square or empty array, or a non-finite entry.
+    Raises ValueError on what the loader would reject at its default tolerances: an
+    unknown kind, a non-square or empty array, a non-finite entry, or a :func:`_kind_defect`.
     """
     mat = np.asarray(mat)
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
-    arr = np.asarray(np.real(mat), dtype=float) if kind in REAL_KINDS else np.ascontiguousarray(mat, dtype=complex)
+    arr = np.ascontiguousarray(mat, dtype=complex if kind in COMPLEX_KINDS or np.iscomplexobj(mat) else float)
     if not np.isfinite(arr).all():
         raise ValueError("matrix has non-finite entries")
-    return {"kind": kind, "dim": len(arr), "data": MatrixData(arr)}
+    if defect := _kind_defect(arr, kind, DEFAULT_TOLERANCES):
+        raise ValueError(defect)
+    return {"kind": kind, "dim": len(arr), "data": MatrixData(arr.real if kind in REAL_KINDS else arr)}
 
 
 def matrix_payload(mat: np.ndarray, kind: str) -> dict:

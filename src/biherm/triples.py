@@ -35,6 +35,7 @@ from .forms import (
     _lower_inverse,
     _maxabs,
     _read_only,
+    _within_tol_sym,
 )
 
 __all__ = [
@@ -54,10 +55,8 @@ def _metric_min_eigenvalue(g: RealForm, tol: Tolerances, message: str) -> float:
     """Smallest eigenvalue of the symmetrized Gram matrix of g; raises
     NotAdmissibleError(message) unless g is symmetric within ``tol.tol_sym``
     and that eigenvalue is positive."""
-    mat = g.gram
-    resid, scale = _asymmetry(mat, 1)
-    w_min = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-    if not (resid / scale <= tol.tol_sym and w_min > 0.0):
+    w_min = float(np.linalg.eigvalsh(0.5 * (g.gram + g.gram.T))[0])
+    if not (_within_tol_sym(g.gram, 1, tol) and w_min > 0.0):
         raise NotAdmissibleError(message)
     return w_min
 

@@ -9,7 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biherm import ComplexStructureJ, FileFormatError, RealForm, triple_from_g_j
+from biherm import (
+    DEFAULT_TOLERANCES,
+    AdmissibleTriple,
+    ComplexStructureJ,
+    FileFormatError,
+    HermitianForm,
+    NotAdmissibleError,
+    RealForm,
+    Tolerances,
+    symmetrize_metric,
+    triple_from_g_j,
+)
+from biherm.forms import _asymmetry, _within_tol_sym
 from biherm.matrixio import (
     MATRIX_KINDS,
     load_matrix,
@@ -18,7 +30,7 @@ from biherm.matrixio import (
     save_matrix,
     save_triple,
 )
-from conftest import reference_canonical_json, reference_matrix_file, reference_matrix_section
+from conftest import random_hpd, random_spd, reference_canonical_json, reference_matrix_file, reference_matrix_section
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
@@ -55,22 +67,110 @@ class TestMatrixRoundTrip:
             load_matrix(path, ("complex_hermitian",))
 
     @pytest.mark.parametrize(
-        "mat, message",
-        [(np.ones((2, 3)), "square"), (np.ones(3), "square"), (np.ones((0, 0)), "nonempty"),
-         (np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite")],
-        ids=["non-square", "1-d", "empty", "nan"],
+        "kind, mat, message",
+        [("real_general", np.ones((2, 3)), "square"), ("real_general", np.ones(3), "square"),
+         ("real_general", np.ones((0, 0)), "nonempty"),
+         ("real_general", np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"),
+         ("real_symmetric", np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]]), "^matrix is not symmetric within tolerance$"),
+         ("real_antisymmetric", np.array([[0.0, 1.0 + 1e-6], [-1.0, 0.0]]),
+          "^matrix is not antisymmetric within tolerance$"),
+         ("complex_hermitian", np.array([[1.0, 1j * (1.0 + 1e-6)], [-1j, 1.0]]),
+          "^matrix is not Hermitian within tolerance$"),
+         ("real_symmetric", np.array([[1, 2j], [-2j, 3]]),
+          "^matrix of kind real_symmetric has a nonzero imaginary part$"),
+         ("real_antisymmetric", np.array([[1e-300j, 2.0], [-2.0, 0.0]]), "real_antisymmetric has a nonzero imaginary"),
+         ("real_general", np.array([[1.0, 2.0], [3.0, 4.0 - 1e-300j]]), "real_general has a nonzero imaginary")],
+        ids=["non-square", "1-d", "empty", "nan", "asymmetric", "not-antisymmetric", "not-hermitian",
+             "imag-symmetric", "imag-antisymmetric", "imag-general"],
     )
-    def test_writers_reject_what_load_rejects(self, tmp_path, mat, message):
+    def test_writers_reject_what_load_rejects(self, tmp_path, kind, mat, message):
         # unchecked, a 2x3 array is written as dim 2 with 6 entries, a 1-D
-        # one as dim 3 with 3 entries, an empty one as dim 0, and a NaN as a
-        # bare nan, not JSON; the check comes before the file is opened
-        trip = SimpleNamespace(g=SimpleNamespace(gram=np.eye(2)), j=SimpleNamespace(mat=mat),
-                               omega=SimpleNamespace(gram=np.zeros((2, 2))))
-        for path, write in ((tmp_path / "m.json", lambda p: save_matrix(p, mat, "real_general")),
-                            (tmp_path / "t.json", lambda p: save_triple(p, trip))):
+        # one as dim 3 with 3 entries, an empty one as dim 0, a NaN as a
+        # bare nan, not JSON, a matrix off its kind's symmetry as a file the
+        # loader refuses, and a real kind's imaginary part is dropped; the
+        # check comes before the file is opened
+        sections = {"g": np.eye(2), "j": np.eye(2), "omega": np.zeros((2, 2))}
+        key = {"real_symmetric": "g", "real_general": "j", "real_antisymmetric": "omega"}.get(kind)
+        writes = [(tmp_path / "m.json", lambda p: save_matrix(p, mat, kind)),
+                  (tmp_path / "p.json", lambda p: p.write_text(json.dumps(matrix_payload(mat, kind))))]
+        if key is not None:
+            sections[key] = mat
+            trip = SimpleNamespace(g=SimpleNamespace(gram=sections["g"]), j=SimpleNamespace(mat=sections["j"]),
+                                   omega=SimpleNamespace(gram=sections["omega"]))
+            writes.append((tmp_path / "t.json", lambda p: save_triple(p, trip)))
+        for path, write in writes:
             with pytest.raises(ValueError, match=message):
                 write(path)
             assert not path.exists()
+
+
+def _off_symmetry(n: int, is_complex: bool, sign: int, ratio: float, seed: int) -> np.ndarray:
+    """A = S + δK with S exactly symmetric or Hermitian and positive-definite
+    (sign +1) or antisymmetric (sign -1), K exactly of the opposite symmetry,
+    and δ set so that max|A ∓ Aᴴ| = ratio·tol_sym·max|A|.  For real, sign +1
+    and even n, S and K commute with J0 = ⊕ [[0, -1], [1, 0]], so (A, J0, A·J0)
+    meets every triple check but the metric's symmetry."""
+    rng = np.random.default_rng(seed)
+
+    def square():
+        z = rng.standard_normal((n, n))
+        return z + 1j * rng.standard_normal((n, n)) if is_complex else z
+
+    z = square()
+    if sign > 0:
+        s, k = (random_hpd(rng, n) if is_complex else random_spd(rng, n)), z - z.conj().T
+        if not is_complex and n % 2 == 0:
+            j0 = np.kron(np.eye(n // 2), J2)
+            p = z + z.T
+            s, k = 0.5 * (s + j0.T @ s @ j0), j0 @ (0.5 * (p + j0.T @ p @ j0))
+    else:
+        m = square()
+        s, k = z - z.conj().T, m + m.conj().T
+    delta = ratio * DEFAULT_TOLERANCES.tol_sym * np.max(np.abs(s)) / (2.0 * np.max(np.abs(k)))
+    return s + delta * k
+
+
+class TestOneSymmetryVerdict:
+    # every check of "within tol_sym of (anti)symmetric or Hermitian" sees the
+    # same matrix, 2x inside and 2x outside the tolerance; no kind, form or
+    # triple is anti-Hermitian, so for complex sign -1 only the predicate reads it
+    @pytest.mark.parametrize("n", [2, 8, 33])
+    @pytest.mark.parametrize("is_complex, sign", [(False, 1), (False, -1), (True, 1), (True, -1)])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_forms_files_and_triples_agree(self, tmp_path, n, is_complex, sign, ratio):
+        a = _off_symmetry(n, is_complex, sign, ratio, seed=n)
+        resid, scale = _asymmetry(a, sign)
+        assert resid / scale / DEFAULT_TOLERANCES.tol_sym == pytest.approx(ratio, rel=1e-4)
+        verdicts = {"predicate": _within_tol_sym(a, sign, DEFAULT_TOLERANCES)}
+
+        def check(name, call, errors):
+            try:
+                call()
+            except errors:
+                verdicts[name] = False
+            else:
+                verdicts[name] = True
+
+        kind = {(False, 1): "real_symmetric", (False, -1): "real_antisymmetric",
+                (True, 1): "complex_hermitian"}.get((is_complex, sign))
+        if kind is not None:
+            tag = "symmetric" if sign > 0 else "antisymmetric"
+            check("form", lambda: HermitianForm(a) if is_complex else RealForm(a, tag), ValueError)
+            data = a.view(float).reshape(-1, 2).tolist() if is_complex else a.ravel().tolist()
+            by_hand = tmp_path / "by_hand.json"
+            by_hand.write_text(json.dumps({"kind": kind, "dim": n, "data": data}))
+            check("load_matrix", lambda: load_matrix(by_hand), FileFormatError)
+            written = tmp_path / "written.json"
+            check("save_matrix", lambda: save_matrix(written, a, kind), ValueError)
+            assert written.exists() == verdicts["save_matrix"]
+        if kind == "real_symmetric" and n % 2 == 0:
+            loose = Tolerances(tol_sym=1e-6)
+            g = RealForm(a, "symmetric", loose)
+            j = ComplexStructureJ(np.kron(np.eye(n // 2), J2))
+            omega = RealForm(a @ j.mat, "antisymmetric", loose)
+            check("symmetrize_metric", lambda: symmetrize_metric(g, j), NotAdmissibleError)
+            check("AdmissibleTriple", lambda: AdmissibleTriple(g, j, omega), NotAdmissibleError)
+        assert verdicts == dict.fromkeys(verdicts, ratio < 1.0)
 
 
 class TestDiagnostics:
