@@ -157,9 +157,8 @@ def _ill_conditioned(h1: HermitianForm, tol: Tolerances) -> bool:
     limit = 1.0 / tol.tol_eig
     linv = h1.inverse_factor
     if linv is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            linv_norm = _fro(linv)
-            bound = _fro(h1.gram) * linv_norm * linv_norm
+        linv_norm = _fro(linv)
+        bound = _fro(h1.gram) * linv_norm * linv_norm
         if bound <= 0.5 * limit and 0.5 * _EPS * h1.dim * bound < 1e-3:
             return False
     w1 = h1.eigenvalues

@@ -10,11 +10,13 @@ transformations preserving both forms are assembled from one unitary
 block per fiber — a single phase per fiber when all fibers are
 one-dimensional.  Every function here takes the resolution as it is.
 
-The unit of work is the segment, all fibers of one dimension k: the
-bi-unitary group U(n_1) x ... x U(n_k) regrouped as the product over k
-of U(k)^(m_k).  Each segment is handled by stacked numpy calls over its
-m_k fibers, with column dots for k = 1, after the n x n products that
-touch every fiber at once have been formed as whole-matrix gemms.  The
+The product U(n_1) x ... x U(n_k) is handled in one piece, never fiber
+by fiber or dimension by dimension.  The
+:class:`~biherm.spectral.FiberPairs` index of the resolution lists every
+entry of every fiber's diagonal block, so all fibers' Gram blocks are
+read from one n x n product by one gather, and all unitary blocks are
+written into one block-diagonal matrix by one scatter: a fixed number of
+numpy calls and O(n^2) memory, whatever the fiber dimensions.  The
 results agree with a loop over fibers up to rounding (the sums run in
 another order), and are reproducible to the last bit.
 """
@@ -114,31 +116,22 @@ def check_proportionality(
     The decomposition must come from the connecting operator of
     (h1, h2); violations are reported per fiber, never raised.
 
-    With V the basis matrix, h1 V and h2 V are two n x n gemms.  The Gram
-    blocks X_j^H h1 X_j and X_j^H h2 X_j of the fibers then need column
-    dots for a segment of dimension 1, and stacked (k, n) x (n, k)
-    products for a segment of dimension k >= 2.
+    With V the basis matrix and W = V^H h1 its dual basis, the fiber
+    blocks X_j^H h2 X_j - lambda_j X_j^H h1 X_j are the diagonal blocks
+    of (V^H h2 - Lambda W) V, Lambda the eigenvalue of each row's fiber:
+    two n x n gemms beside W.  They are read at the
+    :attr:`~biherm.spectral.SpectralResolution.fiber_pairs` entries by
+    one gather, and each fiber's largest violation is one reduction over
+    its block of entries.
     """
     if h1.dim != dec.dim or h2.dim != dec.dim:
         raise DimensionMismatchError("form and decomposition dimensions differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(_fro(h2.gram), _TINY)
-    lam = dec.eigenvalues
+    scale = max(_fro(h2.gram), _TINY)
+    p = dec.fiber_pairs
     v = dec.eigenvectors
-    hv1, hv2 = h1.gram @ v, h2.gram @ v
-    violations = np.empty(dec.n_fibers)
-    for k, idx in dec.segments.items():
-        idx, cols = _segment_columns(dec, k, idx)
-        xh = v[:, cols].conj()
-        if k == 1:
-            m1 = np.einsum("ij,ij->j", xh, hv1[:, cols])
-            m2 = np.einsum("ij,ij->j", xh, hv2[:, cols])
-            violations[idx] = np.abs(m2 - lam[idx] * m1) / scale
-        else:
-            xh = _by_fiber(xh, k).transpose(0, 2, 1)
-            m1 = xh @ _by_fiber(hv1[:, cols], k)
-            m2 = xh @ _by_fiber(hv2[:, cols], k)
-            violations[idx] = np.max(np.abs(m2 - lam[idx, None, None] * m1), axis=(1, 2)) / scale
+    lam = np.repeat(dec.eigenvalues, np.diff(dec.offsets))
+    dev = (v.conj().T @ h2.gram - lam[:, None] * dec.dual_basis) @ v
+    violations = np.maximum.reduceat(np.abs(dev[p.rows, p.cols]), p.starts) / scale
     return ProportionalityReport(
         max_violation=tuple(violations.tolist()), tolerance=tol.tol_resid
     )
@@ -282,32 +275,36 @@ def sample_biunitary(dec: SpectralResolution, seed: int) -> np.ndarray:
 
     A block is the phase-fixed QR factor Q of a complex Ginibre matrix.
     The stream is one real and then one imaginary k x k draw per fiber,
-    in fiber order.  It is drawn as one vector of sum 2 k^2 values, which
-    is the same stream as one draw per fiber, and each fiber's chunk is
-    sliced at its offset.  Per segment of fibers of dimension k, the
-    chunks are factored by one stacked QR and phase-fixed together, so
-    each block is the one a QR per fiber would give.  The blocks Q_j act
-    on the fiber bases X_j directly, X_j Q_j (a column scaling for
-    k = 1), and the sample is (V U~)(V^H h1): two n x n products, not
-    the three of :meth:`~biherm.spectral.SpectralResolution.from_fiber_coordinates`.
+    in fiber order, drawn as one vector of sum 2 k^2 values: the same
+    stream as one draw per fiber.  Each fiber's chunk is placed top left
+    in one (n_fibers, K, K) stack, K the largest fiber dimension, with
+    the identity below it; the Q of diag(Z, I) is diag(Q_Z, I), so one
+    QR and one phase fix give every block the QR of that fiber alone
+    would.  When every fiber is simple no QR runs: the phase-fixed Q of
+    a 1 x 1 z is z / |z|.  The blocks are scattered into U~ over the
+    :attr:`~biherm.spectral.SpectralResolution.fiber_pairs` index, and
+    the sample is (V U~) W for the dual basis W = V^H h1.
     """
     rng = np.random.default_rng(seed)
-    dims = np.array(dec.multiplicities)
-    draws = np.concatenate(([0], np.cumsum(2 * dims * dims)))
-    z = rng.standard_normal(draws[-1])
-    v = dec.eigenvectors
-    vu = np.empty_like(v)
-    for k, idx in dec.segments.items():
-        idx, cols = _segment_columns(dec, k, idx)
-        chunks = z[draws[idx, None] + np.arange(2 * k * k)].reshape(-1, 2, k, k)
-        q, r = np.linalg.qr((chunks[:, 0] + 1j * chunks[:, 1]) / np.sqrt(2.0))
+    p = dec.fiber_pairs
+    dims = np.diff(dec.offsets)
+    first = dec.offsets[p.fiber]
+    i, j = p.rows - first, p.cols - first
+    real = np.arange(len(p.fiber)) + p.starts[p.fiber]  # row-major in the fiber's chunk
+    z = rng.standard_normal(2 * len(p.fiber))
+    k_max = int(dims.max())
+    blocks = np.zeros((dec.n_fibers, k_max, k_max), dtype=complex)
+    blocks[:, np.arange(k_max), np.arange(k_max)] = 1.0
+    blocks[p.fiber, i, j] = (z[real] + 1j * z[real + (dims * dims)[p.fiber]]) / np.sqrt(2.0)
+    if k_max == 1:  # a 1 x 1 block is its own R, with Q = 1
+        q, d = 1.0, blocks[:, 0]
+    else:
+        q, r = np.linalg.qr(blocks)
         d = np.diagonal(r, axis1=1, axis2=2)
-        q *= (d / np.abs(d))[:, None, :]
-        if k == 1:
-            vu[:, cols] = v[:, cols] * q[:, 0, 0]
-        else:
-            vu[:, cols] = (_by_fiber(v[:, cols], k) @ q).transpose(1, 0, 2).reshape(dec.dim, -1)
-    return _to_ambient(dec, vu)
+    q = q * (d / np.abs(d))[:, None, :]
+    u_tilde = np.zeros((dec.dim, dec.dim), dtype=complex)
+    u_tilde[p.rows, p.cols] = q[p.fiber, i, j]
+    return (dec.eigenvectors @ u_tilde) @ dec.dual_basis
 
 
 def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
@@ -330,23 +327,4 @@ def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
         )
     if phases.shape != (dec.n_fibers,):
         raise ValueError(f"need one phase per fiber ({dec.n_fibers})")
-    return _to_ambient(dec, dec.eigenvectors * np.exp(1j * phases))
-
-
-def _segment_columns(
-    dec: SpectralResolution, k: int, idx: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fiber indices ``idx`` of one segment of dimension k as an array, and
-    the basis-matrix columns of those fibers, fiber by fiber."""
-    idx = np.array(idx)
-    return idx, (dec.offsets[idx, None] + np.arange(k)).ravel()
-
-
-def _by_fiber(cols: np.ndarray, k: int) -> np.ndarray:
-    """The (n, m k) columns of m fibers of dimension k as an (m, n, k) stack."""
-    return cols.reshape(cols.shape[0], -1, k).transpose(1, 0, 2)
-
-
-def _to_ambient(dec: SpectralResolution, vu: np.ndarray) -> np.ndarray:
-    """V U~ V^H h1 from V U~: the ambient operator of the fiber-basis U~."""
-    return vu @ (dec.eigenvectors.conj().T @ dec.h1.gram)
+    return (dec.eigenvectors * np.exp(1j * phases)) @ dec.dual_basis

@@ -113,16 +113,15 @@ def _maxabs(mat: np.ndarray) -> float:
 def _fro(mat: np.ndarray) -> float:
     """‖mat‖_F, safe from overflow and underflow.
 
-    The plain norm is returned whenever it is finite and at least
-    ``_FRO_LOW`` = √(tiny/ε): there, the squares that gradual underflow
-    rounds (each by at most tiny·u) move the sum of an n×n matrix by at
-    most 2·n²·u² relative.  Otherwise ``mat`` is rescaled by max|mat|
-    first, so a zero or non-finite matrix gives 0, inf or nan.  The plain
-    norm of a matrix far from scale 1 warns on overflow, so a caller that
-    may see one enters ``np.errstate(over="ignore", invalid="ignore")``
-    once around its block of norms.
+    The plain norm, √(Re vdot(mat, mat)) by one BLAS dot, is returned
+    whenever it is finite and at least ``_FRO_LOW`` = √(tiny/ε): there,
+    the squares that gradual underflow rounds (each by at most tiny·u)
+    move the sum of an n×n matrix by at most 2·n²·u² relative.  Otherwise
+    ``mat`` is rescaled by max|mat| first, so a zero or non-finite matrix
+    gives 0, inf or nan.  Neither branch squares an entry above 1 in a
+    numpy ufunc, so no input makes it warn.
     """
-    nrm = float(np.linalg.norm(mat))
+    nrm = math.sqrt(float(np.vdot(mat, mat).real))
     if _FRO_LOW <= nrm < math.inf:
         return nrm
     scale = _maxabs(mat)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,23 @@ class Fiber:
         return self.dim / self.basis.shape[0]
 
 
+class FiberPairs(NamedTuple):
+    """Every entry (i, j) of the fibers' diagonal blocks, as read-only int arrays.
+
+    Entry e pairs column ``rows[e]`` with column ``cols[e]`` of the
+    eigenvector matrix, both inside fiber ``fiber[e]``.  The k^2 entries
+    of a fiber of dimension k run row by row from ``starts[fiber]``.
+    Reading or writing every fiber's block of an n x n matrix is then one
+    gather or scatter at (``rows``, ``cols``), and a per-fiber reduction
+    is one ``reduceat`` at ``starts``, however many fibers there are.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    fiber: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralResolution:
     """Clustered eigendecomposition of a connecting operator.
@@ -76,9 +94,9 @@ class SpectralResolution:
     which hold clusters of eigenvalues at most ``cluster_gap`` apart, in
     ascending order.  Everything else is derived from these three fields:
     ``spectrum`` and ``eigenvectors`` read through to the operator, and
-    ``eigenvalues`` and ``fibers`` are computed from ``offsets`` on first
-    use.  The resolution is also the fibered decomposition that
-    :mod:`biherm.decomposition` works on.
+    ``eigenvalues``, ``fibers``, ``fiber_pairs`` and ``dual_basis`` are
+    computed on first use.  The resolution is also the fibered
+    decomposition that :mod:`biherm.decomposition` works on.
     """
 
     connecting: ConnectingOperator
@@ -142,6 +160,23 @@ class SpectralResolution:
             out.setdefault(k, []).append(idx)
         return {k: tuple(idx) for k, idx in out.items()}
 
+    @cached_property
+    def fiber_pairs(self) -> FiberPairs:
+        """The :class:`FiberPairs` index of this resolution's fiber blocks."""
+        off = self.offsets
+        k = off[1:] - off[:-1]
+        starts = np.concatenate(([0], np.cumsum(k * k)[:-1]))
+        fiber = np.repeat(np.arange(len(k)), k * k)
+        pos = np.arange(len(fiber)) - starts[fiber]
+        kf, first = k[fiber], off[fiber]
+        pairs = (first + pos // kf, first + pos % kf, fiber, starts)
+        return FiberPairs(*(_read_only(a) for a in pairs))
+
+    @cached_property
+    def dual_basis(self) -> np.ndarray:
+        """V^H h1 for the eigenvector matrix V, read-only: its inverse, as V^H h1 V = I."""
+        return _read_only(self.eigenvectors.conj().T @ self.h1.gram)
+
     @property
     def commutant_dimension(self) -> int:
         """Number of ordered pairs (i, j) with |w_i - w_j| <= ``cluster_gap``.
@@ -166,8 +201,7 @@ class SpectralResolution:
 
     def to_fiber_coordinates(self, a: np.ndarray) -> np.ndarray:
         """Express an ambient operator in the fiber basis."""
-        v = self.eigenvectors
-        return v.conj().T @ self.h1.gram @ a @ v
+        return self.dual_basis @ a @ self.eigenvectors
 
     def from_fiber_coordinates(self, a_tilde: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_fiber_coordinates`."""

@@ -126,12 +126,14 @@ def random_multiplicity_pattern(rng: np.random.Generator, n: int) -> tuple[int, 
 
 
 # Fiber-dimension patterns at n = 2..128: all simple, degenerate runs that
-# are adjacent or interleaved, and a single fiber.
+# are adjacent or interleaved, four fiber dimensions mixed, and a single fiber.
 PER_FIBER_PATTERNS = [
     (1,) * 128,
     (1,) * 50 + (2,) * 9 + (1,) * 40 + (3,) * 3,
     (1, 2) * 20 + (3, 1) * 10,
     (2, 1, 1, 3, 3, 3, 1),
+    (4, 1, 3, 1, 2, 2),
+    (1, 2, 3, 4) * 8,
     (128,),
     (12,),
     (1, 1),

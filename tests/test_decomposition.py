@@ -1,5 +1,9 @@
 """Tests for the fibered decomposition and bi-unitary construction."""
 
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -411,10 +415,8 @@ class TestSampleBiunitary:
                 rep = verify_biunitary(got, h1, h2, connecting=op)
                 assert max(rep.residual_h1, rep.residual_h2) <= Tolerances().tol_resid
 
-    def test_one_qr_per_fiber_dimension(self, monkeypatch):
+    def test_one_qr_for_all_fibers_and_none_when_simple(self, monkeypatch):
         rng = np.random.default_rng(59)
-        h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1, 2) * 20 + (3, 1) * 10)
-        dec = build_decomposition(connecting_operator(h1, h2))
         shapes = []
         qr = np.linalg.qr
 
@@ -423,9 +425,34 @@ class TestSampleBiunitary:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counted)
-        sample_biunitary(dec, seed=4)
-        # one stacked call per distinct dimension, over all 30, 20 and 10 fibers
-        assert sorted(shapes) == [(10, 3, 3), (20, 2, 2), (30, 1, 1)]
+        for mults, expected in (
+            ((1, 2) * 20 + (3, 1) * 10, [(60, 3, 3)]),  # one padded stack over all 60 fibers
+            ((1, 2, 3, 4, 2), [(5, 4, 4)]),
+            ((1,) * 12, []),
+        ):
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            dec = build_decomposition(connecting_operator(h1, h2))
+            shapes.clear()
+            sample_biunitary(dec, seed=4)
+            assert shapes == expected
+
+    def test_lines_run_do_not_depend_on_the_fibers(self):
+        # a loop over fibers or fiber dimensions, comprehensions included,
+        # runs its lines once per fiber or dimension; here every line of
+        # biherm runs as often for 40 fibers as for 12, and for four fiber
+        # dimensions as for one, except the QR branch of sample_biunitary
+        rng = np.random.default_rng(62)
+        runs = []
+        for mults in ((1,) * 12, (1,) * 40, (1, 2, 3, 4, 2), (4, 1, 3, 1, 2, 2) * 3):
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+            dec = build_decomposition(connecting_operator(h1, h2))
+            dec.eigenvalues  # computed on first use, fiber by fiber
+            runs.append((_lines_run(check_proportionality, dec, h1, h2), _lines_run(sample_biunitary, dec, 5)))
+        (prop_12, draw_12), (prop_40, draw_40), (prop_a, draw_a), (prop_b, draw_b) = runs
+        assert prop_12 == prop_40 == prop_a == prop_b
+        assert draw_12 == draw_40 and draw_a == draw_b
+        branch = (draw_a - draw_12) + (draw_12 - draw_a)
+        assert branch and all(f == "decomposition.py" and k == 1 for (f, _), k in branch.items())
 
     def test_generic_case_is_diagonal_phases(self):
         rng = np.random.default_rng(57)
@@ -436,6 +463,28 @@ class TestSampleBiunitary:
         off = u_tilde - np.diag(np.diagonal(u_tilde))
         assert np.max(np.abs(off)) <= 1e-10
         assert np.max(np.abs(np.abs(np.diagonal(u_tilde)) - 1.0)) <= 1e-10
+
+
+def _lines_run(fn, *args) -> Counter:
+    """How often each line of biherm ran during ``fn(*args)``, by file and line."""
+    package = Path(spectral.__file__).parent
+    lines: Counter = Counter()
+
+    def trace(frame, event, arg):
+        path = Path(frame.f_code.co_filename)
+        if path.parent != package:
+            return None
+        if event == "line":
+            lines[path.name, frame.f_lineno] += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
 
 
 class TestPhaseBiunitary:

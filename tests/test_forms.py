@@ -1,7 +1,9 @@
 """Tests for the foundational form types and dense-algebra kernel."""
 
 import dataclasses
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,12 +186,29 @@ def _cholesky_factor(rng, n, kappa, complex_factor):
 
 
 class TestFro:
-    def test_plain_norm_where_it_is_accurate(self):
+    def test_plain_norm_against_mpmath_oracle(self):
+        # Each norm is within the any-order bound (N/2 + 1) u ||A|| of the
+        # 50-digit norm, N the number of real squares summed.  One BLAS dot
+        # sums in another order than np.linalg.norm, so on one matrix either
+        # may be the closer, by about an ulp; over the whole sweep the dot
+        # must be no further from the oracle than np.linalg.norm is.
         rng = np.random.default_rng(35)
-        for scale in (1e-140, 1e-3, 1.0, 1e150):
-            for mat in (rng.standard_normal((7, 7)), random_unitary(rng, 7)):
-                mat = scale * mat
-                assert _fro(mat) == float(np.linalg.norm(mat))
+        err_fro = err_norm = 0.0
+        for scale in (1e-140, 1e-70, 1e-3, 1.0, 1e3, 1e70, 1e150):
+            for n in (7, 32, 64):
+                for _ in range(2):
+                    real = rng.standard_normal((n, n))
+                    for mat in (real, real + 1j * rng.standard_normal((n, n)), random_unitary(rng, n)):
+                        mat = scale * mat
+                        parts = [mat.real, mat.imag] if np.iscomplexobj(mat) else [mat]
+                        squares = np.concatenate([p.ravel() for p in parts]).tolist()
+                        with mpmath.workdps(50):
+                            exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in squares))
+                            got = float(abs(mpmath.mpf(_fro(mat)) - exact) / exact)
+                            ref = float(abs(mpmath.mpf(float(np.linalg.norm(mat))) - exact) / exact)
+                        assert got <= (len(squares) / 2 + 1) * UNIT_ROUNDOFF
+                        err_fro, err_norm = err_fro + got, err_norm + ref
+        assert err_fro <= err_norm
 
     @pytest.mark.parametrize("scale", [1e-300, 1.55e-162, 1.6e-162, 1e-160, 1e160, 1e300])
     def test_rescaled_far_from_scale_one(self, scale):
@@ -201,6 +220,13 @@ class TestFro:
         exact = float(np.linalg.norm(mat))
         with np.errstate(over="ignore", invalid="ignore"):
             assert _fro(scale * mat) == pytest.approx(scale * exact, rel=1e-14, abs=0.0)
+
+    def test_never_warns(self):
+        # check_proportionality and the ill-conditioned flag call it with no np.errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in ([np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308], [1.7e308 + 1.7e308j, 1.0], [1e-300, 0.0]):
+                _fro(np.array([row]))
 
     def test_zero_and_non_finite(self):
         assert _fro(np.zeros((3, 3))) == 0.0
