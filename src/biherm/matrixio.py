@@ -10,13 +10,17 @@ complex kinds dim^2 ``[re, im]`` pairs.  A triple file bundles three
 matrix sections under ``g``, ``j`` and ``omega``.  Readers ignore the ``meta``
 section writers may add.  Writers raise ValueError, before opening the file, on
 what the loader refuses at default tolerances, so every emitted artifact reloads
-as a valid input.  Writers stream a file one matrix row at a time.
+as a valid input.  Writers stream a file one matrix row at a time.  Loaders
+parse with orjson and fall back to the stdlib parser, the reference, wherever
+orjson's values or messages could differ, so both give identical results.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -51,22 +55,62 @@ def _parse_int(literal: str):
     return -0.0 if literal == "-0" else int(literal)
 
 
-def _load_json(path) -> dict:
+_NEG_ZERO_INT = re.compile(rb"-0(?![0-9.eE])")  # no digit, '.' or exponent after it
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _orjson_reads(raw: bytes) -> bool:
+    """Whether orjson 3.8 may parse ``raw``: it reads the integer -0 as 0, parses
+    a document under 8 MiB / 12 bytes in an 8 MiB buffer it keeps for good, and
+    overflows the C stack on deep nesting.  With all but brackets and quotes
+    deleted, then each ``[]`` (a leaf array or string content), the openers
+    left bound the depth."""
+    if len(raw) < (8 << 20) // 12 or _NEG_ZERO_INT.search(raw):
+        return False
+    if raw.count(b"[") + raw.count(b"{") < 1024:
+        return True
+    skeleton = raw.translate(None, _NOT_STRUCTURE).replace(b"[]", b"")
+    return skeleton.count(b"[") + skeleton.count(b"{") < 1024
+
+
+def _load_json(path, parse):
+    """``parse`` of the top-level JSON object in file ``path``.
+
+    The stdlib parser, the reference for values and messages, reads what orjson
+    may not, what orjson rejects (NaN, infinities, literals beyond the double
+    range, invalid UTF-8, a BOM, syntax) and what ``parse`` rejects from orjson:
+    only a diagnostic shows an integer outside [-2**63, 2**64), a float to orjson.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read file: {exc}") from exc
+
+    def checked(obj):
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"{path}: top level must be a JSON object")
+        return parse(obj)
+
+    if _orjson_reads(raw):
+        import orjson  # here, not at import: orjson imports zoneinfo (about 5 ms)
+        try:
+            return checked(orjson.loads(raw))
+        except (orjson.JSONDecodeError, FileFormatError, RecursionError):  # the last from a diagnostic's repr
+            pass
     try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()  # as Path.read_text decodes
         obj = json.loads(text, parse_int=_parse_int)
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:  # an integer literal longer than int() accepts
         raise FileFormatError(f"{path}: integer too large for a double: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}: top level must be a JSON object")
-    return obj
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+    return checked(obj)
 
 
 def _parse_entries(data: list, pairs: bool, where: str) -> np.ndarray:
@@ -166,7 +210,7 @@ def load_matrix(
         On unreadable files, malformed JSON, schema violations,
         non-finite entries, or kind/symmetry mismatches.
     """
-    return _parse_matrix_section(_load_json(path), str(path), tol, expect_kinds)
+    return _load_json(path, lambda obj: _parse_matrix_section(obj, str(path), tol, expect_kinds))
 
 
 def _section(mat: np.ndarray, kind: str) -> dict:
@@ -215,18 +259,19 @@ def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
     whose matrices fail admissibility raises the corresponding
     mathematical error from the constructors instead.
     """
-    obj = _load_json(path)
-    sections = {}
-    for key, kinds in (("g", ("real_symmetric",)), ("j", ("real_general",)),
-                       ("omega", ("real_antisymmetric",))):
-        sec = obj.get(key)
-        if not isinstance(sec, dict):
-            raise FileFormatError(f"{path}: missing or invalid section '{key}'")
-        sections[key] = _parse_matrix_section(sec, f"{path}:{key}", tol, kinds)[1]
-    g = RealForm(sections["g"], "symmetric", tol)
-    j = ComplexStructureJ(sections["j"], tol)
-    omega = RealForm(sections["omega"], "antisymmetric", tol)
-    return AdmissibleTriple(g, j, omega, tol)
+    def sections(obj: dict) -> list[np.ndarray]:
+        mats = []
+        for key, kinds in (("g", ("real_symmetric",)), ("j", ("real_general",)),
+                           ("omega", ("real_antisymmetric",))):
+            sec = obj.get(key)
+            if not isinstance(sec, dict):
+                raise FileFormatError(f"{path}: missing or invalid section '{key}'")
+            mats.append(_parse_matrix_section(sec, f"{path}:{key}", tol, kinds)[1])
+        return mats
+
+    g, j, omega = _load_json(path, sections)
+    return AdmissibleTriple(RealForm(g, "symmetric", tol), ComplexStructureJ(j, tol),
+                            RealForm(omega, "antisymmetric", tol), tol)
 
 
 def save_triple(path, triple: AdmissibleTriple, meta: dict | None = None) -> None:

@@ -326,12 +326,13 @@ def complexification_from_j(
     n = m // 2
     eye = np.eye(m)
     picks: list[int] = []
-    span = np.empty((m, 0))  # Euclidean-orthonormal columns, for the span test only
+    span = np.empty((m, m))  # its first k columns Euclidean-orthonormal, for the span test only
+    k = 0
 
     def leftover(vec: np.ndarray) -> np.ndarray:
         w = vec.astype(float)
         for _ in range(2):
-            w = w - span @ (span.T @ w)
+            w = w - span[:, :k] @ (span[:, :k].T @ w)
         return w
 
     for i in range(m):
@@ -342,13 +343,15 @@ def complexification_from_j(
         if nrm <= tol.tol_eig:
             continue  # e_i already in span
         picks.append(i)
-        span = np.column_stack([span, w / nrm])
+        span[:, k] = w / nrm
+        k += 1
         # J e_i is always independent of a J-invariant span plus e_i
         w = leftover(j.mat[:, i])
         nrm = float(np.linalg.norm(w))
         if nrm <= tol.tol_eig * max(float(np.linalg.norm(j.mat[:, i])), _TINY):
             raise NotAdmissibleError("complex structure is numerically degenerate")
-        span = np.column_stack([span, w / nrm])
+        span[:, k] = w / nrm
+        k += 1
     if len(picks) != n:
         raise NotAdmissibleError("failed to build a J-adapted basis")
     us = [eye[:, i] for i in picks]

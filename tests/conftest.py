@@ -9,11 +9,13 @@ are deliberately independent of the library code paths they check.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from biherm import ComplexStructureJ, HermitianForm, RealForm
+from biherm import DEFAULT_TOLERANCES, ComplexStructureJ, FileFormatError, HermitianForm, RealForm
+from biherm.matrixio import _parse_matrix_section
 
 _CANONICAL_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -342,3 +344,23 @@ def reference_matrix_section(mat: np.ndarray, kind: str) -> dict:
 def reference_matrix_file(mat: np.ndarray, kind: str) -> str:
     """The bytes of a matrix file whose entries are converted one at a time."""
     return reference_canonical_json(reference_matrix_section(mat, kind)) + "\n"
+
+
+def reference_load_matrix(path):
+    """``load_matrix`` through the stdlib parser alone: ``Path.read_text`` and
+    ``json.loads``, with the writer's ``-0`` read as -0.0.
+
+    The oracle for the values and messages of the fast parser.  It reraises
+    what the stdlib raises on a file that is not UTF-8 or is nested past the
+    recursion limit, where ``load_matrix`` raises ``FileFormatError``.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        obj = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: integer too large for a double: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}: top level must be a JSON object")
+    return _parse_matrix_section(obj, str(path), DEFAULT_TOLERANCES, None)

@@ -408,6 +408,22 @@ class TestCommonFlags:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [(b'{"kind": "complex_hermitian", "dim": 1, "data": [[1, 0]], "meta": "\xff"}',
+          "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 67: invalid start byte"),
+         (b'{"kind": "complex_hermitian", "dim": 1, "data": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+          "JSON nested too deeply")],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_malformed_bytes_exit_two(self, runner, files, tmp_path, content, message):
+        h2 = tmp_path / "bad.json"
+        h2.write_bytes(content)
+        result = invoke(runner, ["spectrum", "--h1", files["h1"], "--h2", str(h2)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {h2}: {message}\n"
+
     @pytest.mark.parametrize("command", ["connect", "spectrum"])  # an artifact and a report --out
     def test_unwritable_out_exits_two(self, runner, files, tmp_path, command):
         out = tmp_path / "missing_dir" / "out.json"

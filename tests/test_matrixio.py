@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,15 @@ from biherm.matrixio import (
     save_matrix,
     save_triple,
 )
-from conftest import random_hpd, random_spd, reference_canonical_json, reference_matrix_file, reference_matrix_section
+from conftest import (
+    random_admissible_pair,
+    random_hpd,
+    random_spd,
+    reference_canonical_json,
+    reference_load_matrix,
+    reference_matrix_file,
+    reference_matrix_section,
+)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
@@ -408,3 +417,127 @@ class TestStreamedWriters:
             finally:
                 tracemalloc.stop()
             assert peak < 1e6
+
+
+def _outcome(load, path):
+    """(kind, dtype, array bytes) of a load, or the text of its FileFormatError."""
+    try:
+        kind, mat = load(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return kind, mat.dtype.str, mat.tobytes()
+
+
+def _matrix_text(kind: str, dim: str, data: str) -> str:
+    return f'{{"kind": "{kind}", "dim": {dim}, "data": {data}}}'
+
+
+def _write_large(path, content: bytes) -> None:
+    """``content`` padded with trailing spaces to a size orjson parses."""
+    path.write_bytes(content + b" " * 700_000)
+
+
+LITERALS = ("-0", "-0.0", "-0e5", "1e400", "-1e400", "1e-400", "5e-324", "NaN", "Infinity", "-Infinity",
+            "1" * 19, "9" * 20, HUGE, str(2**63), str(2**64), str(2**64 - 1), str(-(2**63) - 1))
+
+
+class TestParserEquivalence:
+    """load_matrix gives the arrays and messages of the stdlib parser, byte for byte."""
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    @pytest.mark.parametrize(
+        "template",
+        [_matrix_text("real_general", "1", "[{}]"), _matrix_text("real_general", "2", '[1, {}, "x", 4]'),
+         _matrix_text("complex_general", "1", "[[0.5, {}]]"), _matrix_text("complex_general", "1", '[[{}, "x"]]'),
+         _matrix_text("real_general", "{}", "[1]"), '{"kind": {}, "dim": 1, "data": [1]}'],
+        ids=["entry", "before-bad-entry", "pair", "bad-pair", "dim", "kind"],
+    )
+    def test_literal(self, tmp_path, literal, template):
+        path = tmp_path / "m.json"
+        _write_large(path, template.replace("{}", literal).encode())
+        assert _outcome(load_matrix, path) == _outcome(reference_load_matrix, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff" + _matrix_text("real_general", "1", "[2.5]"),
+            '{"kind": "real_general",\r\n "dim": 2,\r\n "data": [1, 2, 3, 4]\r\n}\r\n',
+            '{"kind": "real_general",\r\n "dim": 2,\r\n "data": [1, 2, 3,, 4]\r\n}\r\n',
+            '{"kind": "real_general",\r "dim": 2,\r "data": [1, 2 3, 4]}',
+            _matrix_text("real_general", "1", "[-0.75]")[:-1] + ', "meta": "\\ud800"}',
+            '{"kind": "real_general", "dim": 2, "data": [1], "dim": 1, "data": [[0, 1]], "data": [7]}',
+            "",
+            "[1, 2]",
+            '{"kind": "real_general", "dim": 1, "data": [1]} x',
+            '{"kind": "real_general", "dim": 1, "data": [01]}',
+            '{"kind": "real_general", "dim": 1, "data": ["\t"]}',
+            '{"kind": "real_general", "dim": 1, "data": [1e-0]}',
+            _matrix_text("real_general", "1", "[" * 500 + "]" * 500),
+        ],
+        ids=["bom", "crlf", "crlf-syntax-error", "cr-syntax-error", "lone-surrogate", "duplicate-keys", "empty",
+             "top-level-list", "trailing-data", "leading-zero", "control-character", "exponent-minus-zero",
+             "nested-500"],
+    )
+    def test_file(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        _write_large(path, text.encode())
+        assert _outcome(load_matrix, path) == _outcome(reference_load_matrix, path)
+
+    @pytest.mark.parametrize("kind", ["real_general", "complex_general"])
+    @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
+    def test_random_bit_patterns(self, tmp_path, kind, fmt):
+        # finite doubles from subnormals to 1e±308, written as the writer
+        # writes them and as Python's repr
+        n = 192 if kind == "real_general" else 128
+        bits = np.random.default_rng(25).integers(0, 2**64, size=2 * n * n + 1000, dtype=np.uint64)
+        values = bits.view(float)
+        values = values[np.isfinite(values)][: (1 if kind == "real_general" else 2) * n * n]
+        words = [repr(v) if fmt == "repr" else "%.17g" % v for v in values.tolist()]
+        pairs = [f"[{re}, {im}]" for re, im in zip(words[0::2], words[1::2])]
+        path = tmp_path / "m.json"
+        path.write_text(_matrix_text(kind, str(n), "[" + ", ".join(words if kind == "real_general" else pairs) + "]"))
+        assert path.stat().st_size > 700_000  # parsed by orjson
+        got = _outcome(load_matrix, path)
+        assert got == _outcome(reference_load_matrix, path)
+        assert got[2] == values.tobytes()
+
+    def test_stdlib_parses_only_on_a_trigger(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(26)
+        calls = []
+        stdlib_loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(1) or stdlib_loads(*a, **kw))
+        save_matrix(tmp_path / "h.json", random_hpd(rng, 128), "complex_hermitian")
+        save_triple(tmp_path / "t.json", triple_from_g_j(*random_admissible_pair(rng, 128)))
+        load_matrix(tmp_path / "h.json")
+        load_triple(tmp_path / "t.json")
+        assert calls == []
+        signed = random_spd(rng, 192)
+        signed[0, 1] = signed[1, 0] = -0.0
+        save_matrix(tmp_path / "z.json", signed, "real_symmetric")
+        assert (tmp_path / "z.json").stat().st_size > 700_000
+        assert np.signbit(load_matrix(tmp_path / "z.json")[1][:2, :2]).tolist() == [[False, True], [True, False]]
+        assert calls == [1]
+        save_matrix(tmp_path / "small.json", random_hpd(rng, 8), "complex_hermitian")
+        load_matrix(tmp_path / "small.json")
+        assert calls == [1, 1]
+
+
+class TestMalformedBytes:
+    @pytest.mark.parametrize("write", [Path.write_bytes, _write_large], ids=["small", "large"])
+    def test_not_utf8_is_format_error(self, tmp_path, write):
+        path = tmp_path / "m.json"
+        write(path, b'{"kind": "real_general", "dim": 1, "data": [1], "meta": "caf\xff"}')
+        with pytest.raises(FileFormatError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == (
+            f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 60: invalid start byte"
+        )
+
+    @pytest.mark.parametrize("write", [Path.write_bytes, _write_large], ids=["small", "large"])
+    @pytest.mark.parametrize("depth", [1000, 1030, 200_000])  # past the recursion limit, the depth bound, the C stack
+    def test_deep_nesting_is_format_error(self, tmp_path, write, depth):
+        path = tmp_path / "m.json"
+        write(path, _matrix_text("real_general", "1", "[" * depth + "]" * depth).encode())
+        with pytest.raises(FileFormatError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: JSON nested too deeply"
