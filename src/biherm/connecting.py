@@ -92,19 +92,20 @@ class ConnectingOperator:
             w_min = h1.eigenvalues[0]
             msg = f"h1 is numerically singular: its Cholesky factorization failed (min eigenvalue {w_min:.3e})"
             raise SingularMetricError(msg)
+        far_apart = "G or its invariant residuals leave the double range: h1 and h2 are scaled too far apart"
         with np.errstate(over="ignore", invalid="ignore"):
             linv_h, lk = linv.conj().T, linv @ h2.gram
-            w, v = _congruence_eigh(lk, linv_h)
+            try:
+                w, v = _congruence_eigh(lk, linv_h)
+            except np.linalg.LinAlgError:  # LAPACK does not converge on an overflowed congruence
+                raise NonFiniteError(far_apart) from None
             mat = linv_h @ lk
         object.__setattr__(self, "mat", _read_only(mat))
         object.__setattr__(self, "spectrum", _read_only(w))
         object.__setattr__(self, "eigenvectors", _read_only(v))
         object.__setattr__(self, "residuals", self.invariant_residuals())
         if not all(map(math.isfinite, self.residuals.values())):
-            raise NonFiniteError(
-                "G or its invariant residuals leave the double range: h1 and h2 are scaled "
-                f"too far apart (residuals {self.residuals})"
-            )
+            raise NonFiniteError(f"{far_apart} (residuals {self.residuals})")
 
     @property
     def dim(self) -> int:

@@ -117,9 +117,10 @@ def _fro(mat: np.ndarray) -> float:
     whenever it is finite and at least ``_FRO_LOW`` = √(tiny/ε): there,
     the squares that gradual underflow rounds (each by at most tiny·u)
     move the sum of an n×n matrix by at most 2·n²·u² relative.  Otherwise
-    ``mat`` is rescaled by max|mat| first, so a zero or non-finite matrix
-    gives 0, inf or nan.  Neither branch squares an entry above 1 in a
-    numpy ufunc, so no input makes it warn.
+    ``mat`` is rescaled first by the power of two 2**e nearest above
+    max|mat|, exactly, with no division by a subnormal max; a zero or
+    non-finite matrix gives 0, inf or nan.  Neither branch squares an entry
+    above 1 in a numpy ufunc, so no input makes it warn.
     """
     nrm = math.sqrt(float(np.vdot(mat, mat).real))
     if _FRO_LOW <= nrm < math.inf:
@@ -127,7 +128,9 @@ def _fro(mat: np.ndarray) -> float:
     scale = _maxabs(mat)
     if not 0.0 < scale < math.inf:
         return scale
-    return scale * float(np.linalg.norm(mat / scale))
+    e = math.frexp(scale)[1]
+    parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+    return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(p, -e))) for p in parts)), e)
 
 
 def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:

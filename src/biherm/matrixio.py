@@ -48,6 +48,7 @@ MATRIX_KINDS = REAL_KINDS + COMPLEX_KINDS
 _SYMMETRY = {"real_symmetric": (1, "symmetric"), "real_antisymmetric": (-1, "antisymmetric"),  # (sign, word)
              "complex_hermitian": (1, "Hermitian")}
 _NUMBER_TYPES = {int, float}  # exact types: a JSON boolean is not a number
+_TRIPLE_SECTIONS = (("g", "real_symmetric"), ("j", "real_general"), ("omega", "real_antisymmetric"))
 
 
 def _parse_int(literal: str):
@@ -261,12 +262,11 @@ def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
     """
     def sections(obj: dict) -> list[np.ndarray]:
         mats = []
-        for key, kinds in (("g", ("real_symmetric",)), ("j", ("real_general",)),
-                           ("omega", ("real_antisymmetric",))):
+        for key, kind in _TRIPLE_SECTIONS:
             sec = obj.get(key)
             if not isinstance(sec, dict):
                 raise FileFormatError(f"{path}: missing or invalid section '{key}'")
-            mats.append(_parse_matrix_section(sec, f"{path}:{key}", tol, kinds)[1])
+            mats.append(_parse_matrix_section(sec, f"{path}:{key}", tol, (kind,))[1])
         return mats
 
     g, j, omega = _load_json(path, sections)
@@ -276,9 +276,5 @@ def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
 
 def save_triple(path, triple: AdmissibleTriple, meta: dict | None = None) -> None:
     """Write an admissible triple as a bundle of three matrix sections."""
-    payload = {
-        "g": _section(triple.g.gram, "real_symmetric"),
-        "j": _section(triple.j.mat, "real_general"),
-        "omega": _section(triple.omega.gram, "real_antisymmetric"),
-    }
-    _write(path, payload, meta)
+    mats = (triple.g.gram, triple.j.mat, triple.omega.gram)
+    _write(path, {key: _section(mat, kind) for (key, kind), mat in zip(_TRIPLE_SECTIONS, mats)}, meta)

@@ -3,8 +3,13 @@
 Reports are plain dicts rendered either as canonical JSON (sorted keys,
 floats at 17 significant digits) or as a flat sorted ``path = value``
 text listing.  Identical inputs produce byte-identical output, which the
-golden-file tests rely on.  JSON is built as string pieces, a matrix file's
-``data`` one row per piece, which :func:`write_canonical_json` streams to a file.
+golden-file tests rely on.  One generator renders every JSON value as
+string pieces, a matrix file's ``data`` one row per piece, which
+:func:`write_canonical_json` streams to a file.  A value is a dict, a list
+or tuple, a :class:`MatrixData`, a string, or a bool, int or float
+(Python or numpy); anything else, ``None``, complex scalars and ndarrays
+included, raises TypeError.  A matrix reaches a report only as
+MatrixData, whose row template alone writes ``[re, im]`` pairs.
 """
 
 from __future__ import annotations
@@ -24,38 +29,18 @@ class MatrixData:
     array: np.ndarray
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt_float(obj.real)}, {_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        # A list of floats is formatted whole by one %-template;
-        # "%.17g" % x is format(x, ".17g").
-        if set(map(type, obj)) == {float}:
-            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    if isinstance(obj, (dict, MatrixData)):
-        return "".join(_pieces(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
-
-
 def _pieces(obj):
-    if isinstance(obj, dict):
+    # scalars first: they are most of a report's values, and a list of
+    # them renders each one through this generator
+    if isinstance(obj, (bool, np.bool_)):
+        yield "true" if obj else "false"
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield format(float(obj), ".17g")
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif isinstance(obj, dict):
         yield "{"
         for i, (k, v) in enumerate(sorted(obj.items(), key=lambda kv: str(kv[0]))):
             yield f"{', ' if i else ''}{json.dumps(str(k))}: "
@@ -68,8 +53,15 @@ def _pieces(obj):
         for i, floats in enumerate(obj.array.view(float) if pairs else obj.array):
             yield (", " if i else "") + row % tuple(floats.tolist())
         yield "]"
+    elif isinstance(obj, (list, tuple)):
+        # A list of floats is formatted whole by one %-template;
+        # "%.17g" % x is format(x, ".17g").  Any other list is one piece.
+        if set(map(type, obj)) == {float}:
+            yield "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
+        else:
+            yield "[" + ", ".join(["".join(_pieces(v)) for v in obj]) + "]"
     else:
-        yield _render(obj)
+        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
 def canonical_json(obj) -> str:
@@ -84,26 +76,16 @@ def write_canonical_json(path, obj) -> None:
         f.write("\n")
 
 
-def _leaf(obj) -> str:
-    if isinstance(obj, str):
-        return obj
-    return _render(obj)
-
-
 def _walk(obj, path: str, lines: list[str]) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj, key=str):
             sub = f"{path}.{k}" if path else str(k)
             _walk(obj[k], sub, lines)
-    elif isinstance(obj, np.ndarray):
-        _walk(obj.tolist(), path, lines)
-    elif isinstance(obj, (list, tuple)) and any(
-        isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj
-    ):
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
         for i, v in enumerate(obj):
             _walk(v, f"{path}[{i}]", lines)
     else:
-        lines.append(f"{path} = {_leaf(obj)}")
+        lines.append(f"{path} = {obj if isinstance(obj, str) else canonical_json(obj)}")
 
 
 def render_text(obj) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,11 +191,17 @@ class TestPipeline:
 
     def test_forms_far_from_scale_one(self, runner, tmp_path):
         # G = 1e200 diag(1, 1.5) and forms at 1e200 are analysed, though the
-        # plain norms of h2 G, G and h2 overflow; G = 1e600 is not a double
+        # plain norms of h2 G, G and h2 overflow; G = 1e600 is not a double.
+        # A dense pair at 1e-160 / 1e160 overflows the congruence, on which
+        # the eigensolve does not converge, before G is formed
         h1, h2, out = (str(tmp_path / name) for name in ("h1.json", "h2.json", "out.json"))
-        for (s1, s2), code in [((1e-200, 1.0), 0), ((1e200, 1e200), 0), ((1e-300, 1e300), 1)]:
-            save_matrix(h1, s1 * np.diag([1.0, 2.0]), "complex_hermitian")
-            save_matrix(h2, s2 * np.diag([1.0, 3.0]), "complex_hermitian")
+        diag = (np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
+        rng = np.random.default_rng(42)
+        dense = (random_hpd(rng, 4), random_hpd(rng, 4))
+        for (a, b), (s1, s2), code in [(diag, (1e-200, 1.0), 0), (diag, (1e200, 1e200), 0),
+                                       (diag, (1e-300, 1e300), 1), (dense, (1e-160, 1e160), 1)]:
+            save_matrix(h1, s1 * a, "complex_hermitian")
+            save_matrix(h2, s2 * b, "complex_hermitian")
             for args in (["connect"], ["decompose"], ["sample-u", "--seed", "1"]):
                 result = invoke(runner, [*args, "--h1", h1, "--h2", h2, "--out", out])
                 assert result.exit_code == code, (s1, s2, args)
@@ -205,6 +212,30 @@ class TestPipeline:
                     assert json.loads(result.output)["passed"] is True
                 else:
                     assert json.loads(Path(out).read_text())["passed"] is True
+
+    def test_forms_scaled_alike_to_a_subnormal_max(self, runner, tmp_path):
+        # both forms at max|h| = 1e-310, whose entries are subnormal: G is
+        # the unscaled pair's, and no norm divides by the subnormal max
+        h1_form, h2_form, _ = hermitian_pair_with_multiplicities(np.random.default_rng(43), (1, 2, 1))
+        h1, h2 = h1_form.gram, h2_form.gram
+        scale = 1e-310 / max(np.abs(h1).max(), np.abs(h2).max())
+        paths = {}
+        for tag, s in (("unit", 1.0), ("tiny", scale)):
+            paths[tag] = [str(tmp_path / f"{name}_{tag}.json") for name in ("h1", "h2")]
+            save_matrix(paths[tag][0], s * h1, "complex_hermitian")
+            save_matrix(paths[tag][1], s * h2, "complex_hermitian")
+        out = str(tmp_path / "out.json")
+        multiplicities = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tag in ("unit", "tiny"):
+                pair = ["--h1", paths[tag][0], "--h2", paths[tag][1]]
+                for args in (["spectrum"], ["generic"], ["connect", "--out", out], ["sample-u", "--seed", "1", "--out", out]):
+                    result = invoke(runner, [*args, *pair])
+                    assert result.exit_code == 0, (tag, args, result.output)
+                    if args[0] == "spectrum":
+                        multiplicities[tag] = json.loads(result.output)["results"]["multiplicities"]
+        assert multiplicities["tiny"] == multiplicities["unit"] == [1, 2, 1]
 
     @pytest.mark.parametrize("deficient", ["h1", "both", "h2"])
     def test_rank_deficient_forms_never_leak_lapack_text(self, runner, tmp_path, deficient):

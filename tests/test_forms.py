@@ -210,11 +210,12 @@ class TestFro:
                         err_fro, err_norm = err_fro + got, err_norm + ref
         assert err_fro <= err_norm
 
-    @pytest.mark.parametrize("scale", [1e-300, 1.55e-162, 1.6e-162, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.55e-162, 1.6e-162, 1e-160, 1e160, 1e300])
     def test_rescaled_far_from_scale_one(self, scale):
         # the squares are subnormal at 1e-160 and keep a few digits; at
         # 1.55e-162 each rounds to 0, and at 1.6e-162 each rounds up to one
-        # subnormal step, so the plain norm is nonzero and 39% too large
+        # subnormal step, so the plain norm is nonzero and 39% too large;
+        # at 1e-310 the entries themselves are subnormal
         rng = np.random.default_rng(36)
         mat = rng.uniform(0.999, 1.0, (6, 6)) + 1j * rng.uniform(0.999, 1.0, (6, 6))
         exact = float(np.linalg.norm(mat))
@@ -225,7 +226,8 @@ class TestFro:
         # check_proportionality and the ill-conditioned flag call it with no np.errstate
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for row in ([np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308], [1.7e308 + 1.7e308j, 1.0], [1e-300, 0.0]):
+            for row in ([np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308], [1.7e308 + 1.7e308j, 1.0], [1e-300, 0.0],
+                        [1e-310j, 0.0], [1e-310 + 1e-320j, 0.0]):
                 _fro(np.array([row]))
 
     def test_zero_and_non_finite(self):
