@@ -119,7 +119,8 @@ def _fro(mat: np.ndarray) -> float:
     move the sum of an n×n matrix by at most 2·n²·u² relative.  Otherwise
     ``mat`` is rescaled first by the power of two 2**e nearest above
     max|mat|, exactly, with no division by a subnormal max; a zero or
-    non-finite matrix gives 0, inf or nan.  Neither branch squares an entry
+    non-finite matrix gives 0, inf or nan, and a finite one whose norm
+    exceeds the largest double gives inf.  Neither branch squares an entry
     above 1 in a numpy ufunc, so no input makes it warn.
     """
     nrm = math.sqrt(float(np.vdot(mat, mat).real))
@@ -130,7 +131,10 @@ def _fro(mat: np.ndarray) -> float:
         return scale
     e = math.frexp(scale)[1]
     parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
-    return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(p, -e))) for p in parts)), e)
+    nrm = math.hypot(*(float(np.linalg.norm(np.ldexp(p, -e))) for p in parts))
+    # a float multiply, not math.ldexp, scales back: a norm above the
+    # largest double rounds to inf, where ldexp would raise OverflowError
+    return math.ldexp(1.0, e - 1) * (2.0 * nrm)
 
 
 def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .forms import DEFAULT_TOLERANCES, ComplexStructureJ, RealForm, Tolerances, _within_tol_sym
-from .report import MatrixData, write_canonical_json
+from .report import MatrixData, canonical_json, write_canonical_json
 from .triples import AdmissibleTriple
 
 __all__ = [
@@ -244,12 +244,17 @@ def matrix_payload(mat: np.ndarray, kind: str) -> dict:
 def _write(path, payload: dict, meta: dict | None) -> None:
     """Write ``payload``, with ``meta`` as its meta section when given, as canonical JSON."""
     if meta is not None:
+        canonical_json(meta)  # a value it refuses raises TypeError before the file is truncated
         payload["meta"] = meta
     write_canonical_json(path, payload)
 
 
 def save_matrix(path, mat: np.ndarray, kind: str, meta: dict | None = None) -> None:
-    """Write a matrix file (canonical JSON, optional meta section)."""
+    """Write a matrix file (canonical JSON, optional meta section).
+
+    ``meta`` holds dicts, lists, tuples, strings and bool, int or float values
+    (Python or numpy); any other, ``None`` included, raises TypeError unwritten.
+    """
     _write(path, _section(mat, kind), meta)
 
 
@@ -275,6 +280,6 @@ def load_triple(path, tol: Tolerances = DEFAULT_TOLERANCES) -> AdmissibleTriple:
 
 
 def save_triple(path, triple: AdmissibleTriple, meta: dict | None = None) -> None:
-    """Write an admissible triple as a bundle of three matrix sections."""
+    """Write an admissible triple as a bundle of three matrix sections; ``meta`` as in :func:`save_matrix`."""
     mats = (triple.g.gram, triple.j.mat, triple.omega.gram)
     _write(path, {key: _section(mat, kind) for (key, kind), mat in zip(_TRIPLE_SECTIONS, mats)}, meta)

@@ -237,6 +237,19 @@ class TestPipeline:
                         multiplicities[tag] = json.loads(result.output)["results"]["multiplicities"]
         assert multiplicities["tiny"] == multiplicities["unit"] == [1, 2, 1]
 
+    def test_forms_whose_norm_passes_the_largest_double(self, runner, tmp_path):
+        # h1 = h2 = 1e308·I₄: every entry is finite, ‖h‖_F = 2e308 is not a
+        # double, so the norms read inf and every command runs to the end
+        h, out, u = (str(tmp_path / name) for name in ("h.json", "out.json", "u.json"))
+        save_matrix(h, 1e308 * np.eye(4), "complex_hermitian")
+        pair = ["--h1", h, "--h2", h]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in (["spectrum"], ["generic"], ["connect", "--out", out], ["decompose", "--out", out],
+                         ["sample-u", "--seed", "1", "--out", u], ["verify-u", "--u", u]):
+                result = invoke(runner, [*args, *pair])
+                assert result.exit_code == 0, (args, result.output)
+
     @pytest.mark.parametrize("deficient", ["h1", "both", "h2"])
     def test_rank_deficient_forms_never_leak_lapack_text(self, runner, tmp_path, deficient):
         # rank-deficient PSD Gram matrices B Bᴴ: rounding leaves some of

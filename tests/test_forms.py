@@ -230,6 +230,13 @@ class TestFro:
                         [1e-310j, 0.0], [1e-310 + 1e-320j, 0.0]):
                 _fro(np.array([row]))
 
+    @pytest.mark.parametrize("row", [[1e308] * 4, [1.2e308 + 1.2e308j, 1.2e308], [1.2e308, 1.2e308j, 1.2e308]])
+    def test_norm_past_the_largest_double_is_inf(self, row):
+        # the entries are finite; the norm overflows to inf, with no warning or exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _fro(np.array([row])) == np.inf
+
     def test_zero_and_non_finite(self):
         assert _fro(np.zeros((3, 3))) == 0.0
         assert _fro(np.zeros((0, 0))) == 0.0

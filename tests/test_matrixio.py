@@ -403,6 +403,17 @@ class TestStreamedWriters:
         ref = {key: reference_matrix_section(mat, TRIPLE_KINDS[key]) for key, mat in mats.items()}
         assert path.read_bytes() == (reference_canonical_json({**ref, "meta": meta}) + "\n").encode()
 
+    @pytest.mark.parametrize("bad", [None, 1j, np.zeros(2)])
+    def test_meta_the_renderer_refuses_leaves_the_file_as_it_was(self, tmp_path, bad):
+        trip = _stand_in_triple(2, 0)
+        for path, write in ((tmp_path / "t.json", lambda p, meta: save_triple(p, trip, meta=meta)),
+                            (tmp_path / "u.json", lambda p, meta: save_matrix(p, np.eye(2), "real_general", meta))):
+            write(path, {"x": 0.5})
+            before = path.read_bytes()
+            with pytest.raises(TypeError):
+                write(path, {"residuals": {"x": 0.5}, "z": bad})
+            assert path.read_bytes() == before
+
     def test_writers_hold_one_row_not_the_file(self, tmp_path):
         # the files hold 4.9 and 0.85 MB of text; a streamed write holds one
         # row of it and that row's Python floats
