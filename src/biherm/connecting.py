@@ -40,19 +40,6 @@ __all__ = [
 ]
 
 
-def _congruence_eigh(lk: np.ndarray, linv_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian pencil k x = lam L Lᴴ x, by Cholesky congruence.
-
-    Takes ``lk`` = L⁻¹ k and ``linv_h`` = L⁻ᴴ.  The pencil is congruent
-    to (L⁻¹ k L⁻ᴴ) y = lam y, and x = L⁻ᴴ y (Golub & Van Loan, *Matrix
-    Computations*, section 8.7).  Returns the ascending eigenvalues and
-    the metric-orthonormal eigenvectors as the columns of a column-major
-    matrix.
-    """
-    w, y = np.linalg.eigh(lk @ linv_h)
-    return w, np.asfortranarray(linv_h @ y)
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectingOperator:
     """The positive operator linking a pair of Hermitian forms.
@@ -96,9 +83,10 @@ class ConnectingOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             linv_h, lk = linv.conj().T, linv @ h2.gram
             try:
-                w, v = _congruence_eigh(lk, linv_h)
+                w, y = np.linalg.eigh(lk @ linv_h)
             except np.linalg.LinAlgError:  # LAPACK does not converge on an overflowed congruence
                 raise NonFiniteError(far_apart) from None
+            v = np.asfortranarray(linv_h @ y)  # column-major: later products' bytes depend on the layout
             mat = linv_h @ lk
         object.__setattr__(self, "mat", _read_only(mat))
         object.__setattr__(self, "spectrum", _read_only(w))

@@ -10,15 +10,17 @@ transformations preserving both forms are assembled from one unitary
 block per fiber — a single phase per fiber when all fibers are
 one-dimensional.  Every function here takes the resolution as it is.
 
-The product U(n_1) x ... x U(n_k) is handled in one piece, never fiber
-by fiber or dimension by dimension.  The
-:class:`~biherm.spectral.FiberPairs` index of the resolution lists every
-entry of every fiber's diagonal block, so all fibers' Gram blocks are
-read from one n x n product by one gather, and all unitary blocks are
-written into one block-diagonal matrix by one scatter: a fixed number of
-numpy calls and O(n^2) memory, whatever the fiber dimensions.  The
-results agree with a loop over fibers up to rounding (the sums run in
-another order), and are reproducible to the last bit.
+The product U(n_1) x ... x U(n_k) is handled in one piece, not fiber by
+fiber or dimension by dimension; only :func:`check_bicommutant_scalar`
+and the block tuple of :func:`project_to_commutant_blocks` loop over
+fibers.  The :class:`~biherm.spectral.FiberPairs` index of the
+resolution lists every entry of every fiber's diagonal block, so all
+fibers' Gram blocks are read from one n x n product by one gather, and
+all unitary blocks are written into one block-diagonal matrix by one
+scatter: a fixed number of numpy calls and O(n^2) memory, whatever the
+fiber dimensions.  The results agree with a loop over fibers up to
+rounding (the sums run in another order), and are reproducible to the
+last bit.
 """
 
 from __future__ import annotations
@@ -166,17 +168,15 @@ def project_to_commutant_blocks(
             residual=resid,
         )
     a_tilde = dec.to_fiber_coordinates(a)
-    slices = dec.fiber_slices()
     off = a_tilde.copy()
-    for s in slices:
-        off[s, s] = 0.0
+    off[dec.fiber_pairs.rows, dec.fiber_pairs.cols] = 0.0
     off_resid = _fro(off) / max(_fro(a), _TINY)
     if off_resid > 10.0 * tol.tol_resid:
         raise NotInCommutantError(
             f"cross-fiber blocks do not vanish (relative residual {off_resid:.3e})",
             residual=off_resid,
         )
-    return DecomposableOperator(blocks=tuple(a_tilde[s, s] for s in slices))
+    return DecomposableOperator(blocks=tuple(a_tilde[s, s] for s in dec.fiber_slices()))
 
 
 @dataclass(frozen=True)

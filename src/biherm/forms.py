@@ -105,7 +105,8 @@ def _require_square(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _maxabs(mat: np.ndarray) -> float:
-    """max|mat| (0 when empty); a real matrix is read by its max and min, with no |mat| copy."""
+    """max|mat| (0 when empty); a real matrix is read by its max and min, with no |mat| copy,
+    so the writers' kind check holds one matrix-sized temporary (A ∓ Aᴴ) beside one row, not two."""
     a = np.abs(mat) if np.iscomplexobj(mat) else mat
     return abs(float(max(a.max(initial=0.0), -a.min(initial=0.0))))
 
@@ -117,24 +118,17 @@ def _fro(mat: np.ndarray) -> float:
     whenever it is finite and at least ``_FRO_LOW`` = √(tiny/ε): there,
     the squares that gradual underflow rounds (each by at most tiny·u)
     move the sum of an n×n matrix by at most 2·n²·u² relative.  Otherwise
-    ``mat`` is rescaled first by the power of two 2**e nearest above
-    max|mat|, exactly, with no division by a subnormal max; a zero or
-    non-finite matrix gives 0, inf or nan, and a finite one whose norm
-    exceeds the largest double gives inf.  Neither branch squares an entry
-    above 1 in a numpy ufunc, so no input makes it warn.
+    it is ``math.hypot`` of every entry, real and imaginary parts alike,
+    which scales internally and neither warns nor raises: subnormal
+    entries keep their digits, a norm past the largest double reads inf,
+    and an inf entry gives inf, else a nan entry nan.  The fast path
+    squares no entry above 1 in a numpy ufunc, so no input makes it warn.
     """
     nrm = math.sqrt(float(np.vdot(mat, mat).real))
     if _FRO_LOW <= nrm < math.inf:
         return nrm
-    scale = _maxabs(mat)
-    if not 0.0 < scale < math.inf:
-        return scale
-    e = math.frexp(scale)[1]
-    parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
-    nrm = math.hypot(*(float(np.linalg.norm(np.ldexp(p, -e))) for p in parts))
-    # a float multiply, not math.ldexp, scales back: a norm above the
-    # largest double rounds to inf, where ldexp would raise OverflowError
-    return math.ldexp(1.0, e - 1) * (2.0 * nrm)
+    parts = np.stack((mat.real, mat.imag)) if np.iscomplexobj(mat) else mat
+    return math.hypot(*parts.ravel().tolist())
 
 
 def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:

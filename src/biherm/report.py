@@ -53,13 +53,8 @@ def _pieces(obj):
         for i, floats in enumerate(obj.array.view(float) if pairs else obj.array):
             yield (", " if i else "") + row % tuple(floats.tolist())
         yield "]"
-    elif isinstance(obj, (list, tuple)):
-        # A list of floats is formatted whole by one %-template;
-        # "%.17g" % x is format(x, ".17g").  Any other list is one piece.
-        if set(map(type, obj)) == {float}:
-            yield "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
-        else:
-            yield "[" + ", ".join(["".join(_pieces(v)) for v in obj]) + "]"
+    elif isinstance(obj, (list, tuple)):  # one piece
+        yield "[" + ", ".join(["".join(_pieces(v)) for v in obj]) + "]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 

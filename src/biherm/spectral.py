@@ -284,10 +284,7 @@ def cyclic_vector(res: SpectralResolution, mu) -> np.ndarray:
         raise ValueError(f"need one coefficient per cluster ({res.n_fibers})")
     if np.any(mu == 0):
         raise ZeroCoefficientError("all coefficients must be nonzero")
-    x0 = np.zeros(res.dim, dtype=complex)
-    for coeff, f in zip(mu, res.fibers):
-        x0 += coeff * f.basis[:, 0]
-    return x0
+    return res.eigenvectors @ mu  # every fiber is one column of the eigenvector matrix
 
 
 def is_cyclic(

@@ -165,10 +165,13 @@ def triple_from_g_j(
     """Admissible triple from a metric and a complex structure.
 
     Symmetrizes the metric, then completes with the induced symplectic
-    form.
+    form; a J too far from J^2 = -1 for that raises NotAdmissibleError.
     """
     g_s = symmetrize_metric(g, j, tol)
-    omega = omega_from_g_j(g_s, j, tol)
+    try:
+        omega = omega_from_g_j(g_s, j, tol)
+    except NotAdmissibleError:  # averaging over J leaves J's own J^2 + 1 as the only cause
+        raise NotAdmissibleError(f"J is not g-anti-Hermitian: J^2 = -1 holds only to {j.residual:.3e}") from None
     return AdmissibleTriple(g_s, j, omega, tol)
 
 
@@ -354,9 +357,7 @@ def complexification_from_j(
         k += 1
     if len(picks) != n:
         raise NotAdmissibleError("failed to build a J-adapted basis")
-    us = [eye[:, i] for i in picks]
-    basis = np.column_stack(us + [j.mat @ u for u in us])
-    return ComplexificationMap(basis)
+    return ComplexificationMap(np.column_stack([eye[:, picks], j.mat[:, picks]]))
 
 
 def hermitian_from_triple(

@@ -94,6 +94,17 @@ class TestTripleCommand:
         )
         assert result.exit_code == 1
 
+    def test_j_off_by_its_square_names_j_squared(self, runner, tmp_path):
+        # |J^2 + 1| = 2e-10 passes tol_j; the command averages the metric
+        # over J itself, so the error names J's J^2 and gives no metric advice
+        g, j = tmp_path / "g.json", tmp_path / "j.json"
+        save_matrix(g, np.diag([1.0, 2.0]), "real_symmetric")
+        save_matrix(j, np.array([[2e-10, -1.0], [1.0, 0.0]]), "real_general")
+        result = invoke(runner, ["triple", "--g", str(g), "--j", str(j), "--out", str(tmp_path / "t.json")])
+        assert result.exit_code == 1
+        assert result.stderr == "analysis failed: J is not g-anti-Hermitian: J^2 = -1 holds only to 2.000e-10\n"
+        assert not (tmp_path / "t.json").exists()
+
     def test_malformed_file_exits_two(self, runner, files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "real_symmetric", "dim": 2, "data": [1, 2, 3]}')

@@ -272,6 +272,20 @@ class TestVerifyBiunitary:
         with pytest.raises(DimensionMismatchError):
             verify_biunitary(np.eye(3), form(np.eye(2)), form(np.eye(2)))
 
+    @pytest.mark.parametrize(
+        "u, error, message",
+        [
+            (np.ones((2, 3)), DimensionMismatchError, "^U must be a square matrix$"),
+            (np.ones(2), DimensionMismatchError, "^U must be a square matrix$"),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), NonFiniteError, "^U contains non-finite entries$"),
+            (np.array([[1.0, 0.0], [np.inf * 1j, 1.0]]), NonFiniteError, "^U contains non-finite entries$"),
+        ],
+        ids=["non-square", "vector", "nan", "complex-inf"],
+    )
+    def test_malformed_u_rejected(self, u, error, message):
+        with pytest.raises(error, match=message):
+            verify_biunitary(u, form(np.eye(2)), form(np.diag([1.0, 2.0])))
+
     def test_preserving_both_forms_forces_commutation(self):
         # implication holds for arbitrary candidates, passing or not
         rng = np.random.default_rng(29)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from biherm import (
+    DecomposableOperator,
+    DimensionMismatchError,
     HermitianForm,
     InternalInconsistencyError,
     SpectralResolution,
@@ -90,6 +92,25 @@ class TestBuildDecomposition:
             dec = build_decomposition(connecting_operator(h1, h2))
             assert sum(f.weight for f in dec.fibers) == pytest.approx(1.0, abs=1e-12)
             assert sum(f.dim for f in dec.fibers) == n
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda dec, h: check_proportionality(dec, h, dec.h2), DimensionMismatchError,
+             "^form and decomposition dimensions differ$"),
+            (lambda dec, h: project_to_commutant_blocks(h.gram, dec), DimensionMismatchError,
+             "^operator and decomposition dimensions differ$"),
+            (lambda dec, h: check_bicommutant_scalar(h.gram, dec), DimensionMismatchError,
+             "^operator and decomposition dimensions differ$"),
+            (lambda dec, h: phase_biunitary(dec, [0.0]), ValueError, r"^need one phase per fiber \(2\)$"),
+            (lambda dec, h: DecomposableOperator((np.eye(2), np.ones((1, 2)))), ValueError, "^blocks must be square$"),
+        ],
+        ids=["proportionality-form", "commutant-operator", "bicommutant-operator", "phase-count", "non-square-block"],
+    )
+    def test_malformed_input_rejected(self, call, error, message):
+        _, _, op = diag_pair(1.0, 2.0)
+        with pytest.raises(error, match=message):
+            call(build_decomposition(op), HermitianForm(np.eye(3, dtype=complex)))
 
 
 class TestProportionality:
@@ -185,6 +206,17 @@ class TestCommutantBlocks:
         with pytest.raises(NotInCommutantError) as excinfo:
             project_to_commutant_blocks(np.array([[0.0, 1.0], [1.0, 0.0]]), dec)
         assert excinfo.value.residual > 0.1
+
+    def test_cross_fiber_blocks_rejected(self):
+        # two fibers 2e-8 apart, just past the cluster gap: a 1e-3 coupling
+        # between them leaves the commutator at 1.4e-11, under tol_resid,
+        # but the cross-fiber blocks do not vanish
+        _, _, op = diag_pair(1.0, 1.0 + 2e-8)
+        dec = build_decomposition(op)
+        assert dec.multiplicities == (1, 1)
+        with pytest.raises(NotInCommutantError, match="^cross-fiber blocks do not vanish") as excinfo:
+            project_to_commutant_blocks(np.array([[1.0, 1e-3], [1e-3, 1.0]]), dec)
+        assert excinfo.value.residual == pytest.approx(1e-3, rel=1e-6)
 
     def test_round_trip_through_fiber_coordinates(self):
         rng = np.random.default_rng(53)

@@ -1,6 +1,7 @@
 """Tests for the foundational form types and dense-algebra kernel."""
 
 import dataclasses
+import math
 import warnings
 
 import mpmath
@@ -85,6 +86,21 @@ class TestFormTypes:
             ComplexStructureJ(np.eye(2))
         with pytest.raises(ValueError):
             ComplexStructureJ(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: RealForm(np.ones((2, 3))), "^gram must be a square matrix, got shape"),
+            (lambda: RealForm(1j * np.eye(2), "symmetric"), "^RealForm gram must be real$"),
+            (lambda: RealForm(np.eye(2), "hermitian"), "^unknown symmetry_tag 'hermitian'$"),
+            (lambda: ComplexStructureJ(np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)),
+             "^complex structure matrix must be real$"),
+        ],
+        ids=["non-square-gram", "complex-real-form", "unknown-tag", "complex-j"],
+    )
+    def test_malformed_input_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_hermitian_form_requires_positive(self):
         HermitianForm(np.eye(2))
@@ -237,6 +253,38 @@ class TestFro:
             warnings.simplefilter("error")
             assert _fro(np.array([row])) == np.inf
 
+    def test_slow_path_against_mpmath_oracle(self):
+        # Norms below sqrt(tiny/eps) or past sqrt(largest double) take the
+        # math.hypot path.  Over the sweep it must be no further from the
+        # 50-digit norm than an exact power-of-two rescale (entries scaled
+        # by 2**-e, e the exponent of max|A|, then np.linalg.norm).  At
+        # 1e-310 the norm itself is subnormal and keeps about 14 digits, so
+        # the per-matrix bound adds two subnormal steps to 2u relative.
+        def pow2_rescaled(mat):
+            e = math.frexp(float(np.max(np.abs(mat))))[1]
+            parts = (mat.real, mat.imag) if np.iscomplexobj(mat) else (mat,)
+            return math.ldexp(math.hypot(*(float(np.linalg.norm(np.ldexp(p, -e))) for p in parts)), e)
+
+        rng = np.random.default_rng(37)
+        err_fro = err_pow2 = 0.0
+        for scale in (1e-310, 1e-305, 1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300, 1.7e308):
+            for n in (1, 7, 64):
+                for is_complex in (False, True):
+                    mat = rng.uniform(-1.0, 1.0, (n, n))
+                    if is_complex:
+                        mat = mat + 1j * rng.uniform(-1.0, 1.0, (n, n))
+                    mat = (scale / (2 * n)) * mat
+                    assert not forms._FRO_LOW <= math.sqrt(float(np.vdot(mat, mat).real)) < math.inf
+                    parts = [mat.real, mat.imag] if is_complex else [mat]
+                    entries = np.concatenate([p.ravel() for p in parts]).tolist()
+                    with mpmath.workdps(50):
+                        exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in entries))
+                        got = abs(mpmath.mpf(_fro(mat)) - exact)
+                        ref = abs(mpmath.mpf(pow2_rescaled(mat)) - exact)
+                        assert got <= 2 * UNIT_ROUNDOFF * exact + 2 * mpmath.mpf(np.finfo(float).smallest_subnormal)
+                        err_fro, err_pow2 = err_fro + float(got / exact), err_pow2 + float(ref / exact)
+        assert err_fro <= err_pow2
+
     def test_zero_and_non_finite(self):
         assert _fro(np.zeros((3, 3))) == 0.0
         assert _fro(np.zeros((0, 0))) == 0.0
@@ -274,6 +322,19 @@ class TestKrylovRank:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             krylov_rank(np.eye(2), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "x0, error, message",
+        [
+            (np.ones((2, 1)), ValueError, "^x0 must be 1-D and match the operator dimension$"),
+            (np.ones(3), ValueError, "^x0 must be 1-D and match the operator dimension$"),
+            (np.array([1.0, np.nan]), NonFiniteError, "^x0 contains non-finite entries$"),
+        ],
+        ids=["column", "wrong-length", "nan"],
+    )
+    def test_malformed_start_vector_rejected(self, x0, error, message):
+        with pytest.raises(error, match=message):
+            krylov_rank(np.eye(2), x0)
 
     def test_full_rank_at_dimension_32(self):
         # a plain SVD of the monomial Krylov matrix fails this long before n=32

@@ -88,9 +88,10 @@ class TestMatrixRoundTrip:
          ("real_symmetric", np.array([[1, 2j], [-2j, 3]]),
           "^matrix of kind real_symmetric has a nonzero imaginary part$"),
          ("real_antisymmetric", np.array([[1e-300j, 2.0], [-2.0, 0.0]]), "real_antisymmetric has a nonzero imaginary"),
-         ("real_general", np.array([[1.0, 2.0], [3.0, 4.0 - 1e-300j]]), "real_general has a nonzero imaginary")],
+         ("real_general", np.array([[1.0, 2.0], [3.0, 4.0 - 1e-300j]]), "real_general has a nonzero imaginary"),
+         ("real_hermitian", np.eye(2), "^unknown matrix kind 'real_hermitian'$")],
         ids=["non-square", "1-d", "empty", "nan", "asymmetric", "not-antisymmetric", "not-hermitian",
-             "imag-symmetric", "imag-antisymmetric", "imag-general"],
+             "imag-symmetric", "imag-antisymmetric", "imag-general", "unknown-kind"],
     )
     def test_writers_reject_what_load_rejects(self, tmp_path, kind, mat, message):
         # unchecked, a 2x3 array is written as dim 2 with 6 entries, a 1-D

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biherm.report import MatrixData, canonical_json, render_text
+from biherm.report import MatrixData, canonical_json, render_report, render_text
 from conftest import reference_canonical_json
 
 _STRINGS = [
@@ -111,3 +111,9 @@ def test_text_leaves_are_canonical_json():
     assert render_text(report) == "\n".join(
         ["a.f[0].k = true", 'a.s = q"uote', "a.x = -0", "b = [1.5, 2]"]
     )
+
+
+@pytest.mark.parametrize("fmt", ["yaml", "JSON", ""])
+def test_unknown_report_format_rejected(fmt):
+    with pytest.raises(ValueError, match=f"^unknown report format {fmt!r}$"):
+        render_report({"a": 1}, fmt)

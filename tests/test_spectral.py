@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from biherm import (
     BihermError,
     DegenerateSpectrumError,
+    GroupSignature,
     HermitianForm,
     SpectralResolution,
     Tolerances,
@@ -149,6 +150,11 @@ class TestGroupSignature:
         assert sig.multiplicities == (2, 1, 1)
         assert sig.total_dim == 4
 
+    @pytest.mark.parametrize("multiplicities", [(), (1, 0), (2, -1)])
+    def test_non_positive_multiplicities_rejected(self, multiplicities):
+        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+            GroupSignature(multiplicities)
+
 
 class TestGenericBySpectrum:
     def test_distinct_true(self):
@@ -184,6 +190,26 @@ class TestCyclicVector:
         res = spectral_resolution(diag_operator(1.0, 2.0))
         with pytest.raises(ZeroCoefficientError):
             cyclic_vector(res, [1.0, 0.0])
+
+    @pytest.mark.parametrize("mu", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_coefficient_count_rejected(self, mu):
+        res = spectral_resolution(diag_operator(1.0, 2.0))
+        with pytest.raises(ValueError, match=r"^need one coefficient per cluster \(2\)$"):
+            cyclic_vector(res, mu)
+
+    def test_equals_the_per_fiber_sum(self):
+        # x0 is one product V mu; it agrees with sum_k mu[k] times fiber k's
+        # basis vector, added up in fiber order, within n u max|V| sum|mu|
+        rng = np.random.default_rng(60)
+        for n in (2, 5, 16, 64):
+            h1, h2, _ = hermitian_pair_with_multiplicities(rng, (1,) * n)
+            res = spectral_resolution(connecting_operator(h1, h2))
+            mu = rng.uniform(0.2, 1.0, size=n) * np.exp(2j * np.pi * rng.random(n))
+            summed = np.zeros(n, dtype=complex)
+            for coeff, f in zip(mu, res.fibers):
+                summed += coeff * f.basis[:, 0]
+            bound = n * UNIT_ROUNDOFF * np.max(np.abs(res.eigenvectors)) * np.sum(np.abs(mu))
+            assert np.max(np.abs(cyclic_vector(res, mu) - summed)) <= bound
 
     def test_always_full_rank_on_random_instances(self):
         rng = np.random.default_rng(6)

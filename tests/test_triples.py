@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from biherm import (
     AdmissibleTriple,
+    ComplexificationMap,
     ComplexStructureJ,
     DegenerateSymplecticError,
     NotAdmissibleError,
@@ -36,6 +37,7 @@ from conftest import (
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+J4 = np.kron(np.eye(2), J2)
 # positive-definite but not symmetric: tagged general, so only the metric check can reject it
 ASYMMETRIC_G = np.array([[1.0, 0.5], [0.0, 1.0]])
 NOT_SPD = "^metric is not symmetric positive-definite$"
@@ -139,6 +141,19 @@ class TestOmegaFromGJ:
     def test_requires_compatibility(self):
         with pytest.raises(NotAdmissibleError):
             omega_from_g_j(RealForm(np.diag([1.0, 4.0]), "symmetric"), ComplexStructureJ(J2))
+
+    def test_route_from_j_names_the_j_squared_residual(self):
+        # |J^2 + 1| = 2e-10 passes tol_j; averaging g over J removes every
+        # anti-Hermitian defect but the one J^2 + 1 leaves, which here still
+        # exceeds tol_resid, so the cause is J and not the metric
+        j = ComplexStructureJ(np.array([[2e-10, -1.0], [1.0, 0.0]]))
+        g = RealForm(np.diag([1.0, 2.0]), "symmetric")
+        message = r"^J is not g-anti-Hermitian: J\^2 = -1 holds only to 2\.000e-10$"
+        with pytest.raises(NotAdmissibleError, match=message):
+            triple_from_g_j(g, j)
+        # called on its own, omega_from_g_j still points at the metric
+        with pytest.raises(NotAdmissibleError, match="symmetrize the metric first$"):
+            omega_from_g_j(g, j)
 
 
 class TestTripleFromGOmega:
@@ -353,6 +368,40 @@ class TestAdmissibleTriple:
         w = omega_from_g_j(g, j)
         with pytest.raises(NotAdmissibleError):
             AdmissibleTriple(RealForm(np.eye(2), "general"), j, w)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: AdmissibleTriple(RealForm(np.eye(4), "symmetric"), ComplexStructureJ(J2),
+                                      RealForm(J2, "antisymmetric")),
+             NotAdmissibleError, "^g, J and omega dimensions differ$"),
+            (lambda: AdmissibleTriple(RealForm(np.eye(2), "symmetric"), ComplexStructureJ(J2), RealForm(J2)),
+             NotAdmissibleError, "^omega must be tagged antisymmetric$"),
+            (lambda: AdmissibleTriple(RealForm(np.diag([1.0, 4.0]), "symmetric"), ComplexStructureJ(J2),
+                                      RealForm(np.array([[0.0, -2.5], [2.5, 0.0]]), "antisymmetric")),
+             NotAdmissibleError, r"^J is not g-anti-Hermitian \(relative residual 7\.500e-01\)$"),
+            (lambda: symmetrize_metric(RealForm(np.eye(4), "symmetric"), ComplexStructureJ(J2)),
+             NotAdmissibleError, "^metric and complex structure dimensions differ$"),
+            (lambda: omega_from_g_j(RealForm(np.eye(4), "symmetric"), ComplexStructureJ(J2)),
+             NotAdmissibleError, "^metric and complex structure dimensions differ$"),
+            (lambda: triple_from_g_omega(RealForm(np.eye(4), "symmetric"), RealForm(J2, "antisymmetric")),
+             NotAdmissibleError, "^metric and symplectic form dimensions differ$"),
+            (lambda: hermitian_from_triple(canonical_triple(), complexification_from_j(ComplexStructureJ(J4))),
+             NotAdmissibleError, "^complexification and triple dimensions differ$"),
+            (lambda: ComplexificationMap(np.eye(3)), ValueError, "^basis must be a square matrix of even dimension$"),
+            (lambda: ComplexificationMap(np.ones((2, 4))), ValueError, "^basis must be a square matrix of even dimension$"),
+            # adapted to J but singular: a zero u column gives H a zero eigenvalue
+            (lambda: hermitian_from_triple(
+                triple_from_g_j(RealForm(np.eye(4), "symmetric"), ComplexStructureJ(J4)),
+                ComplexificationMap(np.column_stack([np.eye(4)[:, 0], np.zeros(4), J4[:, 0], np.zeros(4)]))),
+             NotAdmissibleError, "^resulting form is not Hermitian positive-definite: gram is not positive-definite"),
+        ],
+        ids=["triple-dims", "omega-tag", "not-anti-hermitian", "symmetrize-dims", "omega-dims", "g-omega-dims",
+             "hermitian-dims", "odd-basis", "non-square-basis", "singular-basis"],
+    )
+    def test_malformed_input_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_constructed_triples_satisfy_property_bundle(self):
         rng = np.random.default_rng(21)
