@@ -106,7 +106,7 @@ def _require_square(mat: np.ndarray, what: str) -> np.ndarray:
 
 def _maxabs(mat: np.ndarray) -> float:
     """max|mat| (0 when empty); a real matrix is read by its max and min, with no |mat| copy,
-    so the writers' kind check holds one matrix-sized temporary (A ∓ Aᴴ) beside one row, not two."""
+    so the writers' kind check holds one matrix-sized temporary (A ∓ Aᴴ) beside one block of rows, not two."""
     a = np.abs(mat) if np.iscomplexobj(mat) else mat
     return abs(float(max(a.max(initial=0.0), -a.min(initial=0.0))))
 

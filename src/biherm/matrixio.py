@@ -10,7 +10,7 @@ complex kinds dim^2 ``[re, im]`` pairs.  A triple file bundles three
 matrix sections under ``g``, ``j`` and ``omega``.  Readers ignore the ``meta``
 section writers may add.  Writers raise ValueError, before opening the file, on
 what the loader refuses at default tolerances, so every emitted artifact reloads
-as a valid input.  Writers stream a file one matrix row at a time.  Loaders
+as a valid input.  Writers stream a file a block of rows at a time.  Loaders
 parse with orjson and fall back to the stdlib parser, the reference, wherever
 orjson's values or messages could differ, so both give identical results.
 """

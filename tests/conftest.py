@@ -317,10 +317,10 @@ def brute_bicommutant_dim(mat: np.ndarray, rtol: float = 1e-8) -> int:
 def reference_canonical_json(obj) -> str:
     """Canonical JSON walked entry by entry, each float as ``format(x, ".17g")``.
 
-    ``report.canonical_json`` formats whole lists of floats with one
-    template; this is the per-entry rendering it must reproduce byte for
-    byte.  It covers what a matrix file holds: dicts, lists, floats, ints
-    and strings.
+    ``report.canonical_json`` formats a matrix's floats a block of rows at
+    a time with numpy; this is the per-entry rendering it must reproduce
+    byte for byte.  It covers what a matrix file holds: dicts, lists,
+    floats, ints and strings.
     """
     if isinstance(obj, dict):
         items = sorted(obj.items())

@@ -31,6 +31,7 @@ from biherm.matrixio import (
     save_matrix,
     save_triple,
 )
+from biherm.report import canonical_json
 from conftest import (
     random_admissible_pair,
     random_hpd,
@@ -415,9 +416,17 @@ class TestStreamedWriters:
                 write(path, {"residuals": {"x": 0.5}, "z": bad})
             assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("n", [1, 17, 128])
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_file_equals_its_list_rendering(self, tmp_path, kind, n):
+        # the block formatter against the scalar path, which formats each float on its own
+        mat = _exact_matrix(kind, n, n, [(i * 37, v) for i, v in enumerate(SPECIAL_ENTRIES * 2)])
+        save_matrix(tmp_path / "m.json", mat, kind)
+        assert (tmp_path / "m.json").read_text() == canonical_json(matrix_payload(mat, kind)) + "\n"
+
     def test_writers_hold_one_row_not_the_file(self, tmp_path):
         # the files hold 4.9 and 0.85 MB of text; a streamed write holds one
-        # row of it and that row's Python floats
+        # block of rows of it and that block's temporaries
         trip = _stand_in_triple(256, 0)
         u = _exact_matrix("complex_general", 128, 3, ())
         for write in (lambda: save_triple(tmp_path / "t.json", trip, meta={"residuals": {"x": 0.5}}),

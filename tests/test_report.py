@@ -1,8 +1,13 @@
 """Report rendering: canonical JSON against the entry-by-entry oracle."""
 
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from biherm import report
 from biherm.report import MatrixData, canonical_json, render_report, render_text
 from conftest import reference_canonical_json
 
@@ -43,9 +48,9 @@ def _value(rng, depth: int = 0):
     n = int(rng.integers(0, 6))
     if pick == 0:
         return _scalar(rng)
-    if pick == 1:  # all floats: the one-template path
+    if pick == 1:  # all floats
         return [_float(rng) for _ in range(n)]
-    if pick == 2:  # ints and floats mixed: the entry-by-entry path
+    if pick == 2:  # ints and floats mixed
         return [_float(rng) if rng.random() < 0.5 else int(rng.integers(-9, 9)) for _ in range(n)]
     if pick == 3:
         return [_value(rng, depth + 1) for _ in range(n)]
@@ -85,13 +90,71 @@ def test_special_scalars_against_reference():
     assert canonical_json(tuple(_FLOATS)) == reference_canonical_json(_FLOATS)
 
 
+def _edge_values() -> list[float]:
+    """Where the block formatter's branches meet, each value with its neighbours: the smallest
+    subnormal, the smallest normal, the largest double, the %g switch points 1e-5/1e-4 and
+    1e16/1e17, and every power of ten; then doubles whose 17 digits carry into the next decade,
+    and exact ties, whose 18th digit is a final 5.  Zeros and negatives too."""
+    edges = np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4, 1e16, 1e17]
+                     + [float(f"1e{e}") for e in range(-323, 309)])
+    with np.errstate(over="ignore"):
+        near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    near = near[np.isfinite(near)].tolist()
+    carries = [x for x in near if ("%.17g" % x).split("e")[0].strip("0.") == "1" and Fraction("%.17g" % x) > x]
+    ties = [2**50 + 0.25, 2**50 + 0.75]
+    for j in (2, 3, 5, 8, 13, 21):  # m / 2^j with m odd and m·5^j of 18 digits
+        m = -(-(10**17) // 5**j) | 1
+        ties += [(m + 2 * i) / 2**j for i in range(4)]
+    assert len(carries) >= 10 and all(Decimal(t).as_tuple().digits[17:] == (5,) for t in ties)
+    values = near + carries + ties + [0.0]
+    return values + [-v for v in values]
+
+
+def _matrix_entries(rng, count: int) -> np.ndarray:
+    """``count`` floats: random bit patterns (every exponent) mixed with the edge values."""
+    bits = rng.integers(0, 2**64, count, dtype=np.uint64).view(float)
+    edges = np.array(_edge_values())
+    pick = rng.random(count) < 0.5
+    bits[pick] = edges[rng.integers(len(edges), size=pick.sum())]
+    return np.where(np.isfinite(bits), bits, -0.0)
+
+
+def _reference_data(arr: np.ndarray) -> str:
+    if np.iscomplexobj(arr):
+        return reference_canonical_json([[z.real, z.imag] for z in arr.ravel().tolist()])
+    return reference_canonical_json(arr.ravel().tolist())
+
+
 def test_matrix_data_rows_against_reference():
     rng = np.random.default_rng(9)
-    real = rng.standard_normal((3, 3))
-    cplx = real + 1j * rng.standard_normal((3, 3))
-    assert canonical_json(MatrixData(real)) == reference_canonical_json(real.ravel().tolist())
-    pairs = [[z.real, z.imag] for z in cplx.ravel().tolist()]
-    assert canonical_json(MatrixData(cplx)) == reference_canonical_json(pairs)
+    edges = np.array(_edge_values())
+    edges = np.concatenate([edges, np.zeros(-len(edges) % 62)])  # every edge value, in rows of 62 floats
+    for arr in (edges.reshape(-1, 62), edges.view(complex).reshape(-1, 31)):
+        assert canonical_json(MatrixData(arr)) == _reference_data(arr)
+    for n in (1, 2, 17, 33):
+        real = _matrix_entries(rng, n * n).reshape(n, n)
+        cplx = _matrix_entries(rng, 2 * n * n).view(complex).reshape(n, n)
+        for arr in (real, cplx, cplx.real, cplx.imag, real.T):  # .real, .imag and .T are strided views
+            assert canonical_json(MatrixData(arr)) == _reference_data(arr)
+
+
+def test_matrix_data_without_the_fast_path(monkeypatch):
+    rng = np.random.default_rng(10)
+    arrays = [_matrix_entries(rng, 17 * 34).view(complex).reshape(17, 17),
+              _matrix_entries(rng, 33 * 33).reshape(33, 33)]
+    fast = [canonical_json(MatrixData(arr)) for arr in arrays]
+    monkeypatch.setattr(report, "_FAST", False)
+    assert [canonical_json(MatrixData(arr)) for arr in arrays] == fast == [_reference_data(arr) for arr in arrays]
+
+
+def test_power_table_within_half_an_ulp():
+    scale, hi, hh, hl, lo = report._tables()[:5]
+    for i, (s, h, a, b, r) in enumerate(zip(scale.tolist(), hi.tolist(), hh.tolist(), hl.tolist(), lo.tolist())):
+        c = Fraction(10) ** (16 - (i - report._K0)) / Fraction(2) ** s  # 10^(16 - k) scaled into [1, 2)
+        assert 1 <= c < 2
+        assert abs(c - Fraction(*h.as_integer_ratio())) <= Fraction(math.ulp(h)) / 2
+        assert abs(c - Fraction(*h.as_integer_ratio()) - Fraction(*r.as_integer_ratio())) <= Fraction(math.ulp(r)) / 2
+        assert a + b == h and all((v * 2.0 ** (26 - math.frexp(v)[1])).is_integer() for v in (a, b))  # 26 bits each
 
 
 @pytest.mark.parametrize(
