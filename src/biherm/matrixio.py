@@ -13,15 +13,20 @@ what the loader refuses at default tolerances, so every emitted artifact reloads
 as a valid input.  Writers stream a file a block of rows at a time.  Loaders
 parse with orjson and fall back to the stdlib parser, the reference, wherever
 orjson's values or messages could differ, so both give identical results.
+A section's entries are converted in one pass; only those reading 0 or 1, where
+a boolean could hide, are type-checked.  The cyclic collector is paused from the
+parse until the parsed tree is freed.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
 import re
-from itertools import chain
+import struct
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +53,7 @@ MATRIX_KINDS = REAL_KINDS + COMPLEX_KINDS
 _SYMMETRY = {"real_symmetric": (1, "symmetric"), "real_antisymmetric": (-1, "antisymmetric"),  # (sign, word)
              "complex_hermitian": (1, "Hermitian")}
 _NUMBER_TYPES = {int, float}  # exact types: a JSON boolean is not a number
+_CHUNK = 8192  # entries per struct call, so its argument tuple stays small
 _TRIPLE_SECTIONS = (("g", "real_symmetric"), ("j", "real_general"), ("omega", "real_antisymmetric"))
 
 
@@ -63,14 +69,21 @@ _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 def _orjson_reads(raw: bytes) -> bool:
     """Whether orjson 3.8 may parse ``raw``: it reads the integer -0 as 0, parses
     a document under 8 MiB / 12 bytes in an 8 MiB buffer it keeps for good, and
-    overflows the C stack on deep nesting.  With all but brackets and quotes
-    deleted, then each ``[]`` (a leaf array or string content), the openers
-    left bound the depth."""
+    overflows the C stack on deep nesting.  Under 1024 openers bound the depth;
+    else, with all but brackets and quotes deleted, then each ``[]`` (a leaf
+    array or string content), the openers left do."""
     if len(raw) < (8 << 20) // 12 or _NEG_ZERO_INT.search(raw):
         return False
-    if raw.count(b"[") + raw.count(b"{") < 1024:
+    openers = 0
+    for opener in b"[{":  # each find stops at the next opener, the loop at the 1024th
+        at = raw.find(opener)
+        while at >= 0 and openers < 1024:
+            openers, at = openers + 1, raw.find(opener, at + 1)
+    if openers < 1024:
         return True
-    skeleton = raw.translate(None, _NOT_STRUCTURE).replace(b"[]", b"")
+    step = 1 << 15  # translate allocates its input's size: a slice at a time
+    skeleton = b"".join(raw[i:i + step].translate(None, _NOT_STRUCTURE) for i in range(0, len(raw), step))
+    skeleton = skeleton.replace(b"[]", b"")
     return skeleton.count(b"[") + skeleton.count(b"{") < 1024
 
 
@@ -81,6 +94,8 @@ def _load_json(path, parse):
     may not, what orjson rejects (NaN, infinities, literals beyond the double
     range, invalid UTF-8, a BOM, syntax) and what ``parse`` rejects from orjson:
     only a diagnostic shows an integer outside [-2**63, 2**64), a float to orjson.
+    The collector is paused from the parse until the parsed tree, which holds no
+    cycle, is freed, then set back as the caller had it.
     """
     try:
         raw = Path(path).read_bytes()
@@ -92,50 +107,59 @@ def _load_json(path, parse):
             raise FileFormatError(f"{path}: top level must be a JSON object")
         return parse(obj)
 
-    if _orjson_reads(raw):
-        import orjson  # here, not at import: orjson imports zoneinfo (about 5 ms)
-        try:
-            return checked(orjson.loads(raw))
-        except (orjson.JSONDecodeError, FileFormatError, RecursionError):  # the last from a diagnostic's repr
-            pass
+    enabled, obj = gc.isenabled(), None
+    gc.disable()
     try:
-        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()  # as Path.read_text decodes
-        obj = json.loads(text, parse_int=_parse_int)
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal longer than int() accepts
-        raise FileFormatError(f"{path}: integer too large for a double: {exc}") from exc
-    except RecursionError as exc:
-        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
-    return checked(obj)
+        if _orjson_reads(raw):
+            import orjson  # here, not at import: orjson imports zoneinfo (about 5 ms)
+            try:
+                return checked(orjson.loads(raw))
+            except (orjson.JSONDecodeError, FileFormatError, RecursionError):  # the last from a diagnostic's repr
+                pass
+        try:
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()  # as Path.read_text decodes
+            obj = json.loads(text, parse_int=_parse_int)
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(
+                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        except ValueError as exc:  # an integer literal longer than int() accepts
+            raise FileFormatError(f"{path}: integer too large for a double: {exc}") from exc
+        except RecursionError as exc:
+            raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+        return checked(obj)
+    finally:
+        obj = None  # the tree goes before the collector resumes
+        if enabled:
+            gc.enable()
 
 
 def _parse_entries(data: list, pairs: bool, where: str) -> np.ndarray:
     """The ``data`` entries as one flat float array, or complex for pairs.
 
     An entry must be a JSON number (not a boolean) that is finite as a
-    double; a complex kind's entry is a pair of them.  Valid input is
-    checked and converted by whole-list operations.  Only when a check
-    fails are the entries walked in order, so the ``data[i]`` diagnostic
-    names the first bad entry, as an entry-by-entry check would.
+    double; a complex kind's entry is a pair of them.  ``struct.pack_into``
+    converts valid input in one pass and refuses every other JSON value but a
+    boolean, which reads 0 or 1: only entries of those values are type-checked.
+    Only when a check fails are the entries walked in order, so the ``data[i]``
+    diagnostic names the first bad entry, as an entry-by-entry check would.
     """
-    if pairs:
-        shaped = set(map(type, data)) == {list} and set(map(len, data)) == {2}
-        flat = list(chain.from_iterable(data)) if shaped else []
+    values = np.empty(len(data) * (1 + pairs))
+    flat = chain.from_iterable(data) if pairs else iter(data)
+    try:
+        if pairs and set(map(len, data)) != {2}:
+            raise TypeError("not a list of pairs")
+        for at in range(0, len(values), _CHUNK):
+            struct.pack_into(f"{min(_CHUNK, len(values) - at)}d", values, 8 * at, *islice(flat, _CHUNK))
+    except (TypeError, struct.error):  # a non-number, an integer beyond the double range, a bad pair
+        pass
     else:
-        shaped, flat = True, data
-    if shaped and set(map(type, flat)) <= _NUMBER_TYPES:
-        try:
-            values = np.fromiter(flat, dtype=float, count=len(flat))
-        except OverflowError:  # an integer beyond the double range
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values.view(complex) if pairs else values
+        unit = np.flatnonzero((values == 0) | (values == 1))  # where a boolean could hide
+        held = map(data.__getitem__, (unit // 2 if pairs else unit).tolist())
+        if np.isfinite(values).all() and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(held) if pairs else held)):
+            return values.view(complex) if pairs else values
 
     def bad(i, msg):
         return FileFormatError(f"{where}: data[{i}]: {msg}")

@@ -146,13 +146,13 @@ def omega_from_g_j(
     if g.dim != j.dim:
         raise NotAdmissibleError("metric and complex structure dimensions differ")
     scale = max(_maxabs(g.gram), _TINY)
-    anti = _maxabs(j.mat.T @ g.gram + g.gram @ j.mat)
+    gram = g.gram @ j.mat
+    anti = _maxabs(j.mat.T @ g.gram + gram)
     if anti > tol.tol_resid * scale:
         raise NotAdmissibleError(
             f"J is not g-anti-Hermitian (relative residual {anti / scale:.3e}); "
             "symmetrize the metric first"
         )
-    gram = g.gram @ j.mat
     gram = 0.5 * (gram - gram.T)
     return RealForm(gram, "antisymmetric", tol)
 

@@ -1,5 +1,6 @@
 """Tests for the matrix/triple file formats."""
 
+import gc
 import json
 import tracemalloc
 from pathlib import Path
@@ -25,6 +26,7 @@ from biherm import (
 from biherm.forms import _asymmetry, _within_tol_sym
 from biherm.matrixio import (
     MATRIX_KINDS,
+    _orjson_reads,
     load_matrix,
     load_triple,
     matrix_payload,
@@ -522,6 +524,54 @@ class TestParserEquivalence:
         assert got == _outcome(reference_load_matrix, path)
         assert got[2] == values.tobytes()
 
+    @pytest.mark.parametrize("value", ["true", "false", "null", '"1.5"', '"12"', "[1.5]", "{}", "[0, 1, 0]"])
+    @pytest.mark.parametrize(
+        "template",
+        [_matrix_text("real_general", "2", "[1, {}, 0, -1]"), _matrix_text("complex_general", "2", "[[1, 0], {}, [0, 1], [-1, 0]]"),
+         _matrix_text("complex_general", "2", "[[1, 0], [0, {}], [0, 1], [-1, 0]]")],
+        ids=["entry", "pair", "in-pair"],
+    )
+    def test_value_one_conversion_refuses(self, tmp_path, value, template):
+        # what one conversion of the whole section could let through: a boolean
+        # converts to 0 or 1, a two-character string has a pair's length
+        path = tmp_path / "m.json"
+        _write_large(path, template.replace("{}", value).encode())
+        got = _outcome(load_matrix, path)
+        assert got == _outcome(reference_load_matrix, path)
+        assert got.startswith(f"{path}: data[1]: expected a ")
+
+    @pytest.mark.parametrize("data", ["[[1, 2, 3], [4], [0, 1], [1, 0]]", "[[0, 1], [1, 0], [0], [1, 0, 0]]"])
+    def test_ragged_pairs_with_the_right_count_refused(self, tmp_path, data):
+        path = tmp_path / "m.json"
+        _write_large(path, _matrix_text("complex_general", "2", data).encode())
+        got = _outcome(load_matrix, path)
+        assert got == _outcome(reference_load_matrix, path)
+        assert got.startswith(f"{path}: data[{0 if data.startswith('[[1, 2') else 2}]: expected a [re, im] pair")
+
+    @pytest.mark.parametrize("kind", ["real_general", "complex_general"])
+    def test_entries_mostly_zero_and_unit(self, tmp_path, kind):
+        # like a canonical J: nearly every entry is a 0 or 1, where a boolean could hide
+        n = 192 if kind == "real_general" else 128
+        mat = np.kron(np.eye(n // 2), J2)
+        mat.flat[::7] = -0.0
+        if kind == "complex_general":
+            mat = mat + 1j * np.roll(mat, 1, axis=0)
+        flat = mat.ravel().view(float).tolist()
+        entries = ["-0.0" if np.signbit(v) and v == 0 else repr(v) if i % 2 else str(int(v)) for i, v in enumerate(flat)]
+        if kind == "complex_general":
+            entries = [f"[{re}, {im}]" for re, im in zip(entries[0::2], entries[1::2])]
+        path = tmp_path / "m.json"
+        _write_large(path, _matrix_text(kind, str(n), "[" + ", ".join(entries) + "]").encode())
+        got = _outcome(load_matrix, path)
+        assert got == _outcome(reference_load_matrix, path) == (kind, mat.dtype.str, mat.tobytes())
+        for bad in ("true", "false"):
+            at = len(entries) - 5
+            entries[at] = f"[0, {bad}]" if kind == "complex_general" else bad
+            _write_large(path, _matrix_text(kind, str(n), "[" + ", ".join(entries) + "]").encode())
+            got = _outcome(load_matrix, path)
+            assert got == _outcome(reference_load_matrix, path)
+            assert got.startswith(f"{path}: data[{at}]: expected a ")
+
     def test_stdlib_parses_only_on_a_trigger(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(26)
         calls = []
@@ -562,3 +612,69 @@ class TestMalformedBytes:
         with pytest.raises(FileFormatError) as exc:
             load_matrix(path)
         assert str(exc.value) == f"{path}: JSON nested too deeply"
+
+
+@pytest.fixture
+def gc_state():
+    """Sets the collector on or off for a test and restores it after."""
+    before = gc.isenabled()
+    yield lambda on: (gc.enable if on else gc.disable)()
+    (gc.enable if before else gc.disable)()
+
+
+class TestLoadCost:
+    @pytest.mark.parametrize("on", [True, False])
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_loaders_leave_the_collector_as_found(self, tmp_path, gc_state, on, refused):
+        rng = np.random.default_rng(27)
+        save_matrix(tmp_path / "h.json", random_hpd(rng, 128), "complex_hermitian")
+        save_triple(tmp_path / "t.json", triple_from_g_j(*random_admissible_pair(rng, 8)))
+        if refused:
+            for name in ("h.json", "t.json"):
+                text = (tmp_path / name).read_text()
+                _write_large(tmp_path / name, text.replace("[", "[true, ", 1).encode())
+        for load, name in ((load_matrix, "h.json"), (load_triple, "t.json")):
+            gc_state(on)
+            try:
+                load(tmp_path / name)
+            except FileFormatError:
+                assert refused
+            else:
+                assert not refused
+            assert gc.isenabled() is on
+
+    def test_complex_load_runs_no_collection(self, tmp_path, gc_state):
+        # each [re, im] list of the parsed tree counts toward a collection
+        # unless the collector is paused; the parse alone would run about 23
+        save_matrix(tmp_path / "h.json", random_hpd(np.random.default_rng(28), 128), "complex_hermitian")
+        gc_state(True)
+        starts = []
+        gc.collect()
+        gc.callbacks.append(on_phase := lambda phase, info: starts.append(info) if phase == "start" else None)
+        try:
+            load_matrix(tmp_path / "h.json")
+        finally:
+            gc.callbacks.remove(on_phase)
+        assert starts == []
+
+    def test_loads_hold_no_copy_of_the_file(self, tmp_path):
+        # the 4.4 MB triple file and its parsed tree peak at 12.86 MB traced,
+        # measured before the one-pass section conversion; a copy of the whole
+        # text, even a passing one in the gate in front of orjson, shows here
+        rng = np.random.default_rng(29)
+        save_triple(tmp_path / "t.json", triple_from_g_j(*random_admissible_pair(rng, 256)))
+        save_matrix(tmp_path / "h.json", random_hpd(rng, 128), "complex_hermitian")
+        load_triple(tmp_path / "t.json")
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: load_triple(tmp_path / "t.json")) < 13.0e6
+        for name in ("t.json", "h.json"):
+            raw = (tmp_path / name).read_bytes()
+            assert peak(lambda: _orjson_reads(raw)) < len(raw) / 4
