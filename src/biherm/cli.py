@@ -32,7 +32,6 @@ from .report import render_report
 from .spectral import (
     bicommutant_dimension,
     group_signature,
-    is_cyclic,
     is_generic_by_spectrum,
     spectral_resolution,
 )
@@ -252,7 +251,7 @@ def generic(tol, h1_path, h2_path, seed):
     comm_dim = res.commutant_dimension
     bicomm_dim = bicommutant_dimension(res)
     by_commutant = comm_dim == bicomm_dim
-    cyclic = is_cyclic(op, seed=seed, tol=tol)
+    cyclic = comm_dim == op.dim  # is_cyclic's test, on the resolution held here
     agreement = by_spectrum == by_commutant == cyclic
     results = {
         "generic_by_spectrum": by_spectrum,

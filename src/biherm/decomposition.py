@@ -11,16 +11,16 @@ block per fiber — a single phase per fiber when all fibers are
 one-dimensional.  Every function here takes the resolution as it is.
 
 The product U(n_1) x ... x U(n_k) is handled in one piece, not fiber by
-fiber or dimension by dimension; only :func:`check_bicommutant_scalar`
-and the block tuple of :func:`project_to_commutant_blocks` loop over
-fibers.  The :class:`~biherm.spectral.FiberPairs` index of the
-resolution lists every entry of every fiber's diagonal block, so all
-fibers' Gram blocks are read from one n x n product by one gather, and
-all unitary blocks are written into one block-diagonal matrix by one
-scatter: a fixed number of numpy calls and O(n^2) memory, whatever the
-fiber dimensions.  The results agree with a loop over fibers up to
-rounding (the sums run in another order), and are reproducible to the
-last bit.
+fiber; the resolution computes the fiber eigenvalues one fiber dimension
+at a time, and only :func:`check_bicommutant_scalar` and the block tuple
+of :func:`project_to_commutant_blocks` loop over fibers.  The
+:class:`~biherm.spectral.FiberPairs` index of the resolution lists every
+entry of every fiber's diagonal block, so all fibers' Gram blocks are
+read from one n x n product by one gather, and all unitary blocks are
+written into one block-diagonal matrix by one scatter: a fixed number of
+numpy calls and O(n^2) memory, whatever the fiber dimensions.  The
+results agree with a loop over fibers up to rounding (the sums run in
+another order), and are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     NotInCommutantError,
 )
 from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _read_only
-from .spectral import SpectralResolution, is_generic_by_commutant, spectral_resolution
+from .spectral import SpectralResolution, is_generic_by_commutant, is_generic_by_spectrum, spectral_resolution
 
 __all__ = [
     "DecomposableOperator",
@@ -253,7 +253,7 @@ def check_genericity_consistency(
     InternalInconsistencyError
         If the two characterizations disagree.
     """
-    unidimensional = all(k == 1 for k in dec.multiplicities)
+    unidimensional = is_generic_by_spectrum(dec)
     generic = is_generic_by_commutant(g, tol, resolution=dec)
     if unidimensional != generic:
         raise InternalInconsistencyError(
@@ -320,7 +320,7 @@ def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
         If some fiber has dimension greater than one.
     """
     phases = np.asarray(phases, dtype=float)
-    if any(k != 1 for k in dec.multiplicities):
+    if not is_generic_by_spectrum(dec):
         raise NotGenericError(
             f"phase transformations need one-dimensional fibers, got dimensions "
             f"{dec.multiplicities}"

@@ -13,10 +13,10 @@ U(n_1) x ... x U(n_k); the pair is *generic* when every fiber is
 one-dimensional, equivalently when the commutant of G coincides with
 its bicommutant, equivalently when G is cyclic.  G is self-adjoint for
 h1, so all three say one thing: its eigenvalues are distinct.  They are
-three readings of the one clustered spectrum G holds (cluster count,
-eigenvalue pair count, pair count against n), so they agree by
-construction; the spectrum itself is checked against 50-digit pencil
-eigenvalues in the tests.
+three readings of one resolution, which counts its eigenvalue pairs
+once (clusters against n, pairs against clusters, pairs against n), so
+they agree by construction; the spectrum itself is checked against
+50-digit pencil eigenvalues in the tests.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ class SpectralResolution:
     Built from the operator, the ``cluster_gap`` and the read-only int
     array ``offsets`` of fiber boundaries: fiber j spans columns
     ``offsets[j]:offsets[j + 1]`` of the operator's ``eigenvectors``,
-    which hold clusters of eigenvalues at most ``cluster_gap`` apart, in
-    ascending order.  Everything else is derived from these three fields:
-    ``spectrum`` and ``eigenvectors`` read through to the operator, and
-    ``eigenvalues``, ``fibers``, ``fiber_pairs`` and ``dual_basis`` are
-    computed on first use.  The resolution is also the fibered
-    decomposition that :mod:`biherm.decomposition` works on.
+    which hold runs of eigenvalues whose neighbours are at most
+    ``cluster_gap`` apart, in ascending order.  Everything else is derived
+    from these three fields: ``spectrum`` and ``eigenvectors`` read through
+    to the operator; ``eigenvalues``, ``fibers``, ``fiber_pairs``,
+    ``dual_basis`` and ``commutant_dimension`` are computed on first use.
+    It is also the fibered decomposition :mod:`biherm.decomposition` uses.
     """
 
     connecting: ConnectingOperator
@@ -131,14 +131,17 @@ class SpectralResolution:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Representative (cluster mean) of each fiber, ascending, read-only."""
-        w = self.spectrum
-        # the mean of one value is the value itself, so only clusters pay for np.mean
-        means = [
-            float(w[s.start]) if s.stop - s.start == 1 else float(np.mean(w[s]))
-            for s in self.fiber_slices()
-        ]
-        return _read_only(np.array(means))
+        """Representative (cluster mean) of each fiber, ascending, read-only.
+
+        Per fiber dimension d, the values of all fibers of dimension d are
+        the rows of one array; its row sums over d are each ``np.mean`` bit
+        for bit.
+        """
+        w, dims, first = self.spectrum, np.diff(self.offsets), self.offsets[:-1]
+        means = np.empty(len(dims))
+        for d in set(dims.tolist()):
+            means[dims == d] = w[first[dims == d][:, None] + np.arange(d)].sum(axis=1) / d
+        return _read_only(means)
 
     @cached_property
     def fibers(self) -> tuple[Fiber, ...]:
@@ -149,22 +152,20 @@ class SpectralResolution:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        off = self.offsets
-        return tuple((off[1:] - off[:-1]).tolist())
+        return tuple(np.diff(self.offsets).tolist())
 
     @property
     def segments(self) -> dict[int, tuple[int, ...]]:
-        """Fiber indices grouped by fiber dimension."""
-        out: dict[int, list[int]] = {}
-        for idx, k in enumerate(self.multiplicities):
-            out.setdefault(k, []).append(idx)
-        return {k: tuple(idx) for k, idx in out.items()}
+        """Fiber indices grouped by fiber dimension, in order of first appearance."""
+        dims = np.diff(self.offsets)
+        _, first = np.unique(dims, return_index=True)
+        return {int(dims[i]): tuple(np.flatnonzero(dims == dims[i]).tolist()) for i in np.sort(first)}
 
     @cached_property
     def fiber_pairs(self) -> FiberPairs:
         """The :class:`FiberPairs` index of this resolution's fiber blocks."""
         off = self.offsets
-        k = off[1:] - off[:-1]
+        k = np.diff(off)
         starts = np.concatenate(([0], np.cumsum(k * k)[:-1]))
         fiber = np.repeat(np.arange(len(k)), k * k)
         pos = np.arange(len(fiber)) - starts[fiber]
@@ -177,7 +178,7 @@ class SpectralResolution:
         """V^H h1 for the eigenvector matrix V, read-only: its inverse, as V^H h1 V = I."""
         return _read_only(self.eigenvectors.conj().T @ self.h1.gram)
 
-    @property
+    @cached_property
     def commutant_dimension(self) -> int:
         """Number of ordered pairs (i, j) with |w_i - w_j| <= ``cluster_gap``.
 
@@ -186,10 +187,12 @@ class SpectralResolution:
         commutator map X -> G~X - XG~ is normal: for orthonormal
         eigenvectors u_i of G~ it maps u_i u_j† to (w_i - w_j) u_i u_j†, so
         its singular values are exactly |w_i - w_j| over ``spectrum`` and
-        its null space is counted by these pairs.  The count is over
-        pairs, not chained clusters, so it stays a check independent of
-        :attr:`fibers`; for a diagonalizable G it equals the sum of the
-        squared multiplicities.  O(n^2) time and memory.
+        its null space is counted by these pairs.  A pair within the gap
+        lies in one fiber, so the count is at most the sum of the squared
+        multiplicities, with equality exactly when every fiber's spread
+        ``w[last] - w[first]`` is at most ``cluster_gap``: the clusters
+        chain adjacent gaps, and a chain can be wider.  It is n exactly
+        when every fiber is simple.  O(n^2) time and memory, on first read.
         """
         w = self.spectrum
         return int(np.count_nonzero(np.abs(w[:, None] - w[None, :]) <= self.cluster_gap))
@@ -255,8 +258,8 @@ def group_signature(res: SpectralResolution) -> GroupSignature:
 
 
 def is_generic_by_spectrum(res: SpectralResolution) -> bool:
-    """True when every eigenvalue cluster is simple."""
-    return all(n == 1 for n in res.multiplicities)
+    """True when every eigenvalue cluster is simple: n clusters for dimension n."""
+    return res.n_fibers == res.dim
 
 
 def cyclic_vector(res: SpectralResolution, mu) -> np.ndarray:
@@ -297,11 +300,9 @@ def is_cyclic(
     G is self-adjoint in the h1 inner product, so it is cyclic exactly
     when its eigenvalues are distinct: when no two of them lie within the
     cluster gap of ``spectral_resolution(g, tol)``, so that its commutant
-    dimension is n.  This is the third reading of the one clustered
-    spectrum, beside the cluster count and the commutant dimension.
-    ``seed`` is accepted for compatibility and has no effect on the
-    verdict.  A Krylov rank (:func:`~biherm.forms.krylov_rank`) would
-    judge the same property in exact arithmetic, but at n ~ 100 its
+    dimension is n.  ``seed`` is accepted for compatibility and has no
+    effect on the verdict.  A Krylov rank (:func:`~biherm.forms.krylov_rank`)
+    would judge the same property in exact arithmetic, but at n ~ 100 its
     degree-k polynomials lose the small eigencomponents to rounding and
     overstate the rank.  O(n^2) time and memory.
     """
@@ -315,9 +316,8 @@ def commutant_dimension(
     """Complex dimension of {X : GX = XG}, counted over eigenvalue pairs.
 
     Returns :attr:`SpectralResolution.commutant_dimension` of
-    ``spectral_resolution(g, tol)``, counted over the spectrum G already
-    holds: O(n^2) time and memory; the n^2 x n^2 commutator map is never
-    formed.
+    ``spectral_resolution(g, tol)``: O(n^2) time and memory; the
+    n^2 x n^2 commutator map is never formed.
     """
     return spectral_resolution(g, tol).commutant_dimension
 

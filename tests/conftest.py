@@ -9,13 +9,14 @@ are deliberately independent of the library code paths they check.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from biherm import DEFAULT_TOLERANCES, ComplexStructureJ, FileFormatError, HermitianForm, RealForm
-from biherm.matrixio import _parse_matrix_section
+from biherm.matrixio import MATRIX_KINDS, _kind_defect
 
 _CANONICAL_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -347,12 +348,17 @@ def reference_matrix_file(mat: np.ndarray, kind: str) -> str:
 
 
 def reference_load_matrix(path):
-    """``load_matrix`` through the stdlib parser alone: ``Path.read_text`` and
-    ``json.loads``, with the writer's ``-0`` read as -0.0.
+    """``load_matrix`` through the stdlib parser and a walk of its own:
+    ``Path.read_text``, ``json.loads`` with the writer's ``-0`` read as -0.0,
+    then the section checked field by field and entry by entry.
 
-    The oracle for the values and messages of the fast parser.  It reraises
-    what the stdlib raises on a file that is not UTF-8 or is nested past the
-    recursion limit, where ``load_matrix`` raises ``FileFormatError``.
+    The oracle for the values and messages of the fast parser and of the
+    loader's one-pass entry conversion.  The entry rules are README's: a JSON
+    number, not a boolean, finite as a double; a complex kind's entry is a
+    pair of exactly two.  Only the messages and the kind's symmetry check
+    (``_kind_defect``) are the loader's.  It reraises what the stdlib raises
+    on a file that is not UTF-8 or is nested past the recursion limit, where
+    ``load_matrix`` raises ``FileFormatError``.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -363,4 +369,32 @@ def reference_load_matrix(path):
         raise FileFormatError(f"{path}: integer too large for a double: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
-    return _parse_matrix_section(obj, str(path), DEFAULT_TOLERANCES, None)
+    kind, dim, data = obj.get("kind"), obj.get("dim"), obj.get("data")
+    if kind not in MATRIX_KINDS:
+        raise FileFormatError(f"{path}: field 'kind' must be one of {', '.join(MATRIX_KINDS)}, got {kind!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise FileFormatError(f"{path}: field 'dim' must be a positive integer, got {dim!r}")
+    if not isinstance(data, list) or len(data) != dim * dim:
+        got = len(data) if isinstance(data, list) else type(data).__name__
+        raise FileFormatError(f"{path}: field 'data' must be a list of {dim * dim} entries, got {got}")
+    pairs = kind.startswith("complex")
+    entries = []
+    for i, v in enumerate(data):
+        parts = v if pairs else [v]
+        if (pairs and not (isinstance(v, list) and len(v) == 2)) or not all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts
+        ):
+            raise FileFormatError(f"{path}: data[{i}]: expected {'a [re, im] pair' if pairs else 'a real number'}, got {v!r}")
+        values = []
+        for p in parts:
+            try:
+                values.append(float(p))
+            except OverflowError:
+                raise FileFormatError(f"{path}: data[{i}]: integer too large for a double") from None
+            if not math.isfinite(values[-1]):
+                raise FileFormatError(f"{path}: data[{i}]: non-finite entry {v!r}")
+        entries.append(complex(*values) if pairs else values[0])
+    mat = np.array(entries, dtype=complex if pairs else float).reshape(dim, dim)
+    if defect := _kind_defect(mat, kind, DEFAULT_TOLERANCES):
+        raise FileFormatError(f"{path}: {defect}")
+    return kind, mat

@@ -14,10 +14,12 @@ from click.testing import CliRunner
 import biherm
 from biherm.cli import main
 from biherm.matrixio import load_matrix, save_matrix
+from biherm.spectral import SpectralResolution
 from biherm.triples import omega_from_g_j
 from conftest import (
     NEAR_SINGULAR_H1,
     hermitian_pair_with_multiplicities,
+    hermitian_pair_with_spectrum,
     random_admissible_pair,
     random_hpd,
     random_spd,
@@ -363,6 +365,35 @@ class TestSpectrumAndGeneric:
         assert r["cyclic"] is False
         assert r["agreement"] is True
         assert r["bicommutant_dimension"] == len(mults)
+
+    @pytest.mark.parametrize("h2", ["h2", "h2_degenerate"])
+    def test_generic_clusters_once(self, runner, files, monkeypatch, h2):
+        # all three verdicts are read from one resolution
+        built = []
+        init = SpectralResolution.__init__
+        monkeypatch.setattr(SpectralResolution, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        result = invoke(runner, ["generic", "--h1", files["h1"], "--h2", files[h2]])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["results"]["agreement"] is True
+        assert len(built) == 1
+
+    def test_generic_on_a_chained_cluster(self, runner, tmp_path):
+        # three eigenvalues 0.55-0.95 cluster gaps apart chain into one fiber
+        # wider than the gap, so 11 pairs lie within it, not 3^2 + 4 = 13;
+        # the three verdicts still agree
+        rng = np.random.default_rng(0)
+        g1, g2 = rng.uniform(0.55, 0.95, 2) * 3e-8
+        lam = np.sort([1.0, 1.5, 2.0, 3.0, 1.2, 1.2 + g1, 1.2 + g1 + g2])
+        paths = [str(tmp_path / "h1.json"), str(tmp_path / "h2.json")]
+        for path, form in zip(paths, hermitian_pair_with_spectrum(rng, lam, 10.0)):
+            save_matrix(path, form.gram, "complex_hermitian")
+        result = invoke(runner, ["generic", "--h1", paths[0], "--h2", paths[1]])
+        assert result.exit_code == 0
+        r = json.loads(result.output)["results"]
+        assert not (r["generic_by_spectrum"] or r["generic_by_commutant"] or r["cyclic"])
+        assert r["agreement"] is True
+        assert r["commutant_dimension"] == 11 and r["bicommutant_dimension"] == 5
+        assert r["signature"] == "U(1)×U(3)×U(1)×U(1)×U(1)"
 
 
 class TestDecomposeCommand:
@@ -863,3 +894,59 @@ def test_commands_load_no_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     session = json.loads(out.stdout)
     assert session == {"codes": [0] * 9, "scipy": []}
+
+
+# One sweep of the pair commands in a fresh interpreter, whose BLAS thread
+# count is set in its environment before numpy loads.  It prints each
+# command's exit code and report, every float of the report masked.
+_THREAD_SWEEP = """
+import json, sys
+from click.testing import CliRunner
+import biherm.cli
+from biherm.cli import main
+
+def masked(obj):
+    if isinstance(obj, dict):
+        return {k: masked(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [masked(v) for v in obj]
+    return "<float>" if isinstance(obj, float) else obj
+
+reports = []
+render = biherm.cli.render_report
+biherm.cli.render_report = lambda report, fmt: reports.append(masked(report)) or render(report, fmt)
+runner = CliRunner()
+codes = []
+for name in ("n128", "n12"):
+    pair = ["--h1", f"{sys.argv[1]}/{name}_h1.json", "--h2", f"{sys.argv[1]}/{name}_h2.json"]
+    for args in (["spectrum", *pair], ["generic", *pair], ["decompose", *pair], ["connect", *pair, "--out", "G.json"],
+                 ["sample-u", *pair, "--seed", "3", "--out", "U.json"], ["verify-u", "--u", "U.json", *pair]):
+        codes.append(runner.invoke(main, args, catch_exceptions=False).exit_code)
+print(json.dumps({"codes": codes, "reports": reports}))
+"""
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # an n = 128 pair whose clusters are exact repeats 1/8 apart and an
+    # n = 12 pair: with 1 and with 2 BLAS threads, every exit code, verdict,
+    # multiplicity, signature and key agrees; floats may move in the last bits
+    b = np.eye(128) + 0.5 * np.random.default_rng(0).standard_normal((128, 128)) / np.sqrt(128)
+    lam = np.concatenate([np.arange(1.0, 97.0), np.arange(1.0, 33.0)]) / 8
+    save_matrix(tmp_path / "n128_h1.json", b @ b.T, "complex_hermitian")
+    save_matrix(tmp_path / "n128_h2.json", (b * lam) @ b.T, "complex_hermitian")
+    h1, h2, _ = hermitian_pair_with_multiplicities(np.random.default_rng(64), (1, 2, 3, 4, 2))
+    save_matrix(tmp_path / "n12_h1.json", h1.gram, "complex_hermitian")
+    save_matrix(tmp_path / "n12_h2.json", h2.gram, "complex_hermitian")
+    sweeps = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(biherm.__file__).parents[1]))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        out = subprocess.run([sys.executable, "-c", _THREAD_SWEEP, str(tmp_path)], cwd=cwd, env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        sweeps.append(json.loads(out.stdout))
+    assert sweeps[0]["codes"] == [0] * 12
+    assert len(sweeps[0]["reports"]) == 12
+    assert sweeps[0] == sweeps[1]

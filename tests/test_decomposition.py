@@ -478,7 +478,7 @@ class TestSampleBiunitary:
         for mults in ((1,) * 12, (1,) * 40, (1, 2, 3, 4, 2), (4, 1, 3, 1, 2, 2) * 3):
             h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
             dec = build_decomposition(connecting_operator(h1, h2))
-            dec.eigenvalues  # computed on first use, fiber by fiber
+            dec.eigenvalues  # computed on first use, one fiber dimension at a time
             runs.append((_lines_run(check_proportionality, dec, h1, h2), _lines_run(sample_biunitary, dec, 5)))
         (prop_12, draw_12), (prop_40, draw_40), (prop_a, draw_a), (prop_b, draw_b) = runs
         assert prop_12 == prop_40 == prop_a == prop_b

@@ -133,6 +133,27 @@ class TestSpectralResolution:
         assert res.segments == {2: (0,), 1: (1, 2, 6), 3: (3, 4, 5)}
         assert list(res.segments) == [2, 1, 3]
 
+    def test_fiber_means_and_segments_per_dimension(self):
+        # repeated fiber dimensions of 8 and more, one big fiber beside 43
+        # simple ones, all simple, and random mixes: each fiber eigenvalue is
+        # its cluster's np.mean to the last bit, and the segments are those
+        # of a loop over fibers
+        rng = np.random.default_rng(63)
+        patterns = [(85,) + (1,) * 43, (1,) * 128, (1, 2, 3, 4) * 12, (8,) * 16, (9, 40, 9, 40, 1, 12, 12), (16, 1) * 7]
+        patterns += [tuple(rng.choice([1, 2, 3, 8, 9, 13, 24], int(rng.integers(1, 12))).tolist()) for _ in range(40)]
+        for mults in patterns:
+            values = 0.5 + np.cumsum(0.05 + rng.random(len(mults)))
+            # exact repeats moved by a relative 1e-13, far inside the cluster gap
+            lam = np.repeat(values, mults) * (1.0 + 1e-13 * rng.standard_normal(sum(mults)))
+            res = spectral_resolution(diag_operator(*np.sort(lam)))
+            assert res.multiplicities == mults
+            means = [float(np.mean(res.spectrum[s])) for s in res.fiber_slices()]
+            assert res.eigenvalues.tobytes() == np.array(means).tobytes()
+            segments: dict[int, list[int]] = {}
+            for idx, k in enumerate(mults):
+                segments.setdefault(k, []).append(idx)
+            assert list(res.segments.items()) == [(k, tuple(v)) for k, v in segments.items()]
+
 
 class TestGroupSignature:
     def test_distinct(self):
@@ -444,6 +465,37 @@ class TestCommutantDimensions:
             tracemalloc.stop()
         assert dim == sum(m * m for m in mults)
         assert peak < 8 * 2**20
+
+    def test_pairs_counted_once_per_resolution(self, monkeypatch):
+        res = spectral_resolution(diag_operator(1.0, 2.0, 2.0))
+        calls = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda *a, **kw: calls.append(1) or count_nonzero(*a, **kw))
+        assert [res.commutant_dimension for _ in range(3)] == [5, 5, 5]
+        assert not is_generic_by_commutant(res.connecting, resolution=res)
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.lists(st.sampled_from([0.0, 0.4, 0.7, 0.95, 1.5]), max_size=3), min_size=1, max_size=10),
+    )
+    def test_pair_count_against_the_signature(self, seed, runs):
+        # each run is one value and up to three followers, each a given
+        # fraction of the cluster gap above the last: steps under 1 chain,
+        # so a fiber can spread wider than the gap.  A pair within the gap
+        # lies in one fiber, so the pair count is at most sum n_j^2, equal
+        # exactly when no fiber spreads wider than the gap
+        values = np.sort(np.random.default_rng(seed).uniform(1.0, 3.0, len(runs)))
+        step = 1e-8 * values[-1]
+        lam = np.concatenate([v + step * np.cumsum([0.0, *steps]) for v, steps in zip(values, runs)])
+        res = spectral_resolution(diag_operator(*np.sort(lam)))
+        w, off = res.spectrum, res.offsets
+        spreads = w[off[1:] - 1] - w[off[:-1]]
+        squares = sum(m * m for m in res.multiplicities)
+        assert res.commutant_dimension <= squares
+        assert (res.commutant_dimension == squares) == bool(np.all(spreads <= res.cluster_gap))
+        assert (res.commutant_dimension == res.dim) == is_generic_by_spectrum(res)
 
 
 class TestBicommutantDimension:
