@@ -10,17 +10,17 @@ transformations preserving both forms are assembled from one unitary
 block per fiber — a single phase per fiber when all fibers are
 one-dimensional.  Every function here takes the resolution as it is.
 
-The product U(n_1) x ... x U(n_k) is handled in one piece, not fiber by
-fiber; the resolution computes the fiber eigenvalues one fiber dimension
-at a time, and only :func:`check_bicommutant_scalar` and the block tuple
-of :func:`project_to_commutant_blocks` loop over fibers.  The
-:class:`~biherm.spectral.FiberPairs` index of the resolution lists every
-entry of every fiber's diagonal block, so all fibers' Gram blocks are
-read from one n x n product by one gather, and all unitary blocks are
-written into one block-diagonal matrix by one scatter: a fixed number of
-numpy calls and O(n^2) memory, whatever the fiber dimensions.  The
-results agree with a loop over fibers up to rounding (the sums run in
-another order), and are reproducible to the last bit.
+The product U(n_1) x ... x U(n_k) is handled one fiber dimension at a
+time, not fiber by fiber: the resolution's
+:attr:`~biherm.spectral.SpectralResolution.by_dimension` index gives,
+per dimension d, the columns of all fibers of dimension d, so their
+d x d blocks of an n x n matrix are read by one gather into a stack, or
+written by one scatter from it.  Every function here makes a fixed
+number of numpy calls per distinct dimension and uses O(n^2) memory;
+only :func:`check_bicommutant_scalar` and the block tuple of
+:func:`project_to_commutant_blocks` loop over fibers.  The results agree
+with a loop over fibers up to rounding (the products sum in another
+order), and are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .connecting import ConnectingOperator, _commutator_residual
 from .errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
+    NonFiniteError,
     NotGenericError,
     NotInCommutantError,
 )
@@ -121,22 +122,32 @@ def check_proportionality(
     With V the basis matrix and W = V^H h1 its dual basis, the fiber
     blocks X_j^H h2 X_j - lambda_j X_j^H h1 X_j are the diagonal blocks
     of (V^H h2 - Lambda W) V, Lambda the eigenvalue of each row's fiber:
-    two n x n gemms beside W.  They are read at the
-    :attr:`~biherm.spectral.SpectralResolution.fiber_pairs` entries by
-    one gather, and each fiber's largest violation is one reduction over
-    its block of entries.
+    two n x n gemms beside W.  Per fiber dimension, the blocks are one
+    gather and their largest entries one reduction.
     """
     if h1.dim != dec.dim or h2.dim != dec.dim:
         raise DimensionMismatchError("form and decomposition dimensions differ")
     scale = max(_fro(h2.gram), _TINY)
-    p = dec.fiber_pairs
     v = dec.eigenvectors
     lam = np.repeat(dec.eigenvalues, np.diff(dec.offsets))
     dev = (v.conj().T @ h2.gram - lam[:, None] * dec.dual_basis) @ v
-    violations = np.maximum.reduceat(np.abs(dev[p.rows, p.cols]), p.starts) / scale
+    violations = np.empty(dec.n_fibers)
+    for _, ids, c in dec.by_dimension:
+        violations[ids] = np.abs(dev[c[:, :, None], c[:, None, :]]).max(axis=(1, 2))
+    violations /= scale
     return ProportionalityReport(
         max_violation=tuple(violations.tolist()), tolerance=tol.tol_resid
     )
+
+
+def _fiber_operator(a, dec: SpectralResolution) -> np.ndarray:
+    """``a`` as a complex n x n array, checked to be finite and of the resolution's size."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (dec.dim, dec.dim):
+        raise DimensionMismatchError("operator and decomposition dimensions differ")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("operator contains non-finite entries")
+    return a
 
 
 def project_to_commutant_blocks(
@@ -153,14 +164,14 @@ def project_to_commutant_blocks(
 
     Raises
     ------
+    NonFiniteError
+        If the operator has a NaN or infinite entry.
     NotInCommutantError
         If the commutator residual exceeds ``tol.tol_resid`` relative to
         ||G||*||A||, or the cross-fiber certification fails; the residual
         is attached to the exception.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (dec.dim, dec.dim):
-        raise DimensionMismatchError("operator and decomposition dimensions differ")
+    a = _fiber_operator(a, dec)
     resid = _commutator_residual(a, dec.connecting.mat)
     if resid > tol.tol_resid:
         raise NotInCommutantError(
@@ -169,7 +180,8 @@ def project_to_commutant_blocks(
         )
     a_tilde = dec.to_fiber_coordinates(a)
     off = a_tilde.copy()
-    off[dec.fiber_pairs.rows, dec.fiber_pairs.cols] = 0.0
+    for _, _, c in dec.by_dimension:
+        off[c[:, :, None], c[:, None, :]] = 0.0
     off_resid = _fro(off) / max(_fro(a), _TINY)
     if off_resid > 10.0 * tol.tol_resid:
         raise NotInCommutantError(
@@ -210,11 +222,11 @@ def check_bicommutant_scalar(
 
     Operators in the bicommutant of G act on each fiber as b_j times the
     identity; the report carries the fitted scalars and per-fiber
-    residuals, and never raises on failure.
+    residuals, and never raises on failure.  An operator of the wrong size
+    or with a NaN or infinite entry raises, as in
+    :func:`project_to_commutant_blocks`.
     """
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (dec.dim, dec.dim):
-        raise DimensionMismatchError("operator and decomposition dimensions differ")
+    b = _fiber_operator(b, dec)
     resid = _commutator_residual(b, dec.connecting.mat)
     in_commutant = resid <= tol.tol_resid
     b_tilde = dec.to_fiber_coordinates(b)
@@ -273,38 +285,36 @@ def sample_biunitary(dec: SpectralResolution, seed: int) -> np.ndarray:
     block is 1 x 1, i.e. the sample is a diagonal of phases in the fiber
     basis.
 
-    A block is the phase-fixed QR factor Q of a complex Ginibre matrix.
-    The stream is one real and then one imaginary k x k draw per fiber,
-    in fiber order, drawn as one vector of sum 2 k^2 values: the same
-    stream as one draw per fiber.  Each fiber's chunk is placed top left
-    in one (n_fibers, K, K) stack, K the largest fiber dimension, with
-    the identity below it; the Q of diag(Z, I) is diag(Q_Z, I), so one
-    QR and one phase fix give every block the QR of that fiber alone
-    would.  When every fiber is simple no QR runs: the phase-fixed Q of
-    a 1 x 1 z is z / |z|.  The blocks are scattered into U~ over the
-    :attr:`~biherm.spectral.SpectralResolution.fiber_pairs` index, and
-    the sample is (V U~) W for the dual basis W = V^H h1.
+    A block is the phase-fixed QR factor Q of a complex Ginibre matrix
+    Z (Mezzadri, Notices AMS 54, 2007).  The stream is one real and then
+    one imaginary k x k draw per fiber, in fiber order, drawn as one
+    vector of sum 2 k^2 values: the same stream as one draw per fiber.
+    Per fiber dimension d, the chunks of all fibers of dimension d form
+    one (count, d, d) stack.  For d = 1 no QR runs: the phase-fixed Q of
+    a 1 x 1 z is z / |z|.  For d >= 2 one stacked QR gives every block
+    the QR that fiber alone would get, bit for bit.  The stack is
+    scattered into U~ at the fibers' diagonal blocks, and the sample is
+    (V U~) W for the dual basis W = V^H h1: O(n^2) memory beside the
+    products, whatever the fiber dimensions.
     """
     rng = np.random.default_rng(seed)
-    p = dec.fiber_pairs
-    dims = np.diff(dec.offsets)
-    first = dec.offsets[p.fiber]
-    i, j = p.rows - first, p.cols - first
-    real = np.arange(len(p.fiber)) + p.starts[p.fiber]  # row-major in the fiber's chunk
-    z = rng.standard_normal(2 * len(p.fiber))
-    k_max = int(dims.max())
-    blocks = np.zeros((dec.n_fibers, k_max, k_max), dtype=complex)
-    blocks[:, np.arange(k_max), np.arange(k_max)] = 1.0
-    blocks[p.fiber, i, j] = (z[real] + 1j * z[real + (dims * dims)[p.fiber]]) / np.sqrt(2.0)
-    if k_max == 1:  # a 1 x 1 block is its own R, with Q = 1
-        q, d = 1.0, blocks[:, 0]
-    else:
-        q, r = np.linalg.qr(blocks)
-        d = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (d / np.abs(d))[:, None, :]
+    size = np.diff(dec.offsets) ** 2
+    start = 2 * (np.cumsum(size) - size)  # fiber j's real chunk, then its imaginary chunk
+    z = rng.standard_normal(2 * int(size.sum()))
     u_tilde = np.zeros((dec.dim, dec.dim), dtype=complex)
-    u_tilde[p.rows, p.cols] = q[p.fiber, i, j]
-    return (dec.eigenvectors @ u_tilde) @ dec.dual_basis
+    for d, ids, c in dec.by_dimension:
+        at = start[ids][:, None] + np.arange(d * d)
+        blocks = ((z[at] + 1j * z[at + d * d]) / np.sqrt(2.0)).reshape(-1, d, d)
+        if d == 1:  # a 1 x 1 block is its own R, with Q = 1
+            q = blocks / np.abs(blocks)
+        else:
+            q, r = np.linalg.qr(blocks)
+            r = np.diagonal(r, axis1=1, axis2=2)
+            q = q * (r / np.abs(r))[:, None, :]
+        u_tilde[c[:, :, None], c[:, None, :]] = q
+    vu = dec.eigenvectors @ u_tilde
+    del u_tilde  # three n x n arrays at most while W is formed and applied
+    return vu @ dec.dual_basis
 
 
 def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:

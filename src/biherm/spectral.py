@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,23 +66,6 @@ class Fiber:
         return self.dim / self.basis.shape[0]
 
 
-class FiberPairs(NamedTuple):
-    """Every entry (i, j) of the fibers' diagonal blocks, as read-only int arrays.
-
-    Entry e pairs column ``rows[e]`` with column ``cols[e]`` of the
-    eigenvector matrix, both inside fiber ``fiber[e]``.  The k^2 entries
-    of a fiber of dimension k run row by row from ``starts[fiber]``.
-    Reading or writing every fiber's block of an n x n matrix is then one
-    gather or scatter at (``rows``, ``cols``), and a per-fiber reduction
-    is one ``reduceat`` at ``starts``, however many fibers there are.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    fiber: np.ndarray
-    starts: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralResolution:
     """Clustered eigendecomposition of a connecting operator.
@@ -94,9 +76,12 @@ class SpectralResolution:
     which hold runs of eigenvalues whose neighbours are at most
     ``cluster_gap`` apart, in ascending order.  Everything else is derived
     from these three fields: ``spectrum`` and ``eigenvectors`` read through
-    to the operator; ``eigenvalues``, ``fibers``, ``fiber_pairs``,
+    to the operator; ``by_dimension``, ``eigenvalues``, ``fibers``,
     ``dual_basis`` and ``commutant_dimension`` are computed on first use.
-    It is also the fibered decomposition :mod:`biherm.decomposition` uses.
+    Every per-fiber computation reads the one per-dimension index
+    ``by_dimension``, so it runs once per distinct fiber dimension,
+    however many fibers there are.  It is also the fibered decomposition
+    :mod:`biherm.decomposition` uses.
     """
 
     connecting: ConnectingOperator
@@ -130,17 +115,32 @@ class SpectralResolution:
         return len(self.offsets) - 1
 
     @cached_property
+    def by_dimension(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """Per fiber dimension d, in order of first appearance: (d, ids, cols).
+
+        ``ids`` holds the indices of the fibers of dimension d, ascending,
+        and row r of the (len(ids), d) array ``cols`` the columns of fiber
+        ``ids[r]`` in ``eigenvectors``; both are read-only int arrays.  So
+        ``a[cols[:, :, None], cols[:, None, :]]`` gathers the d x d diagonal
+        blocks of all these fibers as one (len(ids), d, d) stack.
+        """
+        dims = np.diff(self.offsets)
+        index = []
+        for d in dict.fromkeys(dims.tolist()):
+            ids = np.flatnonzero(dims == d)
+            index.append((d, _read_only(ids), _read_only(self.offsets[ids][:, None] + np.arange(d))))
+        return tuple(index)
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Representative (cluster mean) of each fiber, ascending, read-only.
 
-        Per fiber dimension d, the values of all fibers of dimension d are
-        the rows of one array; its row sums over d are each ``np.mean`` bit
-        for bit.
+        Per fiber dimension d, the row sums over d of the spectrum at
+        ``cols`` are each fiber's ``np.mean`` bit for bit.
         """
-        w, dims, first = self.spectrum, np.diff(self.offsets), self.offsets[:-1]
-        means = np.empty(len(dims))
-        for d in set(dims.tolist()):
-            means[dims == d] = w[first[dims == d][:, None] + np.arange(d)].sum(axis=1) / d
+        means = np.empty(self.n_fibers)
+        for d, ids, cols in self.by_dimension:
+            means[ids] = self.spectrum[cols].sum(axis=1) / d
         return _read_only(means)
 
     @cached_property
@@ -157,21 +157,7 @@ class SpectralResolution:
     @property
     def segments(self) -> dict[int, tuple[int, ...]]:
         """Fiber indices grouped by fiber dimension, in order of first appearance."""
-        dims = np.diff(self.offsets)
-        _, first = np.unique(dims, return_index=True)
-        return {int(dims[i]): tuple(np.flatnonzero(dims == dims[i]).tolist()) for i in np.sort(first)}
-
-    @cached_property
-    def fiber_pairs(self) -> FiberPairs:
-        """The :class:`FiberPairs` index of this resolution's fiber blocks."""
-        off = self.offsets
-        k = np.diff(off)
-        starts = np.concatenate(([0], np.cumsum(k * k)[:-1]))
-        fiber = np.repeat(np.arange(len(k)), k * k)
-        pos = np.arange(len(fiber)) - starts[fiber]
-        kf, first = k[fiber], off[fiber]
-        pairs = (first + pos // kf, first + pos % kf, fiber, starts)
-        return FiberPairs(*(_read_only(a) for a in pairs))
+        return {d: tuple(ids.tolist()) for d, ids, _ in self.by_dimension}
 
     @cached_property
     def dual_basis(self) -> np.ndarray:

@@ -129,7 +129,8 @@ def random_multiplicity_pattern(rng: np.random.Generator, n: int) -> tuple[int, 
 
 
 # Fiber-dimension patterns at n = 2..128: all simple, degenerate runs that
-# are adjacent or interleaved, four fiber dimensions mixed, and a single fiber.
+# are adjacent or interleaved, four fiber dimensions mixed, a single fiber,
+# and one large fiber among many simple ones.
 PER_FIBER_PATTERNS = [
     (1,) * 128,
     (1,) * 50 + (2,) * 9 + (1,) * 40 + (3,) * 3,
@@ -140,6 +141,7 @@ PER_FIBER_PATTERNS = [
     (128,),
     (12,),
     (1, 1),
+    (85,) + (1,) * 43,
 ]
 
 

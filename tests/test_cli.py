@@ -429,6 +429,25 @@ class TestSampleAndVerify:
         assert r1.output == r2.output
         assert first == Path(u_path).read_text()
 
+    def test_sample_at_n128_is_reproducible_and_verifies(self, runner, tmp_path):
+        # 32 fibers of dimension 2 among 64 simple ones: two draws with one
+        # seed write the same bytes and reports, and the draw verifies
+        b = np.eye(128) + 0.5 * np.random.default_rng(0).standard_normal((128, 128)) / np.sqrt(128)
+        lam = np.concatenate([np.arange(1.0, 97.0), np.arange(1.0, 33.0)]) / 8
+        pair = ["--h1", str(tmp_path / "h1.json"), "--h2", str(tmp_path / "h2.json")]
+        save_matrix(pair[1], b @ b.T, "complex_hermitian")
+        save_matrix(pair[3], (b * lam) @ b.T, "complex_hermitian")
+        outputs = []
+        for name in ("U_a.json", "U_b.json"):
+            result = invoke(runner, ["sample-u", *pair, "--seed", "5", "--out", str(tmp_path / name)])
+            assert result.exit_code == 0
+            outputs.append(result.output.replace(name, "U.json"))
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "U_a.json").read_bytes() == (tmp_path / "U_b.json").read_bytes()
+        assert json.loads(outputs[0])["results"]["block_dims"] == [2] * 32 + [1] * 64
+        result = invoke(runner, ["verify-u", "--u", str(tmp_path / "U_a.json"), *pair])
+        assert result.exit_code == 0
+
     def test_verify_rejects_swap(self, runner, files):
         result = invoke(
             runner, ["verify-u", "--u", files["swap"], "--h1", files["h1"], "--h2", files["h2"]]

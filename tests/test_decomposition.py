@@ -1,6 +1,7 @@
 """Tests for the fibered decomposition and bi-unitary construction."""
 
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from biherm import (
     DimensionMismatchError,
     HermitianForm,
     InternalInconsistencyError,
+    NonFiniteError,
     SpectralResolution,
     NotGenericError,
     NotInCommutantError,
@@ -111,6 +113,17 @@ class TestBuildDecomposition:
         _, _, op = diag_pair(1.0, 2.0)
         with pytest.raises(error, match=message):
             call(build_decomposition(op), HermitianForm(np.eye(3, dtype=complex)))
+
+    @pytest.mark.parametrize("check", [project_to_commutant_blocks, check_bicommutant_scalar])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_non_finite_operator_rejected(self, check, entry):
+        # a comparison with NaN is False, so without the check a NaN
+        # operator would pass the commutator test; an inf one would warn
+        _, _, op = diag_pair(1.0, 1.0, 2.0, 3.0)
+        dec = build_decomposition(op)
+        for a in (np.full((4, 4), entry), np.where(np.eye(4, k=1) == 1, entry, np.eye(4))):
+            with pytest.raises(NonFiniteError, match="^operator contains non-finite entries$"):
+                check(a, dec)
 
 
 class TestProportionality:
@@ -447,32 +460,42 @@ class TestSampleBiunitary:
                 rep = verify_biunitary(got, h1, h2, connecting=op)
                 assert max(rep.residual_h1, rep.residual_h2) <= Tolerances().tol_resid
 
-    def test_one_qr_for_all_fibers_and_none_when_simple(self, monkeypatch):
+    def test_one_qr_per_dimension_and_none_when_simple(self, monkeypatch):
         rng = np.random.default_rng(59)
-        shapes = []
+        calls = []
         qr = np.linalg.qr
 
-        def counted(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return qr(a, *args, **kwargs)
+        def recorded(a, *args, **kwargs):
+            calls.append((a, *qr(a, *args, **kwargs)))
+            return calls[-1][1:]
 
-        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(np.linalg, "qr", recorded)
         for mults, expected in (
-            ((1, 2) * 20 + (3, 1) * 10, [(60, 3, 3)]),  # one padded stack over all 60 fibers
-            ((1, 2, 3, 4, 2), [(5, 4, 4)]),
+            ((1, 2) * 20 + (3, 1) * 10, [(20, 2, 2), (10, 3, 3)]),
+            ((1, 2, 3, 4, 2), [(2, 2, 2), (1, 3, 3), (1, 4, 4)]),
             ((1,) * 12, []),
+            ((64,) + (1,) * 20, [(1, 64, 64)]),
         ):
             h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
             dec = build_decomposition(connecting_operator(h1, h2))
-            shapes.clear()
+            calls.clear()
             sample_biunitary(dec, seed=4)
-            assert shapes == expected
+            assert [a.shape for a, _, _ in calls] == expected
+            # each stacked block is the stream's chunk for its fiber, and
+            # its factors are that block's own QR, bit for bit
+            stream = _ginibre_stream(mults, seed=4)
+            for (_, ids, _), (a, q, r) in zip([g for g in dec.by_dimension if g[0] > 1], calls):
+                for block, q_i, r_i, fiber in zip(a, q, r, ids):
+                    assert np.array_equal(block, stream[fiber])
+                    q_1, r_1 = qr(block)
+                    assert np.array_equal(q_i, q_1) and np.array_equal(r_i, r_1)
 
     def test_lines_run_do_not_depend_on_the_fibers(self):
-        # a loop over fibers or fiber dimensions, comprehensions included,
-        # runs its lines once per fiber or dimension; here every line of
-        # biherm runs as often for 40 fibers as for 12, and for four fiber
-        # dimensions as for one, except the QR branch of sample_biunitary
+        # a loop over fibers, comprehensions included, runs its lines once
+        # per fiber; here every line of biherm runs as often for 40 fibers
+        # as for 12, and for 18 fibers of dimensions {1, 2, 3, 4} as for 5.
+        # Going from dimensions {1} to {1, 2, 3, 4}, a line runs as often or
+        # three times more: once per added dimension
         rng = np.random.default_rng(62)
         runs = []
         for mults in ((1,) * 12, (1,) * 40, (1, 2, 3, 4, 2), (4, 1, 3, 1, 2, 2) * 3):
@@ -481,10 +504,29 @@ class TestSampleBiunitary:
             dec.eigenvalues  # computed on first use, one fiber dimension at a time
             runs.append((_lines_run(check_proportionality, dec, h1, h2), _lines_run(sample_biunitary, dec, 5)))
         (prop_12, draw_12), (prop_40, draw_40), (prop_a, draw_a), (prop_b, draw_b) = runs
-        assert prop_12 == prop_40 == prop_a == prop_b
+        assert prop_12 == prop_40 and prop_a == prop_b
         assert draw_12 == draw_40 and draw_a == draw_b
-        branch = (draw_a - draw_12) + (draw_12 - draw_a)
-        assert branch and all(f == "decomposition.py" and k == 1 for (f, _), k in branch.items())
+        for one, four in ((prop_12, prop_a), (draw_12, draw_a)):
+            added = {line: four[line] - one[line] for line in one | four}
+            assert set(added.values()) == {0, 3}
+
+    def test_memory_stays_quadratic(self):
+        # one fiber of 64 among 192 simple ones at n = 256: padding every
+        # fiber to 64 x 64 would take 256 * 64^2 complex entries per stack
+        # (16.8 MB); the draw needs a few n x n arrays beside its blocks
+        rng = np.random.default_rng(63)
+        mults = (64,) + (1,) * 192
+        h1, h2, _ = hermitian_pair_with_multiplicities(rng, mults)
+        dec = build_decomposition(connecting_operator(h1, h2))
+        assert dec.multiplicities == mults
+        tracemalloc.start()
+        try:
+            u = sample_biunitary(dec, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * dec.dim**2
+        assert verify_biunitary(u, h1, h2, connecting=dec.connecting).passed
 
     def test_generic_case_is_diagonal_phases(self):
         rng = np.random.default_rng(57)
@@ -495,6 +537,13 @@ class TestSampleBiunitary:
         off = u_tilde - np.diag(np.diagonal(u_tilde))
         assert np.max(np.abs(off)) <= 1e-10
         assert np.max(np.abs(np.abs(np.diagonal(u_tilde)) - 1.0)) <= 1e-10
+
+
+def _ginibre_stream(mults, seed: int) -> list[np.ndarray]:
+    """Each fiber's complex Ginibre block, drawn one fiber at a time as in
+    ``conftest.reference_sample_biunitary``."""
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0) for k in mults]
 
 
 def _lines_run(fn, *args) -> Counter:
