@@ -328,6 +328,8 @@ def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
     ------
     NotGenericError
         If some fiber has dimension greater than one.
+    NonFiniteError
+        If some phase is NaN or infinite.
     """
     phases = np.asarray(phases, dtype=float)
     if not is_generic_by_spectrum(dec):
@@ -337,4 +339,6 @@ def phase_biunitary(dec: SpectralResolution, phases) -> np.ndarray:
         )
     if phases.shape != (dec.n_fibers,):
         raise ValueError(f"need one phase per fiber ({dec.n_fibers})")
+    if not np.all(np.isfinite(phases)):
+        raise NonFiniteError("phases contain non-finite entries")
     return (dec.eigenvectors * np.exp(1j * phases)) @ dec.dual_basis

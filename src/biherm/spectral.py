@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .connecting import ConnectingOperator
-from .errors import DegenerateSpectrumError, ZeroCoefficientError
+from .errors import DegenerateSpectrumError, NonFiniteError, ZeroCoefficientError
 from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _read_only
 
 __all__ = [
@@ -261,6 +261,8 @@ def cyclic_vector(res: SpectralResolution, mu) -> np.ndarray:
     ------
     DegenerateSpectrumError
         If some cluster has multiplicity greater than one.
+    NonFiniteError
+        If some coefficient is NaN or infinite.
     ZeroCoefficientError
         If some coefficient is zero.
     """
@@ -271,6 +273,8 @@ def cyclic_vector(res: SpectralResolution, mu) -> np.ndarray:
         )
     if mu.shape != (res.n_fibers,):
         raise ValueError(f"need one coefficient per cluster ({res.n_fibers})")
+    if not np.all(np.isfinite(mu)):
+        raise NonFiniteError("coefficients contain non-finite entries")
     if np.any(mu == 0):
         raise ZeroCoefficientError("all coefficients must be nonzero")
     return res.eigenvectors @ mu  # every fiber is one column of the eigenvector matrix

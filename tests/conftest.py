@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 
 from biherm import DEFAULT_TOLERANCES, ComplexStructureJ, FileFormatError, HermitianForm, RealForm
-from biherm.matrixio import MATRIX_KINDS, _kind_defect
+from biherm.matrixio import MATRIX_KINDS, _kind_defect, save_matrix
 
 _CANONICAL_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -112,6 +112,21 @@ def hermitian_pair_with_spectrum(
     lu = np.linalg.cholesky(h1) @ random_unitary(rng, n)  # h1 = lu lu^H
     h2 = (lu * np.asarray(lam, dtype=float)) @ lu.conj().T
     return HermitianForm(h1), HermitianForm(0.5 * (h2 + h2.conj().T))
+
+
+def save_exact_cluster_pair(directory, name: str, seed: int, lam) -> list[str]:
+    """Write h1 = b bᵀ and h2 = (b·λ) bᵀ, b = I + 0.5·N(0, 1)/√n drawn from
+    ``seed``, to ``{name}_h1.json`` and ``{name}_h2.json`` in ``directory``.
+
+    G = b⁻ᵀ diag(λ) bᵀ, so equal entries of ``lam`` are exactly repeated
+    eigenvalues.  Returns the pair's ``--h1``/``--h2`` flags.
+    """
+    n = len(lam)
+    b = np.eye(n) + 0.5 * np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+    paths = [str(Path(directory) / f"{name}_{h}.json") for h in ("h1", "h2")]
+    save_matrix(paths[0], b @ b.T, "complex_hermitian")
+    save_matrix(paths[1], (b * lam) @ b.T, "complex_hermitian")
+    return ["--h1", paths[0], "--h2", paths[1]]
 
 
 def random_multiplicity_pattern(rng: np.random.Generator, n: int) -> tuple[int, ...]:

@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, exit-code triage, determinism plumbing."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from click.testing import CliRunner
 
 import biherm
 from biherm.cli import main
-from biherm.matrixio import load_matrix, save_matrix
+from biherm.errors import FileFormatError
+from biherm.matrixio import load_matrix, load_triple, matrix_payload, save_matrix
+from biherm.report import canonical_json
 from biherm.spectral import SpectralResolution
 from biherm.triples import omega_from_g_j
 from conftest import (
@@ -23,9 +28,13 @@ from conftest import (
     random_admissible_pair,
     random_hpd,
     random_spd,
+    reference_load_matrix,
+    save_exact_cluster_pair,
 )
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# G's eigenvalues at n = 128: 32 exact pairs 1/8 apart, then 64 simple ones
+N128_SPECTRUM = np.concatenate([np.arange(1.0, 97.0), np.arange(1.0, 33.0)]) / 8
 
 
 @pytest.fixture
@@ -432,11 +441,7 @@ class TestSampleAndVerify:
     def test_sample_at_n128_is_reproducible_and_verifies(self, runner, tmp_path):
         # 32 fibers of dimension 2 among 64 simple ones: two draws with one
         # seed write the same bytes and reports, and the draw verifies
-        b = np.eye(128) + 0.5 * np.random.default_rng(0).standard_normal((128, 128)) / np.sqrt(128)
-        lam = np.concatenate([np.arange(1.0, 97.0), np.arange(1.0, 33.0)]) / 8
-        pair = ["--h1", str(tmp_path / "h1.json"), "--h2", str(tmp_path / "h2.json")]
-        save_matrix(pair[1], b @ b.T, "complex_hermitian")
-        save_matrix(pair[3], (b * lam) @ b.T, "complex_hermitian")
+        pair = save_exact_cluster_pair(tmp_path, "n128", 0, N128_SPECTRUM)
         outputs = []
         for name in ("U_a.json", "U_b.json"):
             result = invoke(runner, ["sample-u", *pair, "--seed", "5", "--out", str(tmp_path / name)])
@@ -573,6 +578,216 @@ class TestCommonFlags:
         assert result.exit_code == 0
         assert result.output == f"biherm, version {biherm.__version__}\n"
 
+
+@pytest.fixture(scope="module")
+def flow(tmp_path_factory):
+    """The inputs of the file-flow cases, written once into one directory.
+
+    ``spectra`` maps each pair ``{name}_h1.json``, ``{name}_h2.json`` to the
+    eigenvalues of its G, repeats included: exact-cluster pairs at n = 128
+    (cluster pairs, a mix of pairs and simple eigenvalues, all simple, all
+    equal, and the all-equal pair whose h1 holds two -0 entries), at n = 10
+    (fibers of dimension 1 to 4) and at n = 40 (all equal), and 2x2 pairs
+    with h1 at 1e-200 or cond(h1) near 1e17, 1e9 or 1e7.  Beside them are
+    the console chain's 4x4 g, J, g2 and ω = g2 J; the admissible couple
+    g = diag(1, 1e-9), ω = g J and its J; two matrices of random bit
+    patterns; and, in ``malformed``, two large files that each hold one
+    entry that is not a number.
+    """
+    d = tmp_path_factory.mktemp("flow")
+    spectra = {
+        "n128": N128_SPECTRUM,
+        "mix": np.sort(np.concatenate([np.arange(1.0, 97.0), np.arange(1.0, 97.0, 3.0)])) / 8,
+        "simple": np.arange(1.0, 129.0) / 8,
+        "dims": np.repeat([1.0, 2.0, 3.0, 4.0], [1, 2, 3, 4]),
+        "scalar40": np.full(40, 2.0),
+        "ok": np.full(128, 2.0),
+        "neg0": np.ones(128),
+    }
+    for name, seed in (("n128", 0), ("mix", 1), ("simple", 2), ("dims", 4), ("scalar40", 3), ("ok", 10), ("neg0", 6)):
+        save_exact_cluster_pair(d, name, seed, spectra[name])
+    kind, h = load_matrix(d / "neg0_h1.json")
+    h[0, 1] = h[1, 0] = -0.0
+    save_matrix(d / "neg0_h1.json", h, kind)
+    k7 = (np.array([[15427772.643257782, -13806673.916138375 - 26746912.25518298j],
+                    [-13806673.916138375 + 26746912.25518298j, 58726664.88661395]]),
+          np.array([[13605848.36436537, -12174142.432212282 - 23592141.186097145j],
+                    [-12174142.432212282 + 23592141.186097145j, 51801176.13979595]]))
+    for name, h1, h2 in (("tiny", 1e-200 * np.diag([1.0, 2.0]), np.diag([1.0, 3.0])),
+                         ("k17", np.diag([1.0, 1e-17]), np.diag([1.0, 2.0])),
+                         ("k9", np.diag([1.0, 1e-9]), np.diag([1.0, 2.0])),
+                         ("k7", *k7)):
+        save_matrix(d / f"{name}_h1.json", h1, "complex_hermitian")
+        save_matrix(d / f"{name}_h2.json", h2, "complex_hermitian")
+        spectra[name] = np.linalg.eigvals(np.linalg.solve(h1, h2)).real
+    j4 = np.kron(np.eye(2), J2)
+    save_matrix(d / "g.json", np.diag([1.0, 4.0, 2.0, 3.0]), "real_symmetric")
+    save_matrix(d / "j.json", j4, "real_general")
+    save_matrix(d / "g2.json", np.diag([1.0, 1.0, 3.0, 3.0]), "real_symmetric")
+    save_matrix(d / "omega.json", np.diag([1.0, 1.0, 3.0, 3.0]) @ j4, "real_antisymmetric")
+    g, j = np.diag([1.0, 1e-9]), np.array([[0.0, -np.sqrt(1e-9)], [1.0 / np.sqrt(1e-9), 0.0]])
+    save_matrix(d / "e9_g.json", g, "real_symmetric")
+    save_matrix(d / "e9_j.json", j, "real_general")
+    save_matrix(d / "e9_omega.json", g @ j, "real_antisymmetric")
+    rng = np.random.default_rng(9)
+    for name, kind, shape in (("bits_real", "real_general", (300, 300)), ("bits_cplx", "complex_general", (150, 300))):
+        bits = rng.integers(0, 2**64, shape, dtype=np.uint64).view(float)
+        mat = np.where(np.isfinite(bits), bits, 0.0)
+        save_matrix(d / f"{name}.json", mat.view(complex) if kind == "complex_general" else mat, kind)
+    save_matrix(d / "g_ok.json", np.eye(256) + 0.1 * np.ones((256, 256)), "real_symmetric")
+    save_matrix(d / "j_ok.json", np.kron(np.eye(128), J2), "real_general")
+    obj = json.loads((d / "ok_h1.json").read_text())
+    obj["data"][1000][0] = True
+    (d / "ok_true.json").write_text(json.dumps(obj) + " " * 700_000)
+    obj = json.loads((d / "g_ok.json").read_text())
+    obj["data"][3000] = "1.5"
+    (d / "g_str.json").write_text(json.dumps(obj))
+    return SimpleNamespace(dir=d, spectra=spectra, malformed=("ok_true.json", "g_str.json"))
+
+
+def _reload(path) -> None:
+    """Load a written artifact; a matrix file without a meta section must be its list rendering."""
+    text = Path(path).read_text()
+    obj = json.loads(text)
+    if "g" in obj:
+        load_triple(path)
+        return
+    kind, mat = load_matrix(path)
+    if "meta" not in obj:
+        assert text == canonical_json(matrix_payload(mat, kind)) + "\n", path
+
+
+class TestFileFlow:
+    """Commands chained through files, as a user runs them, with warnings as errors."""
+
+    def test_console_chain(self, runner, flow, tmp_path, monkeypatch):
+        # the chain the workflow runs through the installed console script:
+        # every command exits 0, triple and hermitian write the same bytes
+        # twice, and every artifact reloads
+        monkeypatch.chdir(flow.dir)
+        out = {name: str(tmp_path / f"{name}.json") for name in ("t", "t2", "tw", "h1", "h1b", "h2", "G", "U")}
+        pair = ["--h1", out["h1"], "--h2", out["h2"]]
+        for args in (["triple", "--g", "g.json", "--j", "j.json", "--out", out["t"]],
+                     ["triple", "--g", "g.json", "--j", "j.json", "--out", out["t2"]],
+                     ["triple", "--g", "g2.json", "--omega", "omega.json", "--out", out["tw"]],
+                     ["hermitian", "--triple", out["t"], "--out", out["h1"]],
+                     ["hermitian", "--triple", out["t2"], "--out", out["h1b"]],
+                     ["hermitian", "--triple", out["tw"], "--out", out["h2"]],
+                     ["connect", *pair, "--out", out["G"]], ["spectrum", *pair], ["generic", *pair],
+                     ["decompose", *pair], ["sample-u", *pair, "--seed", "1", "--out", out["U"]],
+                     ["verify-u", "--u", out["U"], *pair]):
+            result = invoke(runner, args)
+            assert result.exit_code == 0, (args, result.output)
+        for first, again in (("t", "t2"), ("h1", "h1b")):
+            assert Path(out[first]).read_bytes() == Path(out[again]).read_bytes()
+        for name in ("t", "tw", "h1", "h2", "G", "U"):
+            _reload(out[name])
+
+    @pytest.mark.parametrize("name", ["n128", "mix", "simple", "dims", "scalar40", "tiny", "k17"])
+    def test_commands_report_one_resolution(self, runner, flow, tmp_path, monkeypatch, name):
+        # generic position read three ways from one resolution: the commutant
+        # dimension is the sum of n_j^2, the bicommutant dimension the fiber
+        # count, and cyclic holds exactly when every fiber is simple; spectrum,
+        # generic under any seed and decompose agree with G's eigenvalues,
+        # and a repeated report is byte-equal
+        monkeypatch.chdir(flow.dir)
+        pair = ["--h1", f"{name}_h1.json", "--h2", f"{name}_h2.json"]
+        mults = np.unique(flow.spectra[name], return_counts=True)[1].tolist()
+        texts = []
+        for out in ("a.txt", "b.txt"):
+            result = invoke(runner, ["spectrum", *pair, "--format", "text", "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+            texts.append((tmp_path / out).read_text())
+        assert texts[0] == texts[1]
+        assert f"\nresults.multiplicities = {mults}\n" in texts[0]
+        reports = []
+        for seed in ("0", "1", "5"):
+            result = invoke(runner, ["generic", *pair, "--seed", seed])
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads(result.stdout)["results"])
+        r = reports[0]
+        assert reports == [r] * 3
+        assert r["agreement"] is True
+        assert r["commutant_dimension"] == sum(m * m for m in mults)
+        assert r["bicommutant_dimension"] == len(mults)
+        assert r["cyclic"] is (max(mults) == 1)
+        if name == "k17":
+            return  # decompose's proportionality check divides by |h2|, not G's scale, and fails here
+        for out in ("a.json", "b.json"):
+            assert invoke(runner, ["decompose", *pair, "--out", str(tmp_path / out)]).exit_code == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        d = json.loads((tmp_path / "a.json").read_text())["results"]
+        assert [f["dim"] for f in d["fibers"]] == mults
+        assert d["all_fibers_unidimensional"] is r["cyclic"]
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [(["sample-u", "--h1", "mix_h1.json", "--h2", "mix_h2.json", "--seed", "7"], {}),
+         (["sample-u", "--h1", "dims_h1.json", "--h2", "dims_h2.json", "--seed", "7"], {"block_dims": [1, 2, 3, 4]}),
+         (["sample-u", "--h1", "simple_h1.json", "--h2", "simple_h2.json", "--seed", "3"], {}),
+         (["sample-u", "--h1", "neg0_h1.json", "--h2", "n128_h2.json", "--seed", "4"], {}),
+         (["connect", "--h1", "k7_h1.json", "--h2", "k7_h2.json"], {"ill_conditioned": False}),
+         (["connect", "--h1", "k9_h1.json", "--h2", "k9_h2.json"], {"ill_conditioned": True}),
+         (["triple", "--g", "e9_g.json", "--omega", "e9_omega.json"], {})],
+        ids=["sample-u-mix", "sample-u-dims", "sample-u-simple", "sample-u-neg0", "connect-k7", "connect-k9",
+             "triple-e9"],
+    )
+    def test_artifacts_repeat_and_reload(self, runner, flow, tmp_path, monkeypatch, args, expected):
+        # two runs write the same bytes and reports, and the artifact
+        # reloads; a draw verifies, and the (g, ω) route recovers J exactly
+        monkeypatch.chdir(flow.dir)
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        reports = []
+        for out in outs:
+            result = invoke(runner, [*args, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            reports.append(result.stdout.replace(str(out), "OUT"))
+        assert reports[0] == reports[1]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        results = json.loads(reports[0])["results"]
+        assert {k: results[k] for k in expected} == expected
+        _reload(outs[0])
+        if args[0] == "sample-u":
+            assert invoke(runner, ["verify-u", "--u", str(outs[0]), *args[1:5]]).exit_code == 0
+        elif args[0] == "triple":
+            assert np.array_equal(load_triple(outs[0]).j.mat, load_matrix("e9_j.json")[1])
+
+    def test_inputs_reload_to_their_own_bytes(self, flow, tmp_path):
+        # every file save_matrix wrote, -0 entries included, saves back to
+        # the same bytes; random bit patterns are also their list rendering
+        paths = sorted(p for p in flow.dir.glob("*.json") if p.name not in flow.malformed)
+        assert len(paths) >= 30
+        for path in paths:
+            kind, mat = load_matrix(path)
+            save_matrix(tmp_path / "again.json", mat, kind)
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), path.name
+            if path.name.startswith("bits"):
+                _reload(path)
+        assert "[-0, " in (flow.dir / "neg0_h1.json").read_text()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["spectrum", "--h1", "ok_true.json", "--h2", "ok_h2.json"], ["triple", "--g", "g_str.json", "--j", "j_ok.json"],
+         ["spectrum", "--h1", "ok_h1.json", "--h2", "ok_h2.json", "--quiet"]],
+        ids=["boolean-entry", "string-entry", "valid"],
+    )
+    def test_large_files_read_as_the_reference_loader_reads_them(self, runner, flow, tmp_path, monkeypatch, args):
+        # files large enough for orjson: an entry that is not a number exits
+        # 2 with the reference loader's message, and the collector is on
+        # after every command
+        monkeypatch.chdir(flow.dir)
+        bad = next((a for a in args if a in flow.malformed), None)
+        result = invoke(runner, [*args, "--out", str(tmp_path / "t.json")] if args[0] == "triple" else args)
+        assert gc.isenabled()
+        if bad is None:
+            assert result.exit_code == 0, result.output
+            return
+        with pytest.raises(FileFormatError) as reference:
+            reference_load_matrix(bad)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert re.match(rf"error: {bad}: data\[\d+\]: expected a ", result.stderr)
+        assert result.stderr == f"error: {reference.value}\n"
 
 # Golden bytes: every subcommand in both formats plus the common flags and
 # the two error exits.  Inputs are identity/diagonal forms and the 2x2 J,
@@ -872,7 +1087,8 @@ def test_golden_bytes(tmp_path, monkeypatch):
     assert artifacts == GOLDEN_FILES
 
 
-# Every command, in a fresh interpreter, from a working directory of its own.
+# Every command, in a fresh interpreter with warnings as errors, from a
+# working directory of its own.
 _SESSION = """
 import json, sys
 import numpy as np
@@ -909,7 +1125,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.sp
 
 def test_commands_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(biherm.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", _SESSION], cwd=tmp_path, env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _SESSION], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     session = json.loads(out.stdout)
     assert session == {"codes": [0] * 9, "scipy": []}
@@ -949,10 +1166,7 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
     # an n = 128 pair whose clusters are exact repeats 1/8 apart and an
     # n = 12 pair: with 1 and with 2 BLAS threads, every exit code, verdict,
     # multiplicity, signature and key agrees; floats may move in the last bits
-    b = np.eye(128) + 0.5 * np.random.default_rng(0).standard_normal((128, 128)) / np.sqrt(128)
-    lam = np.concatenate([np.arange(1.0, 97.0), np.arange(1.0, 33.0)]) / 8
-    save_matrix(tmp_path / "n128_h1.json", b @ b.T, "complex_hermitian")
-    save_matrix(tmp_path / "n128_h2.json", (b * lam) @ b.T, "complex_hermitian")
+    save_exact_cluster_pair(tmp_path, "n128", 0, N128_SPECTRUM)
     h1, h2, _ = hermitian_pair_with_multiplicities(np.random.default_rng(64), (1, 2, 3, 4, 2))
     save_matrix(tmp_path / "n12_h1.json", h1.gram, "complex_hermitian")
     save_matrix(tmp_path / "n12_h2.json", h2.gram, "complex_hermitian")

@@ -105,9 +105,13 @@ class TestBuildDecomposition:
             (lambda dec, h: check_bicommutant_scalar(h.gram, dec), DimensionMismatchError,
              "^operator and decomposition dimensions differ$"),
             (lambda dec, h: phase_biunitary(dec, [0.0]), ValueError, r"^need one phase per fiber \(2\)$"),
+            # unchecked, a NaN phase gives an all-NaN matrix and an infinite one warns
+            (lambda dec, h: phase_biunitary(dec, [np.nan, 0.0]), NonFiniteError, "^phases contain non-finite entries$"),
+            (lambda dec, h: phase_biunitary(dec, [np.inf, 0.0]), NonFiniteError, "^phases contain non-finite entries$"),
             (lambda dec, h: DecomposableOperator((np.eye(2), np.ones((1, 2)))), ValueError, "^blocks must be square$"),
         ],
-        ids=["proportionality-form", "commutant-operator", "bicommutant-operator", "phase-count", "non-square-block"],
+        ids=["proportionality-form", "commutant-operator", "bicommutant-operator", "phase-count", "phase-nan",
+             "phase-inf", "non-square-block"],
     )
     def test_malformed_input_rejected(self, call, error, message):
         _, _, op = diag_pair(1.0, 2.0)

@@ -84,6 +84,7 @@ class TestMatrixRoundTrip:
          ("real_general", np.ones((0, 0)), "nonempty"),
          ("real_general", np.array([[1.0, np.nan], [0.0, 1.0]]), "non-finite"),
          ("real_symmetric", np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]]), "^matrix is not symmetric within tolerance$"),
+         ("real_symmetric", np.array([[1, 2], [3, 4]]), "^matrix is not symmetric within tolerance$"),
          ("real_antisymmetric", np.array([[0.0, 1.0 + 1e-6], [-1.0, 0.0]]),
           "^matrix is not antisymmetric within tolerance$"),
          ("complex_hermitian", np.array([[1.0, 1j * (1.0 + 1e-6)], [-1j, 1.0]]),
@@ -93,7 +94,7 @@ class TestMatrixRoundTrip:
          ("real_antisymmetric", np.array([[1e-300j, 2.0], [-2.0, 0.0]]), "real_antisymmetric has a nonzero imaginary"),
          ("real_general", np.array([[1.0, 2.0], [3.0, 4.0 - 1e-300j]]), "real_general has a nonzero imaginary"),
          ("real_hermitian", np.eye(2), "^unknown matrix kind 'real_hermitian'$")],
-        ids=["non-square", "1-d", "empty", "nan", "asymmetric", "not-antisymmetric", "not-hermitian",
+        ids=["non-square", "1-d", "empty", "nan", "asymmetric", "asymmetric-int", "not-antisymmetric", "not-hermitian",
              "imag-symmetric", "imag-antisymmetric", "imag-general", "unknown-kind"],
     )
     def test_writers_reject_what_load_rejects(self, tmp_path, kind, mat, message):

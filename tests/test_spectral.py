@@ -14,6 +14,7 @@ from biherm import (
     DegenerateSpectrumError,
     GroupSignature,
     HermitianForm,
+    NonFiniteError,
     SpectralResolution,
     Tolerances,
     ZeroCoefficientError,
@@ -211,6 +212,10 @@ class TestCyclicVector:
         res = spectral_resolution(diag_operator(1.0, 2.0))
         with pytest.raises(ZeroCoefficientError):
             cyclic_vector(res, [1.0, 0.0])
+        # unchecked, a NaN coefficient gives an all-NaN vector and an infinite one warns
+        for mu in ([np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, np.nan)]):
+            with pytest.raises(NonFiniteError, match="^coefficients contain non-finite entries$"):
+                cyclic_vector(res, mu)
 
     @pytest.mark.parametrize("mu", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
     def test_coefficient_count_rejected(self, mu):
