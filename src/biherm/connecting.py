@@ -6,11 +6,10 @@ with respect to both forms, and its eigenpairs solve the pencil
 h2 x = lam h1 x.  With h1 = L Lᴴ, both come from one inverted Cholesky
 factor: G = L⁻ᴴ (L⁻¹ h2), and the pencil is congruent to the Hermitian
 L⁻¹ h2 L⁻ᴴ.  :class:`ConnectingOperator` computes them once, at
-construction, for every later stage, and :func:`connecting_operator`
-bounds κ(h1) from the same inverted factor for its ill-conditioned
-flag.  A transformation preserving both
-forms necessarily commutes with G, which is what :func:`verify_biunitary`
-checks numerically.
+construction, for every later stage; it also bounds κ(h1) from the same
+inverted factor for its ill-conditioned flag, and verifies G's
+invariants.  A transformation preserving both forms necessarily commutes
+with G, which is what :func:`verify_biunitary` checks numerically.
 """
 
 from __future__ import annotations
@@ -42,10 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ConnectingOperator:
-    """The positive operator linking a pair of Hermitian forms.
+    """The positive operator linking a pair of Hermitian forms, flagged and verified.
 
-    Built from the two forms alone, which must have one dimension
-    (:class:`DimensionMismatchError` otherwise); everything else is
+    Built from the two forms and the tolerances alone; everything else is
     derived from them once, at construction, and stored read-only, from
     the inverse of h1's Cholesky factor L (``h1.inverse_factor``) and the
     product L⁻¹ h2.  ``mat`` is G = L⁻ᴴ (L⁻¹ h2), so ``h2.gram ==
@@ -53,25 +51,51 @@ class ConnectingOperator:
     ``spectrum`` (the eigenvalues of G, ascending) and ``eigenvectors``
     (the matching h1-orthonormal eigenvectors, as column-major columns)
     are the one solve of the pencil h2 x = lam h1 x, by the congruence
-    L⁻¹ h2 L⁻ᴴ.  An h1 accepted without a factor (numerically singular)
-    raises :class:`SingularMetricError`; forms scaled so far apart that G
-    or a residual leaves the double range raise :class:`NonFiniteError`.
-    ``residuals`` holds :meth:`invariant_residuals`.  ``ill_conditioned``
-    flags a defining form h1 whose condition number exceeds the
-    reciprocal eigenvalue tolerance; results are still returned in that
-    case but residuals may be degraded.
+    L⁻¹ h2 L⁻ᴴ.  ``residuals`` holds :meth:`invariant_residuals`.
+
+    ``ill_conditioned`` flags an h1 whose condition number κ₂(h1) exceeds
+    1/``tol.tol_eig``.  A bound on κ₂(h1) from the same inverse factor
+    decides the flag for every h1 well inside the limit; only near or past
+    it are h1's eigenvalues computed, and the flag is then their ratio, so
+    it falls exactly where the eigenvalue ratio puts it.
+
+    The gate: G must satisfy the defining identity, self-adjointness with
+    respect to both forms (within ``tol.tol_resid``) and positivity
+    (:func:`invariants_hold`).  With validated positive-definite inputs
+    these hold automatically, so a violation is an internal inconsistency
+    rather than an input error, except in two cases.  A flagged h1
+    bypasses the gate: its degraded residuals are tolerated and the
+    flagged result is kept for the caller to judge.  A failure with
+    positivity the only clause broken comes from an h2 that passed its own
+    positivity check only by rounding.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the two forms have different dimensions.
+    SingularMetricError
+        If h1 passed its positivity check but is numerically singular: its
+        Cholesky factorization failed, so G has no spectrum to report.
+        Or if h2 is numerically singular: G's smallest eigenvalue is at or
+        below zero while the other invariants hold.
+    NonFiniteError
+        If the forms are scaled so far apart that G or a residual leaves
+        the double range.
+    InternalInconsistencyError
+        If the gate fails on an unflagged h1 for any other reason.
     """
 
     h1: HermitianForm
     h2: HermitianForm
-    ill_conditioned: bool = False
+    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
+    ill_conditioned: bool = field(init=False)
     mat: np.ndarray = field(init=False, repr=False)
     spectrum: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray = field(init=False, repr=False)
     residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        h1, h2 = self.h1, self.h2
+        h1, h2, tol = self.h1, self.h2, self.tol
         if h1.dim != h2.dim:
             raise DimensionMismatchError(f"form dimensions differ: {h1.dim} vs {h2.dim}")
         linv = h1.inverse_factor
@@ -91,9 +115,17 @@ class ConnectingOperator:
         object.__setattr__(self, "mat", _read_only(mat))
         object.__setattr__(self, "spectrum", _read_only(w))
         object.__setattr__(self, "eigenvectors", _read_only(v))
-        object.__setattr__(self, "residuals", self.invariant_residuals())
-        if not all(map(math.isfinite, self.residuals.values())):
-            raise NonFiniteError(f"{far_apart} (residuals {self.residuals})")
+        r = self.invariant_residuals()
+        object.__setattr__(self, "residuals", r)
+        if not all(map(math.isfinite, r.values())):
+            raise NonFiniteError(f"{far_apart} (residuals {r})")
+        object.__setattr__(self, "ill_conditioned", _ill_conditioned(h1, tol))
+        if not invariants_hold(r, tol) and not self.ill_conditioned:
+            if all(r[key] <= tol.tol_resid for key in ("defining", "selfadjoint_h1", "selfadjoint_h2")):
+                raise SingularMetricError(
+                    f"h2 is numerically singular: G's smallest eigenvalue is {r['min_eigenvalue']:.3e}"
+                )
+            raise InternalInconsistencyError(f"connecting operator failed invariant verification: {r}")
 
     @property
     def dim(self) -> int:
@@ -144,12 +176,10 @@ def _ill_conditioned(h1: HermitianForm, tol: Tolerances) -> bool:
     eigenvalue at or below zero reads inf without numpy's overflow warning.
     """
     limit = 1.0 / tol.tol_eig
-    linv = h1.inverse_factor
-    if linv is not None:
-        linv_norm = _fro(linv)
-        bound = _fro(h1.gram) * linv_norm * linv_norm
-        if bound <= 0.5 * limit and 0.5 * _EPS * h1.dim * bound < 1e-3:
-            return False
+    linv_norm = _fro(h1.inverse_factor)
+    bound = _fro(h1.gram) * linv_norm * linv_norm
+    if bound <= 0.5 * limit and 0.5 * _EPS * h1.dim * bound < 1e-3:
+        return False
     w1 = h1.eigenvalues
     return float(w1[-1]) / max(float(w1[0]), float(_TINY)) > limit
 
@@ -159,46 +189,11 @@ def connecting_operator(
     h2: HermitianForm,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ConnectingOperator:
-    """The connecting operator G of (h1, h2), flagged and verified.
+    """``ConnectingOperator(h1, h2, tol)``: G of (h1, h2), flagged and verified.
 
-    :class:`ConnectingOperator` derives G from h1's inverse Cholesky
-    factor; this function sets its ``ill_conditioned`` flag when the
-    condition number κ₂(h1) exceeds 1/``tol.tol_eig``.  A bound on κ₂(h1)
-    from the same inverse factor decides the flag for every h1 well inside
-    the limit; only near or past it are h1's eigenvalues computed, and the
-    flag is then their ratio, so it falls exactly where the eigenvalue
-    ratio puts it.  G is verified to satisfy the defining identity,
-    self-adjointness with respect to both forms, and positivity before
-    being returned; with validated positive-definite inputs these hold
-    automatically, so a violation is reported as an internal
-    inconsistency rather than an input error — except when h1 is flagged
-    ill-conditioned, where degraded residuals are tolerated and the
-    flagged result is returned for the caller to judge, and when
-    positivity is the only failure, which an h2 that passed its own
-    positivity check only by rounding causes.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If the two forms have different dimensions.
-    SingularMetricError
-        If h1 passed its positivity check but is numerically singular: its
-        Cholesky factorization failed, so G has no spectrum to report.
-        Or if h2 is numerically singular: G's smallest eigenvalue is at or
-        below zero while the other invariants hold.
-    NonFiniteError
-        If the forms are scaled so far apart that G or a residual leaves
-        the double range.
+    The class states the flag rule, the gate and what it raises.
     """
-    op = ConnectingOperator(h1, h2, ill_conditioned=_ill_conditioned(h1, tol))
-    if not invariants_hold(op.residuals, tol) and not op.ill_conditioned:
-        r = op.residuals
-        if all(r[key] <= tol.tol_resid for key in ("defining", "selfadjoint_h1", "selfadjoint_h2")):
-            raise SingularMetricError(
-                f"h2 is numerically singular: G's smallest eigenvalue is {r['min_eigenvalue']:.3e}"
-            )
-        raise InternalInconsistencyError(f"connecting operator failed invariant verification: {r}")
-    return op
+    return ConnectingOperator(h1, h2, tol)
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,7 @@ def verify_biunitary(
     if h1.dim != h2.dim or u.shape[0] != h1.dim:
         raise DimensionMismatchError("U and form dimensions differ")
     if connecting is None:
-        connecting = connecting_operator(h1, h2, tol)
+        connecting = ConnectingOperator(h1, h2, tol)
     g = connecting.mat
 
     uh = u.conj().T

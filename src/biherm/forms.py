@@ -222,7 +222,7 @@ class HermitianForm:
     ``eigenvalues`` holds the ascending eigenvalues of ``gram``, computed
     on first use and frozen; no stage of a pair reads them unless the
     bound on κ(h1) cannot decide the ill-conditioned flag (see
-    :func:`biherm.connecting.connecting_operator`).
+    :class:`biherm.connecting.ConnectingOperator`).
     """
 
     gram: np.ndarray

@@ -71,9 +71,40 @@ class TestConnectingOperator:
             assert np.linalg.norm(h2.gram @ v - h1.gram @ v * w) <= 1e-9 * np.linalg.norm(h2.gram)
             assert op.residuals["min_eigenvalue"] == w[0]
 
-    def test_built_from_the_two_forms_and_the_flag(self):
+    def test_constructor_builds_flags_and_gates(self):
+        # the class takes the forms and the tolerances only, and every
+        # outcome of connecting_operator is its constructor's: the same
+        # flag, residuals and spectrum bytes, or the same exception
         init = [f.name for f in dataclasses.fields(ConnectingOperator) if f.init]
-        assert init == ["h1", "h2", "ill_conditioned"]
+        assert init == ["h1", "h2", "tol"]
+        with pytest.raises(TypeError):
+            ConnectingOperator(form(np.eye(2)), form(np.eye(2)), ill_conditioned=True)
+
+        def outcome(build, h1, h2, tol):
+            try:
+                op = build(h1, h2, tol)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return op.ill_conditioned, op.residuals, op.spectrum.tobytes(), op.mat.tobytes()
+
+        rng = np.random.default_rng(41)
+        gate_pair = hermitian_pair_with_spectrum(rng, [0.5, 1.0, 1.5, 2.0], 10.0)
+        cases = [  # (h1, h2, tol, expected flag or exception class)
+            (*gate_pair, Tolerances(tol_eig=0.5, tol_resid=1e-30), True),
+            (*gate_pair, Tolerances(tol_resid=1e-30), InternalInconsistencyError),
+            (form(NEAR_SINGULAR_H1), form(np.eye(2)), Tolerances(), SingularMetricError),
+            (form(1e-300 * np.diag([1.0, 2.0])), form(1e300 * np.diag([1.0, 3.0])), Tolerances(), NonFiniteError),
+        ]
+        for kappa in TestConditionCertificate.KAPPAS:
+            pair = hermitian_pair_with_spectrum(rng, 0.5 + np.cumsum(0.05 + rng.random(12)), kappa)
+            w = np.linalg.eigvalsh(pair[0].gram)
+            for tol_eig in (1e-8, 1e-4, 0.5):
+                cases.append((*pair, Tolerances(tol_eig=tol_eig), bool(w[-1] / w[0] > 1.0 / tol_eig)))
+        assert {c[-1] for c in cases} >= {True, False}
+        for h1, h2, tol, expected in cases:
+            direct = outcome(ConnectingOperator, h1, h2, tol)
+            assert direct == outcome(connecting_operator, h1, h2, tol)
+            assert direct[0] is expected, (direct, expected)
 
     def test_invariant_gate_raises_on_failing_residuals(self):
         # no residual of a dense pair reaches 1e-30, so the gate must fire
