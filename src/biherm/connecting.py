@@ -63,11 +63,12 @@ class ConnectingOperator:
     respect to both forms (within ``tol.tol_resid``) and positivity
     (:func:`invariants_hold`).  With validated positive-definite inputs
     these hold automatically, so a violation is an internal inconsistency
-    rather than an input error, except in two cases.  A flagged h1
+    rather than an input error, except in three cases.  A flagged h1
     bypasses the gate: its degraded residuals are tolerated and the
-    flagged result is kept for the caller to judge.  A failure with
-    positivity the only clause broken comes from an h2 that passed its own
-    positivity check only by rounding.
+    flagged result is kept for the caller to judge.  A failure on a G
+    that underflowed, ρ(G) below tiny/ε, comes from forms scaled too far
+    apart.  A failure with positivity the only clause broken comes from an
+    h2 that passed its own positivity check only by rounding.
 
     Raises
     ------
@@ -80,7 +81,7 @@ class ConnectingOperator:
         below zero while the other invariants hold.
     NonFiniteError
         If the forms are scaled so far apart that G or a residual leaves
-        the double range.
+        the double range, G's overflow and underflow alike.
     InternalInconsistencyError
         If the gate fails on an unflagged h1 for any other reason.
     """
@@ -121,6 +122,8 @@ class ConnectingOperator:
             raise NonFiniteError(f"{far_apart} (residuals {r})")
         object.__setattr__(self, "ill_conditioned", _ill_conditioned(h1, tol))
         if not invariants_hold(r, tol) and not self.ill_conditioned:
+            if max(-w[0], w[-1]) < _TINY / _EPS:
+                raise NonFiniteError(f"{far_apart} (residuals {r})")
             if all(r[key] <= tol.tol_resid for key in ("defining", "selfadjoint_h1", "selfadjoint_h2")):
                 raise SingularMetricError(
                     f"h2 is numerically singular: G's smallest eigenvalue is {r['min_eigenvalue']:.3e}"
@@ -181,7 +184,7 @@ def _ill_conditioned(h1: HermitianForm, tol: Tolerances) -> bool:
     if bound <= 0.5 * limit and 0.5 * _EPS * h1.dim * bound < 1e-3:
         return False
     w1 = h1.eigenvalues
-    return float(w1[-1]) / max(float(w1[0]), float(_TINY)) > limit
+    return float(w1[-1]) / max(float(w1[0]), _TINY) > limit
 
 
 def connecting_operator(

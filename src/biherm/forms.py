@@ -38,8 +38,8 @@ __all__ = [
     "krylov_rank",
 ]
 
-_TINY = np.finfo(float).tiny
-_EPS = np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)  # Python floats, so that x / max(y, _TINY) is one too
+_EPS = float(np.finfo(float).eps)
 _FRO_LOW = math.sqrt(_TINY / _EPS)
 
 

@@ -215,13 +215,15 @@ class TestPipeline:
         # G = 1e200 diag(1, 1.5) and forms at 1e200 are analysed, though the
         # plain norms of h2 G, G and h2 overflow; G = 1e600 is not a double.
         # A dense pair at 1e-160 / 1e160 overflows the congruence, on which
-        # the eigensolve does not converge, before G is formed
+        # the eigensolve does not converge, before G is formed; at 1e300 /
+        # 1e-300 G = 1e-600 underflows to zero
         h1, h2, out = (str(tmp_path / name) for name in ("h1.json", "h2.json", "out.json"))
         diag = (np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
         rng = np.random.default_rng(42)
         dense = (random_hpd(rng, 4), random_hpd(rng, 4))
         for (a, b), (s1, s2), code in [(diag, (1e-200, 1.0), 0), (diag, (1e200, 1e200), 0),
-                                       (diag, (1e-300, 1e300), 1), (dense, (1e-160, 1e160), 1)]:
+                                       (diag, (1e-300, 1e300), 1), (dense, (1e-160, 1e160), 1),
+                                       (dense, (1e300, 1e-300), 1)]:
             save_matrix(h1, s1 * a, "complex_hermitian")
             save_matrix(h2, s2 * b, "complex_hermitian")
             for args in (["connect"], ["decompose"], ["sample-u", "--seed", "1"]):

@@ -275,6 +275,33 @@ class TestScaleExtremes:
         with pytest.raises(NonFiniteError, match="leave the double range"):
             connecting_operator(h1, h2)
 
+    def test_no_scaling_of_a_valid_pair_is_an_internal_inconsistency(self):
+        # h1·10^k1 and h2·10^k2, k ∈ {-300, -280, .., 300}: a G or residual
+        # past the largest double and a G below tiny/ε (k2 - k1 <= -320,
+        # G = 0 after underflow) are both the far-apart NonFiniteError
+        rng = np.random.default_rng(42)
+        pairs = [(random_hpd(rng, 4), random_hpd(rng, 4))]
+        rng = np.random.default_rng(7)
+        for lam in (0.5 + np.cumsum(0.05 + rng.random(12)), np.repeat([0.7, 1.3, 2.0, 3.1], 3)):
+            pairs.append(tuple(f.gram for f in hermitian_pair_with_spectrum(rng, lam, 10.0)))
+        ks = range(-300, 301, 20)
+        outcomes = {"ok": 0, "overflow": 0, "underflow": 0}
+        for a, b in pairs:
+            for k1 in ks:
+                for k2 in ks:
+                    try:
+                        op = connecting_operator(form(10.0**k1 * a), form(10.0**k2 * b))
+                    except NonFiniteError as exc:
+                        assert str(exc).startswith("G or its invariant residuals leave the double range")
+                        assert "np.float64" not in str(exc)
+                        assert k2 > k1 or k2 - k1 <= -320, (k1, k2)
+                        outcomes["overflow" if k2 > k1 else "underflow"] += 1
+                    else:
+                        assert invariants_hold(op.residuals, Tolerances()), (k1, k2)
+                        assert all(type(v) is float for v in op.residuals.values())
+                        outcomes["ok"] += 1
+        assert outcomes == {"ok": 1803, "overflow": 720, "underflow": 360}
+
 
 class TestVerifyBiunitary:
     def test_identity_passes(self):
