@@ -249,6 +249,9 @@ def verify_biunitary(
     ------
     DimensionMismatchError
         If shapes are inconsistent.
+    NonFiniteError
+        If U has a non-finite entry, or U and the forms are scaled so far
+        apart that a residual leaves the double range.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -266,6 +269,11 @@ def verify_biunitary(
         r1 = _fro(uh @ h1.gram @ u - h1.gram) / max(_fro(h1.gram), _TINY)
         r2 = _fro(uh @ h2.gram @ u - h2.gram) / max(_fro(h2.gram), _TINY)
         rc = _commutator_residual(u, g)
+    if not all(map(math.isfinite, (r1, r2, rc))):
+        raise NonFiniteError(
+            f"bi-unitarity residuals leave the double range: U and the forms are scaled too far apart "
+            f"(residuals {r1}, {r2}, {rc})"
+        )
     h1_ok = r1 <= tol.tol_resid
     h2_ok = r2 <= tol.tol_resid
     comm_ok = rc <= tol.tol_resid

@@ -8,7 +8,8 @@ string pieces, a matrix file's ``data`` one block of at most 16 rows per
 piece, which :func:`write_canonical_json` streams to a file.  A value is a
 dict, a list or tuple, a :class:`MatrixData`, a string, or a bool, int or
 float (Python or numpy); anything else, ``None``, complex scalars and
-ndarrays included, raises TypeError.  A matrix reaches a report only as
+ndarrays included, raises TypeError, as does a float that is not finite,
+in a MatrixData too, since JSON has no inf or nan.  A matrix reaches a report only as
 MatrixData, whose block formatter alone writes ``[re, im]`` pairs.  That
 formatter writes the bytes of ``"%.17g" % x`` for every entry: numpy
 computes the 17 digits of most entries at once, and ``%`` formats the few
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,7 @@ def _tables():
 
 
 def _block_text(x: np.ndarray, ends: np.ndarray) -> str:
-    """``"%.17g" % v`` for each v of the float array ``x``, each between its ``ends``.
+    """``"%.17g" % v`` for each v of the float array ``x``, each between its ``ends``; TypeError if one is not finite.
 
     Error bound on y, in units of D's last digit: c_k's double and remainder
     are within 2^-106·c_k of it, x·2^s times the remainder rounds by at most
@@ -100,9 +102,11 @@ def _block_text(x: np.ndarray, ends: np.ndarray) -> str:
     """
     out = np.zeros((len(x), 5), np.uint64)  # "[-0.000", the digits and ".", "e+ddd], "
     zero, fall = x == 0, ~np.isfinite(x)
+    if fall.any():
+        raise TypeError("cannot serialize a non-finite float as JSON")
     if _FAST:
         scale, hi, hh, hl, lo, lead, expo, point, quads, keep, dots, zeros = _tables()
-        a = np.where(zero | fall, 1.0, np.abs(x))
+        a = np.where(zero, 1.0, np.abs(x))
         k = np.floor(np.log10(a)).astype(np.intp) + _K0
         a = np.ldexp(a, scale[k])
         (ah, al), p = _split(a), a * hi[k]
@@ -152,6 +156,8 @@ def _pieces(obj):
     elif isinstance(obj, (int, np.integer)):
         yield str(int(obj))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise TypeError(f"cannot serialize the non-finite float {float(obj)} as JSON")
         yield format(float(obj), ".17g")
     elif isinstance(obj, str):
         yield json.dumps(obj)

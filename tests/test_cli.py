@@ -455,6 +455,17 @@ class TestSampleAndVerify:
         result = invoke(runner, ["verify-u", "--u", str(tmp_path / "U_a.json"), *pair])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("scale_u", [1e5, 1e10])
+    def test_verify_residual_out_of_range_exits_one(self, runner, tmp_path, scale_u):
+        # the residual is inf at U = 1e5·I and nan at U = 1e10·I: no report
+        h, u = str(tmp_path / "h.json"), str(tmp_path / "u.json")
+        save_matrix(h, 1e300 * np.eye(2), "complex_hermitian")
+        save_matrix(u, scale_u * np.eye(2), "complex_general")
+        result = invoke(runner, ["verify-u", "--u", u, "--h1", h, "--h2", h])
+        assert result.exit_code == 1
+        (line,) = result.output.splitlines()
+        assert line.startswith("analysis failed: bi-unitarity residuals leave the double range")
+
     def test_verify_rejects_swap(self, runner, files):
         result = invoke(
             runner, ["verify-u", "--u", files["swap"], "--h1", files["h1"], "--h2", files["h2"]]

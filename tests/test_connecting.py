@@ -304,6 +304,14 @@ class TestScaleExtremes:
 
 
 class TestVerifyBiunitary:
+    @pytest.mark.parametrize("scale_u", [1e5, 1e10])
+    def test_residual_out_of_range_is_a_non_finite_error(self, scale_u):
+        # h1 = h2 = 1e300·I: Uᴴh1U is 1e310 (residual inf) at U = 1e5·I, and
+        # inf·0 off the diagonal (residual nan) at U = 1e10·I
+        h = form(1e300 * np.eye(2))
+        with pytest.raises(NonFiniteError, match="^bi-unitarity residuals leave the double range"):
+            verify_biunitary(scale_u * np.eye(2), h, h)
+
     def test_identity_passes(self):
         rep = verify_biunitary(np.eye(2), form(np.eye(2)), form(np.diag([1.0, 2.0])))
         assert rep.passed

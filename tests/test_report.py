@@ -157,10 +157,18 @@ def test_power_table_within_half_an_ulp():
         assert a + b == h and all((v * 2.0 ** (26 - math.frexp(v)[1])).is_integer() for v in (a, b))  # 26 bits each
 
 
+def _with(arr: np.ndarray, index, value) -> np.ndarray:
+    arr[index] = value
+    return arr
+
+
 @pytest.mark.parametrize(
     "value",
-    [None, 1 + 2j, np.complex128(1j), np.eye(2), {"a": [1.0, None]}, {"a": np.zeros(3)}, [np.complex64(0)]],
-    ids=["none", "complex", "np-complex", "ndarray", "nested-none", "nested-ndarray", "listed-np-complex"],
+    [None, 1 + 2j, np.complex128(1j), np.eye(2), {"a": [1.0, None]}, {"a": np.zeros(3)}, [np.complex64(0)],
+     math.inf, -math.inf, math.nan, np.float64(-np.inf), {"a": [1.0, np.float64(np.nan)]},
+     MatrixData(_with(np.eye(40), (39, 39), np.inf)), MatrixData(_with(np.eye(3, dtype=complex), (0, 1), 1j * np.nan))],
+    ids=["none", "complex", "np-complex", "ndarray", "nested-none", "nested-ndarray", "listed-np-complex",
+         "inf", "minus-inf", "nan", "np-minus-inf", "nested-np-nan", "matrix-inf-last-block", "matrix-nan-imag"],
 )
 def test_refuses_values_outside_the_schema(value):
     with pytest.raises(TypeError, match="cannot serialize"):
