@@ -14,6 +14,7 @@ linear in the second argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSymplecticError,
+    NonFiniteError,
     NotAdmissibleError,
     NotSkewError,
 )
@@ -32,6 +34,7 @@ from .forms import (
     RealForm,
     Tolerances,
     _asymmetry,
+    _fro,
     _lower_inverse,
     _maxabs,
     _read_only,
@@ -123,12 +126,16 @@ def symmetrize_metric(
 
     Returns g_s with Gram matrix ``(J.T @ g @ J + g) / 2``.  The result is
     symmetric positive-definite whenever g is, J is g_s-anti-Hermitian by
-    construction, and the operation is idempotent.
+    construction, and the operation is idempotent.  A g_s past the
+    largest double raises :class:`NonFiniteError`.
     """
     if g.dim != j.dim:
         raise NotAdmissibleError("metric and complex structure dimensions differ")
     _metric_min_eigenvalue(g, tol, "metric is not symmetric positive-definite")
-    gram = 0.5 * (j.mat.T @ g.gram @ j.mat + g.gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = 0.5 * (j.mat.T @ g.gram @ j.mat + g.gram)
+    if not np.all(np.isfinite(gram)):
+        raise NonFiniteError("the J-averaged metric leaves the double range: g and J are scaled too far apart")
     gram = 0.5 * (gram + gram.T)
     return RealForm(gram, "symmetric", tol)
 
@@ -207,6 +214,10 @@ def triple_from_g_omega(
         antisymmetric.
     NotAdmissibleError
         If g is not a symmetric positive-definite metric.
+    NonFiniteError
+        If g and omega are scaled so far apart that B̃ leaves the double
+        range: past the largest double, or underflowed below the bound
+        ‖B̃‖₂ ≥ ‖omega‖₂ / ‖g‖₂.
     """
     if g.dim != omega.dim:
         raise NotAdmissibleError("metric and symplectic form dimensions differ")
@@ -215,10 +226,16 @@ def triple_from_g_omega(
         low = np.linalg.cholesky(g.gram)
     except np.linalg.LinAlgError:
         raise NotAdmissibleError("metric is not symmetric positive-definite") from None
-    linv = _lower_inverse(low)
-    b = linv @ omega.gram @ linv.T
+    far_apart = "B = L^-1 omega L^-T leaves the double range: g and omega are scaled too far apart"
+    with np.errstate(over="ignore", invalid="ignore"):
+        linv = _lower_inverse(low)
+        b = linv @ omega.gram @ linv.T
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteError(far_apart)
     u, svals, vt = np.linalg.svd(b)
     if svals[-1] <= tol.tol_eig * max(svals[0], _TINY):
+        if float(svals[0]) * _fro(g.gram) < 0.5 * _fro(omega.gram) / math.sqrt(g.dim):
+            raise NonFiniteError(far_apart)  # ‖omega‖_F ≤ √m·‖g‖_F·‖B̃‖₂ unless B̃ underflowed
         raise DegenerateSymplecticError(
             f"symplectic form is degenerate (relative smallest singular value "
             f"{svals[-1] / max(svals[0], _TINY):.3e})"

@@ -116,6 +116,29 @@ class TestTripleCommand:
         assert result.stderr == "analysis failed: J is not g-anti-Hermitian: J^2 = -1 holds only to 2.000e-10\n"
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("g_scale, flag, source, message", [
+        (1.0, "--j", np.array([[1e200, -1e200], [1e200, -1e200]]),
+         "J^2 = -1 violated: residual inf exceeds 1.000e-09"),
+        (1e300, "--j", np.array([[0.0, -1e5], [1e-5, 0.0]]),  # a valid J; J^T g J is 1e310
+         "the J-averaged metric leaves the double range: g and J are scaled too far apart"),
+        (1e-300, "--omega", 1e300 * J2.T,  # B = 1e600 overflows
+         "B = L^-1 omega L^-T leaves the double range: g and omega are scaled too far apart"),
+        (1e300, "--omega", 1e-300 * J2.T,  # B = 1e-600 underflows to zero; omega is not degenerate
+         "B = L^-1 omega L^-T leaves the double range: g and omega are scaled too far apart"),
+    ], ids=["j-squared-overflows", "g-and-j", "omega-over", "omega-under"])
+    def test_far_apart_inputs_exit_one_without_a_warning(self, runner, tmp_path, g_scale, flag, source, message):
+        g, src, out = (str(tmp_path / name) for name in ("g.json", "src.json", "t.json"))
+        save_matrix(g, g_scale * np.eye(2), "real_symmetric")
+        save_matrix(src, source, "real_general" if flag == "--j" else "real_antisymmetric")
+        args = ["triple", "--g", g, flag, src, "--out", out]
+        result = invoke(runner, args)  # in process, where any warning is an error
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"analysis failed: {message}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(biherm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "biherm.cli", *args],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"analysis failed: {message}\n")
+        assert not Path(out).exists()
+
     def test_malformed_file_exits_two(self, runner, files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "real_symmetric", "dim": 2, "data": [1, 2, 3]}')

@@ -13,9 +13,11 @@ from biherm import (
     ComplexificationMap,
     ComplexStructureJ,
     DegenerateSymplecticError,
+    NonFiniteError,
     NotAdmissibleError,
     NotSkewError,
     RealForm,
+    Tolerances,
     build_complexification,
     complexification_from_j,
     hermitian_from_triple,
@@ -182,6 +184,19 @@ class TestTripleFromGOmega:
         )
         with pytest.raises(DegenerateSymplecticError):
             triple_from_g_omega(g, w)
+
+    def test_small_omega_keeps_its_own_verdict(self):
+        # B̃ counts as underflowed against ‖omega‖ / ‖g‖, not against tiny: a
+        # subnormal nondegenerate omega builds, a tiny degenerate one is
+        # degenerate, and only omega at 1e-300 beside g at 1e300 is far apart
+        trip = triple_from_g_omega(RealForm(np.eye(2), "symmetric"), RealForm(1e-310 * J2.T, "antisymmetric"))
+        assert np.array_equal(trip.j.mat, J2.T)
+        w = np.zeros((4, 4))
+        w[:2, :2] = 1e-300 * J2.T
+        with pytest.raises(DegenerateSymplecticError, match="^symplectic form is degenerate"):
+            triple_from_g_omega(RealForm(np.eye(4), "symmetric"), RealForm(w, "antisymmetric"))
+        with pytest.raises(NonFiniteError, match="^B = L\\^-1 omega L\\^-T leaves the double range"):
+            triple_from_g_omega(RealForm(1e300 * np.eye(4), "symmetric"), RealForm(w, "antisymmetric"))
 
     @pytest.mark.parametrize(
         "g", [RealForm(ASYMMETRIC_G), RealForm(np.diag([1.0, -1.0]), "symmetric")], ids=["asymmetric", "indefinite"]
@@ -511,6 +526,36 @@ class TestComplexification:
         b = build_complexification(trip).basis
         assert np.allclose(b[:, : m // 2], picks / g_norms, rtol=1e-14, atol=0.0)
         assert np.allclose(b[:, m // 2 :], trip.j.mat @ picks / g_norms, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("eps, built", [(1.5e-8, False), (3e-8, True)])
+    def test_j_e_i_within_tol_eig_of_the_span_is_degenerate(self, eps, built):
+        # J = S J0 S⁻¹ with S = [e0, e1 + eps·e3, e2, 2·e3], exactly J² = -1:
+        # e1 lies eps from span{e0, J e0}, just over tol_eig = 1e-8, so it is
+        # picked; J e1 = -e0 + eps/2·e2 then leaves eps/2 outside that span,
+        # under tol_eig·|J e1| at eps = 1.5e-8 and over it at 3e-8
+        j = np.zeros((4, 4))
+        j[:, 0] = [0.0, 1.0, 0.0, eps]
+        j[:, 1] = [-1.0, 0.0, eps / 2, 0.0]
+        j[:, 2] = [0.0, 0.0, 0.0, 2.0]
+        j[:, 3] = [0.0, 0.0, -0.5, 0.0]
+        assert np.array_equal(j @ j, -np.eye(4))
+        if built:
+            assert np.array_equal(complexification_from_j(ComplexStructureJ(j)).basis[:, :2], np.eye(4)[:, :2])
+        else:
+            with pytest.raises(NotAdmissibleError, match="^complex structure is numerically degenerate$"):
+                complexification_from_j(ComplexStructureJ(j))
+
+    def test_too_few_picks_under_a_large_tol_eig(self):
+        # J e0 = e1 + e2 + e3: each of e1, e2, e3 is sqrt(2/3) = 0.82 from
+        # span{e0, J e0}, within tol_eig = 0.9, so only e0 is picked.  Under
+        # tol_eig < sqrt(2/m) this cannot happen: the projections of the m
+        # unit vectors on the span's complement, each within tol_eig, have
+        # squared norms summing to its dimension, at least 2
+        s = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        j = s @ np.kron(np.eye(2), J2) @ np.linalg.inv(s)
+        assert np.array_equal(j[:, 0], [0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(NotAdmissibleError, match="^failed to build a J-adapted basis$"):
+            complexification_from_j(ComplexStructureJ(j), Tolerances(tol_eig=0.9))
 
     def test_inverse_only_on_demand(self):
         rng = np.random.default_rng(34)
