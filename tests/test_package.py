@@ -1,5 +1,7 @@
-"""The package namespace: what ``import biherm`` exposes."""
+"""The package namespace: what ``import biherm`` exposes, and the README example that uses it."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -37,3 +39,16 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 61
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    # the block under "## Library example", run as written; each print's
+    # comment starts with the line it prints
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1].split(":")[0].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["U(2)×U(1)", "False", "True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
