@@ -8,12 +8,12 @@ string pieces, a matrix file's ``data`` one block of at most 16 rows per
 piece, which :func:`write_canonical_json` streams to a file.  A value is a
 dict, a list or tuple, a :class:`MatrixData`, a string, or a bool, int or
 float (Python or numpy); anything else, ``None``, complex scalars and
-ndarrays included, raises TypeError, as does a float that is not finite,
-in a MatrixData too, since JSON has no inf or nan.  A matrix reaches a report only as
-MatrixData, whose block formatter alone writes ``[re, im]`` pairs.  That
-formatter writes the bytes of ``"%.17g" % x`` for every entry: numpy
-computes the 17 digits of most entries at once, and ``%`` formats the few
-whose rounding it cannot prove.
+ndarrays included, raises TypeError.  So does a float that is not
+finite, in a MatrixData too, since JSON has no inf or nan.  A matrix
+reaches a report only as MatrixData, whose block formatter alone writes
+``[re, im]`` pairs.  That formatter writes the bytes of ``"%.17g" % x``
+for every entry: numpy computes the 17 digits of most entries at once,
+and ``%`` formats the few whose rounding it cannot prove.
 """
 
 from __future__ import annotations
@@ -90,7 +90,9 @@ def _tables():
 
 
 def _block_text(x: np.ndarray, ends: np.ndarray) -> str:
-    """``"%.17g" % v`` for each v of the float array ``x``, each between its ``ends``; TypeError if one is not finite.
+    """``"%.17g" % v`` for each v of the float array ``x``, each between its ``ends``.
+
+    A non-finite entry raises TypeError, since JSON has no inf or nan.
 
     Error bound on y, in units of D's last digit: c_k's double and remainder
     are within 2^-106·c_k of it, x·2^s times the remainder rounds by at most

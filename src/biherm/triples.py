@@ -216,8 +216,8 @@ def triple_from_g_omega(
         If g is not a symmetric positive-definite metric.
     NonFiniteError
         If g and omega are scaled so far apart that B̃ leaves the double
-        range: past the largest double, or underflowed below the bound
-        ‖B̃‖₂ ≥ ‖omega‖₂ / ‖g‖₂.
+        range: past the largest double, or underflowed, its largest
+        singular value below what ‖omega‖₂ ≤ ‖g‖₂·‖B̃‖₂ allows.
     """
     if g.dim != omega.dim:
         raise NotAdmissibleError("metric and symplectic form dimensions differ")
