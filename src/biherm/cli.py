@@ -224,7 +224,7 @@ def connect(tol, h1_path, h2_path, out):
 def spectrum(tol, h1_path, h2_path):
     """Clustered spectrum and bi-unitary group signature of a pair."""
     _, _, op = _load_pair(h1_path, h2_path, tol)
-    res = spectral_resolution(op, tol)
+    res = spectral_resolution(op)
     results = {
         "dim": op.dim,
         "eigenvalues": [float(v) for v in res.eigenvalues],
@@ -246,7 +246,7 @@ def spectrum(tol, h1_path, h2_path):
 def generic(tol, h1_path, h2_path, seed):
     """Genericity verdicts, commutant dimensions and cyclicity."""
     _, _, op = _load_pair(h1_path, h2_path, tol)
-    res = spectral_resolution(op, tol)
+    res = spectral_resolution(op)
     by_spectrum = is_generic_by_spectrum(res)
     comm_dim = res.commutant_dimension
     bicomm_dim = bicommutant_dimension(res)
@@ -269,13 +269,13 @@ def generic(tol, h1_path, h2_path, seed):
 def decompose(tol, h1_path, h2_path):
     """Fibered decomposition, proportionality and dimension checks."""
     h1, h2, op = _load_pair(h1_path, h2_path, tol)
-    dec = build_decomposition(op, tol)
-    prop = check_proportionality(dec, h1, h2, tol)
+    dec = build_decomposition(op)
+    prop = check_proportionality(dec, h1, h2)
     results = {
         "fibers": [{"eigenvalue": f.eigenvalue, "weight": f.weight, "dim": f.dim} for f in dec.fibers],
         "segments": {str(k): list(v) for k, v in dec.segments.items()},
         "proportionality": {"max_violation": list(prop.max_violation), "passed": prop.passed},
-        "all_fibers_unidimensional": check_genericity_consistency(dec, op, tol),
+        "all_fibers_unidimensional": check_genericity_consistency(dec, op),
     }
     return results, prop.passed
 
@@ -284,9 +284,9 @@ def decompose(tol, h1_path, h2_path):
 def sample_u(tol, h1_path, h2_path, seed, out):
     """Sample a random bi-unitary transformation of a pair."""
     h1, h2, op = _load_pair(h1_path, h2_path, tol)
-    dec = build_decomposition(op, tol)
+    dec = build_decomposition(op)
     u = sample_biunitary(dec, seed)
-    rep = verify_biunitary(u, h1, h2, tol, connecting=op)
+    rep = verify_biunitary(u, h1, h2, connecting=op)
     save_matrix(out, u, "complex_general")
     results = {
         "dim": op.dim,

@@ -241,9 +241,13 @@ def verify_biunitary(
     ----------
     u : ndarray
         Candidate transformation, square, matching the form dimension.
+    tol : Tolerances
+        Used only to build the connecting operator when ``connecting`` is
+        not given.
     connecting : ConnectingOperator, optional
         Precomputed connecting operator for (h1, h2); computed on demand
-        otherwise.
+        otherwise.  Its ``tol.tol_resid`` sets every threshold of the
+        report.
 
     Raises
     ------
@@ -262,7 +266,7 @@ def verify_biunitary(
         raise DimensionMismatchError("U and form dimensions differ")
     if connecting is None:
         connecting = ConnectingOperator(h1, h2, tol)
-    g = connecting.mat
+    g, tol = connecting.mat, connecting.tol
 
     uh = u.conj().T
     with np.errstate(over="ignore", invalid="ignore"):

@@ -37,7 +37,7 @@ from .errors import (
     NotGenericError,
     NotInCommutantError,
 )
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _fro, _read_only
+from .forms import _TINY, HermitianForm, _fro, _read_only
 from .spectral import SpectralResolution, is_generic_by_commutant, is_generic_by_spectrum, spectral_resolution
 
 __all__ = [
@@ -74,17 +74,13 @@ class DecomposableOperator:
         return tuple(b.shape[0] for b in self.blocks)
 
 
-def build_decomposition(
-    g: ConnectingOperator,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    resolution: SpectralResolution | None = None,
-) -> SpectralResolution:
+def build_decomposition(g: ConnectingOperator, *, resolution: SpectralResolution | None = None) -> SpectralResolution:
     """Fibered decomposition of G: its spectral resolution.
 
-    Returns ``resolution`` when given, else ``spectral_resolution(g, tol)``.
+    Returns ``resolution`` when given, else ``spectral_resolution(g)``.
     """
     if resolution is None:
-        resolution = spectral_resolution(g, tol)
+        resolution = spectral_resolution(g)
     return resolution
 
 
@@ -108,16 +104,12 @@ class ProportionalityReport:
         return max(self.max_violation)
 
 
-def check_proportionality(
-    dec: SpectralResolution,
-    h1: HermitianForm,
-    h2: HermitianForm,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ProportionalityReport:
+def check_proportionality(dec: SpectralResolution, h1: HermitianForm, h2: HermitianForm) -> ProportionalityReport:
     """Verify h2 = lambda_j * h1 on every fiber.
 
     The decomposition must come from the connecting operator of
-    (h1, h2); violations are reported per fiber, never raised.
+    (h1, h2); violations are reported per fiber, never raised, and judged
+    against that operator's ``tol.tol_resid``.
 
     With V the basis matrix and W = V^H h1 its dual basis, the fiber
     blocks X_j^H h2 X_j - lambda_j X_j^H h1 X_j are the diagonal blocks
@@ -136,7 +128,7 @@ def check_proportionality(
         violations[ids] = np.abs(dev[c[:, :, None], c[:, None, :]]).max(axis=(1, 2))
     violations /= scale
     return ProportionalityReport(
-        max_violation=tuple(violations.tolist()), tolerance=tol.tol_resid
+        max_violation=tuple(violations.tolist()), tolerance=dec.connecting.tol.tol_resid
     )
 
 
@@ -150,17 +142,14 @@ def _fiber_operator(a, dec: SpectralResolution) -> np.ndarray:
     return a
 
 
-def project_to_commutant_blocks(
-    a: np.ndarray,
-    dec: SpectralResolution,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DecomposableOperator:
+def project_to_commutant_blocks(a: np.ndarray, dec: SpectralResolution) -> DecomposableOperator:
     """Split an operator commuting with G into its per-fiber blocks.
 
     An operator in the commutant is block-diagonal in the fiber basis;
     the cross-fiber blocks are certified to vanish (within ten times the
     residual tolerance, relative to the operator norm) before the
-    diagonal blocks are returned.
+    diagonal blocks are returned.  The residual tolerance is
+    ``tol.tol_resid`` of the resolution's connecting operator.
 
     Raises
     ------
@@ -172,6 +161,7 @@ def project_to_commutant_blocks(
         is attached to the exception.
     """
     a = _fiber_operator(a, dec)
+    tol = dec.connecting.tol
     resid = _commutator_residual(a, dec.connecting.mat)
     if resid > tol.tol_resid:
         raise NotInCommutantError(
@@ -213,20 +203,18 @@ class ScalarBlockReport:
         )
 
 
-def check_bicommutant_scalar(
-    b: np.ndarray,
-    dec: SpectralResolution,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ScalarBlockReport:
+def check_bicommutant_scalar(b: np.ndarray, dec: SpectralResolution) -> ScalarBlockReport:
     """Test whether an operator is fiberwise multiplication by a number.
 
     Operators in the bicommutant of G act on each fiber as b_j times the
     identity; the report carries the fitted scalars and per-fiber
-    residuals, and never raises on failure.  An operator of the wrong size
-    or with a NaN or infinite entry raises, as in
+    residuals, judged against ``tol.tol_resid`` of the resolution's
+    connecting operator, and never raises on failure.  An operator of
+    the wrong size or with a NaN or infinite entry raises, as in
     :func:`project_to_commutant_blocks`.
     """
     b = _fiber_operator(b, dec)
+    tol = dec.connecting.tol
     resid = _commutator_residual(b, dec.connecting.mat)
     in_commutant = resid <= tol.tol_resid
     b_tilde = dec.to_fiber_coordinates(b)
@@ -247,18 +235,14 @@ def check_bicommutant_scalar(
     )
 
 
-def check_genericity_consistency(
-    dec: SpectralResolution,
-    g: ConnectingOperator,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def check_genericity_consistency(dec: SpectralResolution, g: ConnectingOperator) -> bool:
     """All fibers one-dimensional iff the pair is generic.
 
     Returns whether every fiber is one-dimensional, after asserting that
     this agrees with the commutant-based genericity test.  A disagreement
     would falsify the implementation, not the input, so it raises.  Both
     verdicts are read from ``dec``, which must be the decomposition of
-    ``g`` under ``tol``.
+    ``g``.
 
     Raises
     ------
@@ -266,7 +250,7 @@ def check_genericity_consistency(
         If the two characterizations disagree.
     """
     unidimensional = is_generic_by_spectrum(dec)
-    generic = is_generic_by_commutant(g, tol, resolution=dec)
+    generic = is_generic_by_commutant(g, resolution=dec)
     if unidimensional != generic:
         raise InternalInconsistencyError(
             f"fiber dimensions say unidimensional={unidimensional} but the "

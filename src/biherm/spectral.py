@@ -28,7 +28,7 @@ import numpy as np
 
 from .connecting import ConnectingOperator
 from .errors import DegenerateSpectrumError, NonFiniteError, ZeroCoefficientError
-from .forms import _TINY, DEFAULT_TOLERANCES, HermitianForm, Tolerances, _read_only
+from .forms import _TINY, HermitianForm, _read_only
 
 __all__ = [
     "Fiber",
@@ -198,20 +198,18 @@ class SpectralResolution:
         return v @ a_tilde @ v.conj().T @ self.h1.gram
 
 
-def spectral_resolution(
-    g: ConnectingOperator,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SpectralResolution:
+def spectral_resolution(g: ConnectingOperator) -> SpectralResolution:
     """Cluster the spectrum of G into fibers, with no eigensolve of its own.
 
     Adjacent values of ``g.spectrum`` are merged into one fiber whenever
-    their gap is at most ``tol.tol_eig`` times the spectral radius (ties
-    merge, so degeneracy is never under-reported).  Only the gap and the
-    fiber boundaries are computed here; the resolution derives the rest.
+    their gap is at most the operator's ``g.tol.tol_eig`` times the
+    spectral radius (ties merge, so degeneracy is never under-reported).
+    Only the gap and the fiber boundaries are computed here; the
+    resolution derives the rest.
     """
     w = g.spectrum
     radius = max(float(np.max(np.abs(w))), _TINY)
-    gap = tol.tol_eig * radius
+    gap = g.tol.tol_eig * radius
     offsets = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1, [len(w)]))
     return SpectralResolution(connecting=g, cluster_gap=gap, offsets=_read_only(offsets))
 
@@ -280,36 +278,29 @@ def cyclic_vector(res: SpectralResolution, mu) -> np.ndarray:
     return res.eigenvectors @ mu  # every fiber is one column of the eigenvector matrix
 
 
-def is_cyclic(
-    g: ConnectingOperator,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> bool:
+def is_cyclic(g: ConnectingOperator, seed: int = 0) -> bool:
     """True when G is cyclic, read from the spectrum G already holds.
 
     G is self-adjoint in the h1 inner product, so it is cyclic exactly
     when its eigenvalues are distinct: when no two of them lie within the
-    cluster gap of ``spectral_resolution(g, tol)``, so that its commutant
+    cluster gap of ``spectral_resolution(g)``, so that its commutant
     dimension is n.  ``seed`` is accepted for compatibility and has no
     effect on the verdict.  A Krylov rank (:func:`~biherm.forms.krylov_rank`)
     would judge the same property in exact arithmetic, but at n ~ 100 its
     degree-k polynomials lose the small eigencomponents to rounding and
     overstate the rank.  O(n^2) time and memory.
     """
-    return spectral_resolution(g, tol).commutant_dimension == g.dim
+    return spectral_resolution(g).commutant_dimension == g.dim
 
 
-def commutant_dimension(
-    g: ConnectingOperator,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> int:
+def commutant_dimension(g: ConnectingOperator) -> int:
     """Complex dimension of {X : GX = XG}, counted over eigenvalue pairs.
 
     Returns :attr:`SpectralResolution.commutant_dimension` of
-    ``spectral_resolution(g, tol)``: O(n^2) time and memory; the
+    ``spectral_resolution(g)``: O(n^2) time and memory; the
     n^2 x n^2 commutator map is never formed.
     """
-    return spectral_resolution(g, tol).commutant_dimension
+    return spectral_resolution(g).commutant_dimension
 
 
 def bicommutant_dimension(res: SpectralResolution) -> int:
@@ -321,11 +312,7 @@ def bicommutant_dimension(res: SpectralResolution) -> int:
     return res.n_fibers
 
 
-def is_generic_by_commutant(
-    g: ConnectingOperator,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    resolution: SpectralResolution | None = None,
-) -> bool:
+def is_generic_by_commutant(g: ConnectingOperator, *, resolution: SpectralResolution | None = None) -> bool:
     """True when the commutant of G equals its bicommutant.
 
     Compares the commutant dimension of ``resolution`` (computed when not
@@ -334,5 +321,5 @@ def is_generic_by_commutant(
     each one then pairs only with itself.
     """
     if resolution is None:
-        resolution = spectral_resolution(g, tol)
+        resolution = spectral_resolution(g)
     return resolution.commutant_dimension == bicommutant_dimension(resolution)

@@ -600,12 +600,12 @@ class TestOracleContract:
             if margin < 10.0:
                 continue
             op = connecting_operator(h1, h2, tol)
-            res = spectral_resolution(op, tol)
+            res = spectral_resolution(op)
             assert res.multiplicities == mults
             generic = max(mults) == 1
             assert is_generic_by_spectrum(res) is generic
-            assert is_generic_by_commutant(op, tol, resolution=res) is generic
+            assert is_generic_by_commutant(op, resolution=res) is generic
             for seed in range(3):
-                assert is_cyclic(op, seed=seed, tol=tol) is generic
+                assert is_cyclic(op, seed=seed) is generic
             checked.append(generic)
         assert len(checked) >= 30 and set(checked) == {True, False}
