@@ -210,7 +210,12 @@ class HermitianForm:
     """A positive-definite Hermitian form on C^n given by its Gram matrix.
 
     Evaluation convention: ``form(x, y) = x.conj() @ gram @ y``, linear in
-    the second argument.  Positivity is decided by a Cholesky
+    the second argument.  A matrix A within ``tol.tol_sym`` of Hermitian
+    is accepted; ``gram`` holds the Hermitian matrix that A's lower
+    triangle defines (the real part of its diagonal, its strict lower
+    triangle, and that triangle's conjugate above), which is all that a
+    Cholesky factorization or ``eigvalsh`` of A reads.  An exactly
+    Hermitian A is stored as given, bit for bit.  Positivity is decided by a Cholesky
     factorization ``gram = factor @ factor.conj().T``, and ``factor``
     keeps the lower-triangular factor, frozen: the connecting operator
     and the pencil of a pair whose first form this is both start from
@@ -232,8 +237,12 @@ class HermitianForm:
 
     def __post_init__(self):
         mat = _require_square(self.gram, "gram").astype(complex, copy=False)
-        if not _within_tol_sym(mat, 1, self.tol):
+        resid, scale = _asymmetry(mat, 1)
+        if resid > self.tol.tol_sym * scale:
             raise ValueError("gram is not Hermitian within tolerance")
+        if resid > 0.0:  # the matrix Cholesky and eigvalsh factor: entries copied, none computed
+            mat = np.where(np.tri(mat.shape[0], dtype=bool), mat, mat.conj().T)
+            np.fill_diagonal(mat, mat.diagonal().real.copy())
         object.__setattr__(self, "gram", _read_only(mat, copy=True))
         try:
             factor = _read_only(np.linalg.cholesky(self.gram))

@@ -223,6 +223,22 @@ class TestPipeline:
         assert result.exit_code == 0
         assert len(calls) == 1
 
+    def test_form_within_tol_sym_of_hermitian_is_analysed(self, runner, tmp_path):
+        # max|A - Aᴴ| = 0.9 tol_sym·max|A|: the loader and HermitianForm accept
+        # it, and the pair is analysed as the form its lower triangle defines
+        rng = np.random.default_rng(6)
+        a, b = random_hpd(rng, 6) + 6 * np.eye(6), random_hpd(rng, 6)
+        e = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        e = e - e.conj().T
+        a = a + e * (0.45 * 1e-10 * np.abs(a).max() / np.abs(e).max())
+        h1, h2 = tmp_path / "h1.json", tmp_path / "h2.json"
+        save_matrix(h1, a, "complex_hermitian")
+        save_matrix(h2, b, "complex_hermitian")
+        pair = ["--h1", str(h1), "--h2", str(h2)]
+        for args in (["connect", *pair, "--out", str(tmp_path / "G.json")], ["spectrum", *pair], ["decompose", *pair]):
+            result = invoke(runner, args)
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["passed"] is True
 
     def test_numerically_singular_h1_exits_one_naming_h1(self, runner, files, tmp_path):
         h1 = tmp_path / "h1_singular.json"

@@ -16,6 +16,7 @@ from biherm import (
     Tolerances,
     ZeroVectorError,
     connecting_operator,
+    invariants_hold,
     krylov_rank,
 )
 from biherm import forms
@@ -191,6 +192,65 @@ class TestHermitianFormFactor:
         # one call on h1's whole factor; the others are its recursion
         assert calls.count((40, 40)) == 1
         assert "inverse_factor" not in vars(h2)
+
+
+def _nearly_hermitian(rng, n, share):
+    """An HPD matrix plus an anti-Hermitian part: max|A - Aᴴ| = share·tol_sym·max|A| up to rounding."""
+    a = random_hpd(rng, n) + n * np.eye(n)
+    e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = e - e.conj().T
+    return a + e * (0.5 * share * Tolerances().tol_sym * np.abs(a).max() / np.abs(e).max())
+
+
+def _lower_defined(a):
+    """The Hermitian matrix that a's lower triangle defines, built entry by entry."""
+    n = a.shape[0]
+    out = np.empty_like(a)
+    for i in range(n):
+        out[i, i] = a[i, i].real
+        for j in range(i):
+            out[i, j] = a[i, j]
+            out[j, i] = a[i, j].conjugate()
+    return out
+
+
+class TestHermitianFormGram:
+    def test_gram_within_tol_sym_is_what_cholesky_reads(self):
+        rng = np.random.default_rng(35)
+        for n in (1, 2, 6, 33):
+            a = _nearly_hermitian(rng, n, 0.9)
+            a[np.diag_indices(n)] += 1e-12j * np.abs(a).max()
+            form = HermitianForm(a)
+            assert form.gram.tobytes() == _lower_defined(a).tobytes()
+            assert np.array_equal(form.factor, np.linalg.cholesky(a))
+            assert np.array_equal(form.eigenvalues, np.linalg.eigvalsh(a))
+
+    def test_exactly_hermitian_gram_keeps_its_bytes(self):
+        rng = np.random.default_rng(36)
+        for a in (random_hpd(rng, 12), np.array([[2.0, -0.0], [-0.0, 3.0]]), np.array([[2.0, 1 - 0j], [1 + 0j, 3.0]])):
+            assert HermitianForm(a).gram.tobytes() == a.astype(complex).tobytes()
+
+    def test_gram_copies_extreme_entries_without_arithmetic(self):
+        tiny, huge = 5e-324, 1.7e308
+        for a in (
+            np.array([[huge, 0.5 * huge], [0.5 * huge * (1 + 2**-52), huge]]),
+            np.array([[1e-300, 3 * tiny], [2 * tiny, 1e-300]]),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                form = HermitianForm(a)
+            assert form.gram.tobytes() == _lower_defined(a.astype(complex)).tobytes()
+
+    def test_no_pair_within_tol_sym_fails_the_gate(self):
+        # each pair carries one form at 0.9 tol_sym from Hermitian; before the
+        # gram held the lower triangle, the gate raised on almost all of them
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            n = int(rng.integers(2, 20))
+            mats = [random_hpd(rng, n) + n * np.eye(n), _nearly_hermitian(rng, n, 0.9)]
+            h1, h2 = (HermitianForm(m) for m in mats[:: 1 if rng.random() < 0.5 else -1])
+            op = connecting_operator(h1, h2)
+            assert not op.ill_conditioned and invariants_hold(op.residuals, op.tol)
 
 
 def _cholesky_factor(rng, n, kappa, complex_factor):
