@@ -99,6 +99,8 @@ def _require_square(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
+    if mat.shape[0] == 0:  # the loader and the writers refuse one too
+        raise ValueError(f"{what} must be a nonempty matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise NonFiniteError(f"{what} contains non-finite entries")
     return mat

@@ -103,6 +103,22 @@ class TestFormTypes:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda e: RealForm(e), "gram"),
+            (lambda e: RealForm(e, "symmetric"), "gram"),
+            (lambda e: ComplexStructureJ(e), "mat"),
+            (lambda e: HermitianForm(e), "gram"),
+            (lambda e: krylov_rank(e, np.zeros(0)), "operator"),
+        ],
+        ids=["real-form", "symmetric-real-form", "complex-structure", "hermitian-form", "krylov-rank"],
+    )
+    def test_empty_matrix_rejected(self, build, what):
+        # an empty pair once reached connecting_operator and raised a bare IndexError
+        with pytest.raises(ValueError, match=rf"^{what} must be a nonempty matrix, got shape \(0, 0\)$"):
+            build(np.zeros((0, 0)))
+
     def test_hermitian_form_requires_positive(self):
         HermitianForm(np.eye(2))
         with pytest.raises(ValueError):
