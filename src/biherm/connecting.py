@@ -89,7 +89,7 @@ class ConnectingOperator:
     h1: HermitianForm
     h2: HermitianForm
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
-    ill_conditioned: bool = field(init=False)
+    ill_conditioned: bool = field(init=False, default=False)  # so a constructor that raised still has a repr
     mat: np.ndarray = field(init=False, repr=False)
     spectrum: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray = field(init=False, repr=False)

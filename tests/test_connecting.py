@@ -1,6 +1,7 @@
 """Tests for the connecting operator and bi-unitarity verification."""
 
 import dataclasses
+import traceback
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestConnectingOperator:
             direct = outcome(ConnectingOperator, h1, h2, tol)
             assert direct == outcome(connecting_operator, h1, h2, tol)
             assert direct[0] is expected, (direct, expected)
+
+    @pytest.mark.parametrize(
+        "h1, h2, error",
+        [
+            (np.eye(2), np.eye(3), DimensionMismatchError),
+            (NEAR_SINGULAR_H1, np.eye(2), SingularMetricError),
+            (1e-300 * np.diag([1.0, 2.0]), 1e300 * np.diag([1.0, 3.0]), NonFiniteError),
+        ],
+        ids=["dimension", "singular-h1", "far-apart"],
+    )
+    def test_repr_after_a_raise_before_the_flag(self, h1, h2, error):
+        # the half-built operator in the traceback reads as unflagged
+        with pytest.raises(error) as info:
+            ConnectingOperator(form(h1), form(h2))
+        frames = traceback.walk_tb(info.value.__traceback__)
+        (op,) = [f.f_locals["self"] for f, _ in frames if f.f_code.co_name == "__post_init__"]
+        assert repr(op).endswith(", ill_conditioned=False)")
+        flagged = ConnectingOperator(form(np.diag([1.0, 1e-9])), form(np.eye(2)))
+        assert repr(flagged).endswith(", ill_conditioned=True)")
 
     def test_invariant_gate_raises_on_failing_residuals(self):
         # no residual of a dense pair reaches 1e-30, so the gate must fire
