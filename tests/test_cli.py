@@ -547,6 +547,18 @@ class TestCommonFlags:
         tight = invoke(runner, ["spectrum", "--h1", files["h1"], "--h2", str(h2)])
         assert json.loads(loose.output)["results"]["multiplicities"] == [2]
         assert json.loads(tight.output)["results"]["multiplicities"] == [1, 1]
+        # every later stage clusters as spectrum does, under either tolerance
+        for flags, spectrum in (["--tol-eig", "1e-4"], loose), ([], tight):
+            mults = json.loads(spectrum.output)["results"]["multiplicities"]
+            pair = ["--h1", files["h1"], "--h2", str(h2), *flags]
+            generic = json.loads(invoke(runner, ["generic", *pair]).output)["results"]
+            assert generic["signature"] == json.loads(spectrum.output)["results"]["signature"]
+            assert generic["commutant_dimension"] == sum(m * m for m in mults)
+            assert generic["cyclic"] is (mults == [1, 1])
+            decompose = json.loads(invoke(runner, ["decompose", *pair]).output)["results"]
+            assert [f["dim"] for f in decompose["fibers"]] == mults
+            sample = invoke(runner, ["sample-u", *pair, "--out", str(tmp_path / "U.json")])
+            assert json.loads(sample.output)["results"]["block_dims"] == mults
 
     def test_env_var_sets_tol_eig_and_flag_wins(self, runner, files, tmp_path):
         h2 = tmp_path / "near.json"

@@ -22,7 +22,9 @@ from biherm import (
     check_bicommutant_scalar,
     check_genericity_consistency,
     check_proportionality,
+    commutant_dimension,
     connecting_operator,
+    group_signature,
     is_cyclic,
     is_generic_by_commutant,
     is_generic_by_spectrum,
@@ -412,6 +414,81 @@ class TestGenericityConsistency:
         assert built == []
         fibers = res.fibers  # which the counter does see
         assert len(built) == len(fibers) == res.n_fibers
+
+
+class TestOperatorTolerances:
+    """Every stage after the connecting operator judges with the operator's tolerances."""
+
+    TOL = Tolerances(tol_eig=1e-4, tol_resid=1e-9)
+
+    def pair(self):
+        h1, h2 = HermitianForm(np.eye(3)), HermitianForm(np.diag([1.0, 1.0 + 1e-6, 2.0]))
+        return h1, h2, connecting_operator(h1, h2, self.TOL)
+
+    def test_every_spectral_reading_clusters_under_the_operators_tol_eig(self):
+        # the default tol_eig splits the 1e-6 pair; the operator's merges it
+        _, _, op = self.pair()
+        res = spectral_resolution(op)
+        assert str(group_signature(res)) == "U(2)×U(1)"
+        assert res.cluster_gap == 1e-4 * 2.0
+        assert is_cyclic(op) is False
+        assert commutant_dimension(op) == res.commutant_dimension == 5
+        assert is_generic_by_commutant(op) is False
+        assert build_decomposition(op).multiplicities == (2, 1)
+        assert check_genericity_consistency(res, op) is False
+        assert spectral_resolution(connecting_operator(op.h1, op.h2)).multiplicities == (1, 1, 1)
+
+    def test_every_report_judges_with_the_operators_tol_resid(self):
+        h1, h2, op = self.pair()
+        dec = build_decomposition(op)
+        assert check_proportionality(dec, h1, h2).tolerance == op.tol.tol_resid
+        # a relative commutator residual of about 5e-10: above the default
+        # tol_resid of 1e-10, within the operator's 1e-9
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a[0, 2] = a[2, 0] = 3.24e-9
+        blocks = project_to_commutant_blocks(a, dec)
+        assert blocks.block_dims == (2, 1)
+        rep = check_bicommutant_scalar(a, dec)
+        assert rep.in_commutant and 1e-10 < rep.commutator_residual <= 1e-9
+        assert rep.tolerance == op.tol.tol_resid
+        with pytest.raises(NotInCommutantError):
+            project_to_commutant_blocks(a, build_decomposition(connecting_operator(h1, h2)))
+
+    def test_verify_biunitary_judges_with_its_connecting_operator(self):
+        # U = (1 + 2.5e-10) I preserves each form to a relative 5e-10
+        h1, h2, op = self.pair()
+        u = (1.0 + 2.5e-10) * np.eye(3)
+        assert verify_biunitary(u, h1, h2, connecting=op).passed
+        assert verify_biunitary(u, h1, h2, Tolerances(tol_resid=1e-12), connecting=op).passed
+        assert verify_biunitary(u, h1, h2, self.TOL).passed
+        assert not verify_biunitary(u, h1, h2).passed
+
+    def test_no_stage_after_the_operator_takes_a_tolerance(self):
+        h1, h2, op = self.pair()
+        dec = build_decomposition(op)
+        a = np.eye(3)
+        calls = [
+            (spectral_resolution, (op,)),
+            (is_cyclic, (op, 0)),
+            (commutant_dimension, (op,)),
+            (is_generic_by_commutant, (op,)),
+            (build_decomposition, (op,)),
+            (check_proportionality, (dec, h1, h2)),
+            (project_to_commutant_blocks, (a, dec)),
+            (check_bicommutant_scalar, (a, dec)),
+            (check_genericity_consistency, (dec, op)),
+        ]
+        for fn, args in calls:
+            fn(*args)
+            with pytest.raises(TypeError):
+                fn(*args, self.TOL)
+            with pytest.raises(TypeError):
+                fn(*args, tol=self.TOL)
+        # resolution is keyword-only, so a stale positional tol cannot bind to it
+        for fn in (is_generic_by_commutant, build_decomposition):
+            with pytest.raises(TypeError):
+                fn(op, dec)
+            assert fn(op, resolution=dec) is not None
 
 
 class TestSampleBiunitary:

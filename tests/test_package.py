@@ -1,13 +1,17 @@
 """The package namespace: what ``import biherm`` exposes, and the README example that uses it."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import biherm
+from biherm import ConnectingOperator, SpectralResolution
 
 # The six re-exported modules and their public names, as of version 0.1.0.
 PUBLIC_NAMES = [
@@ -52,3 +56,35 @@ def test_readme_library_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+# Tolerances enter where forms, triples and the connecting operator are
+# built, and where files are read; every later stage reads its operator's.
+TOL_ENTRY_POINTS = {
+    "RealForm", "ComplexStructureJ", "HermitianForm", "krylov_rank",
+    "AdmissibleTriple", "symmetrize_metric", "omega_from_g_j", "triple_from_g_j", "triple_from_g_omega",
+    "build_complexification", "complexification_from_j", "hermitian_from_triple",
+    "ConnectingOperator", "connecting_operator", "invariants_hold", "verify_biunitary",
+    "load_matrix", "load_triple",
+}
+
+
+def _public_signatures():
+    """(module, name, signature) of every public callable in each module's ``__all__``."""
+    for info in pkgutil.iter_modules(biherm.__path__):
+        module = importlib.import_module(f"biherm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield info.name, name, inspect.signature(obj, eval_str=True)
+
+
+def test_only_the_entry_points_take_a_tolerance():
+    signatures = list(_public_signatures())
+    assert {m for m, _, _ in signatures} >= {"connecting", "decomposition", "forms", "matrixio", "spectral", "triples"}
+    assert {name for _, name, sig in signatures if "tol" in sig.parameters} == TOL_ENTRY_POINTS
+    # a stage that requires an operator or a resolution reads its tolerances
+    for _, name, sig in signatures:
+        required = [p.annotation for p in sig.parameters.values() if p.default is inspect.Parameter.empty]
+        if ConnectingOperator in required or SpectralResolution in required:
+            assert "tol" not in sig.parameters, name
