@@ -52,6 +52,9 @@ class ConnectingOperator:
     (the matching h1-orthonormal eigenvectors, as column-major columns)
     are the one solve of the pencil h2 x = lam h1 x, by the congruence
     L⁻¹ h2 L⁻ᴴ.  ``residuals`` holds :meth:`invariant_residuals`.
+    ``tol`` is the pair's one tolerance model: every later stage, from
+    the spectral resolution to :func:`verify_biunitary` given this
+    operator, reads its thresholds from it.
 
     ``ill_conditioned`` flags an h1 whose condition number κ₂(h1) exceeds
     1/``tol.tol_eig``.  A bound on κ₂(h1) from the same inverse factor

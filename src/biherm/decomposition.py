@@ -8,7 +8,8 @@ commuting with G are exactly the ones that are block-diagonal across
 fibers; operators in the bicommutant act as a scalar on each fiber; and
 transformations preserving both forms are assembled from one unitary
 block per fiber — a single phase per fiber when all fibers are
-one-dimensional.  Every function here takes the resolution as it is.
+one-dimensional.  Every function here takes the resolution as it is,
+and judges with the ``tol_resid`` of its connecting operator.
 
 The product U(n_1) x ... x U(n_k) is handled one fiber dimension at a
 time, not fiber by fiber: the resolution's

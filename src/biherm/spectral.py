@@ -16,7 +16,9 @@ h1, so all three say one thing: its eigenvalues are distinct.  They are
 three readings of one resolution, which counts its eigenvalue pairs
 once (clusters against n, pairs against clusters, pairs against n), so
 they agree by construction; the spectrum itself is checked against
-50-digit pencil eigenvalues in the tests.
+50-digit pencil eigenvalues in the tests.  The cluster threshold is the
+connecting operator's own ``tol.tol_eig``, so every reading of one
+operator clusters alike; no function here takes a tolerance.
 """
 
 from __future__ import annotations
