@@ -217,11 +217,11 @@ class HermitianForm:
     triangle defines (the real part of its diagonal, its strict lower
     triangle, and that triangle's conjugate above), which is all that a
     Cholesky factorization or ``eigvalsh`` of A reads.  An exactly
-    Hermitian A is stored as given, bit for bit.  Positivity is decided by a Cholesky
-    factorization ``gram = factor @ factor.conj().T``, and ``factor``
-    keeps the lower-triangular factor, frozen: the connecting operator
-    and the pencil of a pair whose first form this is both start from
-    it.  When the factorization fails the form falls back to the
+    Hermitian A is stored as given, bit for bit.  Positivity is decided
+    by a Cholesky factorization ``gram = factor @ factor.conj().T``, and
+    ``factor`` keeps the lower-triangular factor, frozen: the connecting
+    operator and the pencil of a pair whose first form this is both
+    start from it.  When the factorization fails the form falls back to the
     eigenvalue verdict: a gram whose smallest eigenvalue is still
     positive is accepted, numerically singular, with ``factor`` None.
     ``inverse_factor`` holds L⁻¹ for ``factor`` = L (None without a
@@ -240,11 +240,11 @@ class HermitianForm:
     def __post_init__(self):
         mat = _require_square(self.gram, "gram").astype(complex, copy=False)
         resid, scale = _asymmetry(mat, 1)
-        if resid > self.tol.tol_sym * scale:
+        if resid > self.tol.tol_sym * scale:  # _within_tol_sym's rule, keeping the residual
             raise ValueError("gram is not Hermitian within tolerance")
         if resid > 0.0:  # the matrix Cholesky and eigvalsh factor: entries copied, none computed
             mat = np.where(np.tri(mat.shape[0], dtype=bool), mat, mat.conj().T)
-            np.fill_diagonal(mat, mat.diagonal().real.copy())
+            np.fill_diagonal(mat, mat.diagonal().real)
         object.__setattr__(self, "gram", _read_only(mat, copy=True))
         try:
             factor = _read_only(np.linalg.cholesky(self.gram))
