@@ -194,7 +194,7 @@ def hermitian(tol, triple_path, out):
     """Hermitian form of a triple in canonical J-adapted coordinates."""
     trip = load_triple(triple_path, tol)
     cmap = complexification_from_j(trip.j, tol)
-    form = hermitian_from_triple(trip, cmap, tol)
+    form = hermitian_from_triple(trip, cmap)
     save_matrix(out, form.gram, "complex_hermitian")
     w = form.eigenvalues
     results = {

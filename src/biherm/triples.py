@@ -304,24 +304,21 @@ def _j_adapted_residual(basis: np.ndarray, j_mat: np.ndarray) -> float:
     return _maxabs(basis[:, n:] - j_mat @ basis[:, :n]) / max(_maxabs(basis), _TINY)
 
 
-def build_complexification(
-    triple: AdmissibleTriple,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ComplexificationMap:
+def build_complexification(triple: AdmissibleTriple) -> ComplexificationMap:
     """Deterministic J-adapted g-orthonormal basis for an admissible triple.
 
     Takes the standard basis vectors that :func:`complexification_from_j`
-    picks, g-orthonormalizes each in turn into u_k against the span of
-    the earlier u and J u (two block projection passes), and adjoins
-    J u_k, which is then g-orthonormal to everything so far.  The second
-    block of the result equals J applied to the first block exactly.
-    A degenerate J raises :class:`NotAdmissibleError` from
-    :func:`complexification_from_j`.
+    picks under ``triple.tol``, g-orthonormalizes each in turn into u_k
+    against the span of the earlier u and J u (two block projection
+    passes), and adjoins J u_k, which is then g-orthonormal to
+    everything so far.  The second block of the result equals J applied
+    to the first block exactly.  A degenerate J raises
+    :class:`NotAdmissibleError` from :func:`complexification_from_j`.
     """
     g, j = triple.g.gram, triple.j.mat
     n = triple.dim // 2
     span = np.empty((triple.dim, 0))  # g-orthonormal: u_1, Ju_1, u_2, Ju_2, ...
-    for w in complexification_from_j(triple.j, tol).basis[:, :n].T:
+    for w in complexification_from_j(triple.j, triple.tol).basis[:, :n].T:
         for _ in range(2):
             w = w - span @ (span.T @ (g @ w))
         u = w / np.sqrt(w @ g @ w)
@@ -377,11 +374,7 @@ def complexification_from_j(
     return ComplexificationMap(np.column_stack([eye[:, picks], j.mat[:, picks]]))
 
 
-def hermitian_from_triple(
-    triple: AdmissibleTriple,
-    cmap: ComplexificationMap,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> HermitianForm:
+def hermitian_from_triple(triple: AdmissibleTriple, cmap: ComplexificationMap) -> HermitianForm:
     """Hermitian structure of an admissible triple in complex coordinates.
 
     The Gram matrix is H_{kl} = g(u_k, u_l) + i g(J u_k, u_l) over the
@@ -394,7 +387,8 @@ def hermitian_from_triple(
     block must equal J applied to its first block); it need not be
     g-orthonormal.  In the triple's own g-orthonormal adapted basis the
     Gram matrix is the identity; nontrivial Gram matrices arise in shared
-    coordinates such as :func:`complexification_from_j`.
+    coordinates such as :func:`complexification_from_j`.  Both the
+    adaptation and the form are judged under ``triple.tol``.
 
     Raises
     ------
@@ -405,7 +399,7 @@ def hermitian_from_triple(
     if cmap.real_dim != triple.dim:
         raise NotAdmissibleError("complexification and triple dimensions differ")
     resid = _j_adapted_residual(cmap.basis, triple.j.mat)
-    if resid > tol.tol_resid:
+    if resid > triple.tol.tol_resid:
         raise NotAdmissibleError(
             f"complexification is not adapted to the triple's complex structure "
             f"(relative residual {resid:.3e})"
@@ -417,6 +411,6 @@ def hermitian_from_triple(
     h = u.T @ g @ u + 1j * (ju.T @ g @ u)
     h = 0.5 * (h + h.conj().T)
     try:
-        return HermitianForm(h, tol)
+        return HermitianForm(h, triple.tol)
     except ValueError as exc:
         raise NotAdmissibleError(f"resulting form is not Hermitian positive-definite: {exc}") from exc

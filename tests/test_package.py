@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import biherm
-from biherm import ConnectingOperator, SpectralResolution
+from biherm import AdmissibleTriple, ConnectingOperator, SpectralResolution
 
 # The six re-exported modules and their public names, as of version 0.1.0.
 PUBLIC_NAMES = [
@@ -59,11 +59,12 @@ def test_readme_library_example_prints_what_its_comments_say():
 
 
 # Tolerances enter where forms, triples and the connecting operator are
-# built, and where files are read; every later stage reads its operator's.
+# built, and where files are read; every later stage reads its triple's or
+# its operator's.
 TOL_ENTRY_POINTS = {
     "RealForm", "ComplexStructureJ", "HermitianForm", "krylov_rank",
     "AdmissibleTriple", "symmetrize_metric", "omega_from_g_j", "triple_from_g_j", "triple_from_g_omega",
-    "build_complexification", "complexification_from_j", "hermitian_from_triple",
+    "complexification_from_j",
     "ConnectingOperator", "connecting_operator", "invariants_hold", "verify_biunitary",
     "load_matrix", "load_triple",
 }
@@ -83,8 +84,12 @@ def test_only_the_entry_points_take_a_tolerance():
     signatures = list(_public_signatures())
     assert {m for m, _, _ in signatures} >= {"connecting", "decomposition", "forms", "matrixio", "spectral", "triples"}
     assert {name for _, name, sig in signatures if "tol" in sig.parameters} == TOL_ENTRY_POINTS
-    # a stage that requires an operator or a resolution reads its tolerances
+    # a stage that requires a triple, an operator or a resolution reads its tolerances
+    triple_stages = set()
     for _, name, sig in signatures:
         required = [p.annotation for p in sig.parameters.values() if p.default is inspect.Parameter.empty]
-        if ConnectingOperator in required or SpectralResolution in required:
+        if AdmissibleTriple in required:
+            triple_stages.add(name)
+        if AdmissibleTriple in required or ConnectingOperator in required or SpectralResolution in required:
             assert "tol" not in sig.parameters, name
+    assert triple_stages == {"build_complexification", "hermitian_from_triple", "save_triple"}
