@@ -136,7 +136,9 @@ def _fro(mat: np.ndarray) -> float:
 def _asymmetry(mat: np.ndarray, sign: int) -> tuple[float, float]:
     """max|A - Aᴴ| (sign +1) or max|A + Aᴴ| (sign -1), and the scale max(max|A|, tiny)."""
     adj = mat.conj().T
-    return _maxabs(mat - adj if sign > 0 else mat + adj), max(_maxabs(mat), _TINY)
+    with np.errstate(over="ignore"):  # a difference past the largest double reads inf, which no tolerance accepts
+        diff = mat - adj if sign > 0 else mat + adj
+    return _maxabs(diff), max(_maxabs(mat), _TINY)
 
 
 def _within_tol_sym(mat: np.ndarray, sign: int, tol: Tolerances) -> bool:

@@ -598,6 +598,15 @@ class TestCommonFlags:
         assert result.stdout == ""
         assert result.stderr == f"error: {h2}: {message}\n"
 
+    def test_asymmetry_past_the_largest_double_exits_two(self, runner, files, tmp_path):
+        # h2 - h2ᴴ overflows to inf: a malformed file, with no numpy warning on the way
+        h2 = tmp_path / "far.json"
+        h2.write_text('{"kind": "complex_hermitian", "dim": 2, "data": [[1, 0], [1.5e308, 0], [-1.5e308, 0], [1, 0]]}')
+        result = invoke(runner, ["spectrum", "--h1", files["h1"], "--h2", str(h2)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {h2}: matrix is not Hermitian within tolerance\n"
+
     @pytest.mark.parametrize("command", ["connect", "spectrum"])  # an artifact and a report --out
     def test_unwritable_out_exits_two(self, runner, files, tmp_path, command):
         out = tmp_path / "missing_dir" / "out.json"

@@ -119,6 +119,22 @@ class TestFormTypes:
         with pytest.raises(ValueError, match=rf"^{what} must be a nonempty matrix, got shape \(0, 0\)$"):
             build(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: HermitianForm(np.array([[1.0, 1.5e308], [-1.5e308, 1.0]])), "^gram is not Hermitian within tolerance$"),
+            (lambda: RealForm(np.array([[1.0, 1.5e308], [-1.5e308, 1.0]]), "symmetric"),
+             "^gram is not symmetric within tolerance$"),
+            (lambda: RealForm(np.array([[0.0, 1.5e308], [1.5e308, 0.0]]), "antisymmetric"),
+             "^gram is not antisymmetric within tolerance$"),
+        ],
+        ids=["hermitian-form", "symmetric-real-form", "antisymmetric-real-form"],
+    )
+    def test_asymmetry_past_the_largest_double_is_refused_without_a_warning(self, build, message):
+        # A ∓ Aᴴ overflows to inf, which no tolerance accepts; the suite turns warnings into errors
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_hermitian_form_requires_positive(self):
         HermitianForm(np.eye(2))
         with pytest.raises(ValueError):

@@ -304,6 +304,23 @@ class TestDiagnostics:
         assert str(exc.value) == f"{path}: {message}"
 
 
+    @pytest.mark.parametrize(
+        "kind, mat, word",
+        [
+            ("complex_hermitian", [[1.0, 1.5e308], [-1.5e308, 1.0]], "Hermitian"),
+            ("real_symmetric", [[1.0, 1.5e308], [-1.5e308, 1.0]], "symmetric"),
+            ("real_antisymmetric", [[0.0, 1.5e308], [1.5e308, 0.0]], "antisymmetric"),
+        ],
+        ids=["complex-hermitian", "real-symmetric", "real-antisymmetric"],
+    )
+    def test_writer_refuses_an_asymmetry_past_the_largest_double(self, tmp_path, kind, mat, word):
+        # A ∓ Aᴴ overflows to inf: refused, with no numpy warning (the suite turns them into errors)
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=f"^matrix is not {word} within tolerance$"):
+            save_matrix(path, np.array(mat), kind)
+        assert not path.exists()
+
+
 class TestTripleBundle:
     def test_round_trip(self, tmp_path):
         trip = triple_from_g_j(RealForm(np.diag([1.0, 4.0]), "symmetric"), ComplexStructureJ(J2))
