@@ -270,10 +270,15 @@ class ComplexificationMap:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] % 2:
+        basis = np.asarray(self.basis)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] % 2 or not basis.size:
             raise ValueError("basis must be a square matrix of even dimension")
-        object.__setattr__(self, "basis", _read_only(basis, copy=True))
+        if np.iscomplexobj(basis):
+            raise ValueError("basis must be real")
+        basis = basis.astype(float)
+        if not np.all(np.isfinite(basis)):
+            raise NonFiniteError("basis contains non-finite entries")
+        object.__setattr__(self, "basis", _read_only(basis))
 
     @cached_property
     def _basis_inv(self) -> np.ndarray:

@@ -405,6 +405,9 @@ class TestAdmissibleTriple:
              NotAdmissibleError, "^complexification and triple dimensions differ$"),
             (lambda: ComplexificationMap(np.eye(3)), ValueError, "^basis must be a square matrix of even dimension$"),
             (lambda: ComplexificationMap(np.ones((2, 4))), ValueError, "^basis must be a square matrix of even dimension$"),
+            (lambda: ComplexificationMap(np.zeros((0, 0))), ValueError, "^basis must be a square matrix of even dimension$"),
+            (lambda: ComplexificationMap(np.eye(2) + 1j), ValueError, "^basis must be real$"),
+            (lambda: ComplexificationMap(np.diag([1.0, np.nan])), NonFiniteError, "^basis contains non-finite entries$"),
             # adapted to J but singular: a zero u column gives H a zero eigenvalue
             (lambda: hermitian_from_triple(
                 triple_from_g_j(RealForm(np.eye(4), "symmetric"), ComplexStructureJ(J4)),
@@ -412,7 +415,8 @@ class TestAdmissibleTriple:
              NotAdmissibleError, "^resulting form is not Hermitian positive-definite: gram is not positive-definite"),
         ],
         ids=["triple-dims", "omega-tag", "not-anti-hermitian", "symmetrize-dims", "omega-dims", "g-omega-dims",
-             "hermitian-dims", "odd-basis", "non-square-basis", "singular-basis"],
+             "hermitian-dims", "odd-basis", "non-square-basis", "empty-basis", "complex-basis", "nan-basis",
+             "singular-basis"],
     )
     def test_malformed_input_rejected(self, call, error, message):
         with pytest.raises(error, match=message):
