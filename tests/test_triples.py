@@ -622,3 +622,56 @@ class TestHermitianFromTriple:
         other = ComplexStructureJ(-J2)
         with pytest.raises(NotAdmissibleError):
             hermitian_from_triple(trip, complexification_from_j(other))
+
+
+class TestTripleTolerances:
+    # a triple's stages read its own tolerances, triple.tol, as a pair's read its operator's
+
+    def test_build_complexification_picks_under_the_triple_tol_eig(self):
+        # the J of test_j_e_i_within_tol_eig_of_the_span_is_degenerate at eps = 1.5e-8:
+        # degenerate under the default tol_eig, e0 and e2 picked under 1e-7
+        eps = 1.5e-8
+        j = np.zeros((4, 4))
+        j[:, 0] = [0.0, 1.0, 0.0, eps]
+        j[:, 1] = [-1.0, 0.0, eps / 2, 0.0]
+        j[:, 2] = [0.0, 0.0, 0.0, 2.0]
+        j[:, 3] = [0.0, 0.0, -0.5, 0.0]
+        tol = Tolerances(tol_eig=1e-7)
+        trip = triple_from_g_j(RealForm(np.eye(4), "symmetric", tol), ComplexStructureJ(j, tol), tol)
+        picks = complexification_from_j(trip.j, tol).basis
+        assert np.array_equal(picks[:, :2], np.eye(4)[:, [0, 2]])
+        basis = build_complexification(trip).basis
+        # u_k, J u_k are g-orthonormalized in the order of the picks e_k, J e_k
+        order = [0, 2, 1, 3]
+        coeffs = np.linalg.solve(picks[:, order], basis[:, order])
+        assert np.max(np.abs(np.tril(coeffs, -1))) <= 1e-12
+        assert np.allclose(basis.T @ trip.g.gram @ basis, np.eye(4), atol=1e-12)
+
+    def test_hermitian_from_triple_judges_adaptation_with_the_triple_tol_resid(self):
+        cmap = complexification_from_j(ComplexStructureJ(J4))
+        basis = cmap.basis.copy()
+        basis[:, 2:] += 1e-8 * np.ones((4, 2))  # J-adapted to within 1e-8 relative
+        near = ComplexificationMap(basis)
+        g, j = RealForm(np.eye(4), "symmetric"), ComplexStructureJ(J4)
+        with pytest.raises(NotAdmissibleError, match=r"^complexification is not adapted .* \(relative residual 1\.000e-08\)$"):
+            hermitian_from_triple(triple_from_g_j(g, j), near)
+        loose = Tolerances(tol_resid=1e-6)
+        trip = triple_from_g_j(g, j, loose)
+        h = hermitian_from_triple(trip, near)
+        assert h.tol is loose
+        assert np.allclose(h.gram, np.eye(2), atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda trip, cmap, tol: build_complexification(trip, tol),
+            lambda trip, cmap, tol: build_complexification(trip, tol=tol),
+            lambda trip, cmap, tol: hermitian_from_triple(trip, cmap, tol),
+            lambda trip, cmap, tol: hermitian_from_triple(trip, cmap, tol=tol),
+        ],
+        ids=["build-positional", "build-keyword", "hermitian-positional", "hermitian-keyword"],
+    )
+    def test_no_tol_parameter(self, call):
+        trip = canonical_triple()
+        with pytest.raises(TypeError):
+            call(trip, complexification_from_j(trip.j), Tolerances())
