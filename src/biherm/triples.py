@@ -38,6 +38,7 @@ from .forms import (
     _lower_inverse,
     _maxabs,
     _read_only,
+    _require_square,
     _within_tol_sym,
 )
 
@@ -275,10 +276,7 @@ class ComplexificationMap:
             raise ValueError("basis must be a square matrix of even dimension")
         if np.iscomplexobj(basis):
             raise ValueError("basis must be real")
-        basis = basis.astype(float)
-        if not np.all(np.isfinite(basis)):
-            raise NonFiniteError("basis contains non-finite entries")
-        object.__setattr__(self, "basis", _read_only(basis))
+        object.__setattr__(self, "basis", _read_only(_require_square(basis, "basis").astype(float)))
 
     @cached_property
     def _basis_inv(self) -> np.ndarray:
